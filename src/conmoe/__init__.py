@@ -9,13 +9,13 @@ from .model import (
     MoEModel,
     ModelSpec,
     TopKSelection,
-    consolidated_moe_forward,
     expert_forward,
     gen_synthetic,
     gen_tokens,
     materialize,
     model_forward,
     moe_forward,
+    moe_terms,
     router_topk,
 )
 from .calibration import CalibStats, contribution, frequency, reap_score, run_calibration

@@ -11,7 +11,7 @@ from .calibration import CalibStats, frequency, reap_score
 from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix
 from .model import ExpertWeights, MoELayer, MoEModel, Ref
 from .plan import ConsolidationPlan, Scope
-from .planner import _top_k, budget
+from .planner import _top_k, assign, budget
 
 
 def _copy_model(model: MoEModel) -> MoEModel:
@@ -109,11 +109,7 @@ def merge_msmoe(
         refs = [(l, i) for i in range(n)]
         table = tables[l] if tables is not None else distance_matrix(model, refs, eps)
         cores = _top_k(refs, lambda r: frequency(stats, r), budget(rho, n))
-        for ref in refs:
-            if ref in cores:
-                assignment[ref] = ref
-            else:
-                assignment[ref] = min(cores, key=lambda c: table.distance(ref, c))
+        assignment.update(assign(cores, table))
         scopes.append(Scope(layers=[l], prototypes=sorted(cores)))
         clusters: dict[Ref, list[Ref]] = {c: [] for c in cores}
         for ref in refs:

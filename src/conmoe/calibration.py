@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, Ref, expert_forward, router_topk
+from .model import MoEModel, Ref, moe_terms, sum_terms
 
 
 @dataclass
@@ -64,26 +64,17 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
         raise ValueError("token dimension mismatch")
 
     records: dict[Ref, ExpertStats] = {ref: ExpertStats() for ref in model.slots()}
-    k = model.spec.top_k
-    for t in range(tokens.shape[0]):
-        h = tokens[t]
-        for l, layer in enumerate(model.layers):
-            sel = router_topk(layer.router, h, k)
-            outputs = {}
-            for i, g in zip(sel.indices, sel.weights):
-                out = expert_forward(layer.experts[i], h)
-                outputs[i] = (g, out)
+    for h in tokens:
+        for l in range(model.spec.num_layers):
+            terms = moe_terms(model, l, h)
+            for i, g, out in terms:
                 rec = records[(l, i)]
                 rec.routed_count += 1
                 rec.topk_count += 1
                 rec.sum_weighted_norm += g * float(np.linalg.norm(out))
-            # residual step reuses the recorded outputs, ascending slot order
-            moe_out = np.zeros_like(h)
-            for i in sorted(outputs):
-                g, out = outputs[i]
-                moe_out = moe_out + g * out
-            h = h + moe_out
-    stats = CalibStats(token_total=tokens.shape[0], top_k=k, records=records)
+            # the residual step reuses the recorded outputs
+            h = h + sum_terms(terms, model.spec.hidden_dim)
+    stats = CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k, records=records)
     stats.validate()
     return stats
 

@@ -9,7 +9,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import analysis, baselines, store
@@ -23,8 +22,6 @@ DEFAULT_SEED = 42
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--quiet", "-q", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; results are identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--scope", type=int, default=1)
     p.add_argument("--policy", choices=list(SELECTION_POLICIES), default="adaptive")
-    p.add_argument("--importance", choices=["contribution", "uniform"], default="contribution")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", required=True)
     _add_common(p)
@@ -137,12 +133,6 @@ def _write_json(path, obj):
 
 
 def _run(args) -> None:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CONMOE_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-
     if args.command == "gen":
         spec = ModelSpec(
             num_layers=args.layers,
@@ -178,7 +168,6 @@ def _run(args) -> None:
             scope_size=args.scope,
             policy=args.policy,
             eps=args.eps,
-            importance_mode=args.importance,
         )
         plan = consolidate(model, stats, config)
         plan.metadata["seed"] = args.seed

@@ -165,9 +165,9 @@ def expert_forward(e: ExpertWeights, h: np.ndarray) -> np.ndarray:
     return e.down.astype(np.float64) @ (silu(pre) * lin)
 
 
-def router_topk(router: np.ndarray, h: np.ndarray, k: int) -> TopKSelection:
-    """Pick the k largest router logits (ties to the lower index) and
-    softmax-normalize over the selected logits."""
+def _route(router: np.ndarray, h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest router logits, descending (ties to the lower index):
+    (slot indices, logits)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = router.shape[0]
@@ -177,98 +177,92 @@ def router_topk(router: np.ndarray, h: np.ndarray, k: int) -> TopKSelection:
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
     # descending by logit, ascending index on ties
-    order = np.lexsort((np.arange(n), -logits))
-    idx = order[:k]
-    sel = logits[idx]
-    ex = np.exp(sel - sel.max())
-    w = ex / ex.sum()
-    return TopKSelection(tuple(int(i) for i in idx), tuple(float(x) for x in w))
+    idx = np.lexsort((np.arange(n), -logits))[:k]
+    return idx, logits[idx]
 
 
-def moe_forward(layer: MoELayer, h: np.ndarray, k: int) -> np.ndarray:
-    """Weighted sum over the top-k experts, summed in ascending slot order."""
-    sel = router_topk(layer.router, h, k)
-    out = np.zeros(layer.router.shape[1], dtype=np.float64)
-    for i, w in sorted(zip(sel.indices, sel.weights)):
-        out = out + w * expert_forward(layer.experts[i], h)
-    return out
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    ex = np.exp(logits - logits.max())
+    return ex / ex.sum()
 
 
-def _selection_after_drops(sel: TopKSelection, layer_idx: int, plan) -> list[tuple[int, float]]:
-    """Drop-masked slots are excluded and surviving weights renormalized.
-    Returns (slot, weight) pairs in ascending slot order; empty if every
-    selected slot is dropped."""
-    pairs = [
-        (i, w)
-        for i, w in zip(sel.indices, sel.weights)
-        if (layer_idx, i) not in plan.drop_mask
-    ]
-    if not pairs:
-        return []
-    if len(pairs) < len(sel.indices):
-        total = sum(w for _, w in pairs)
-        pairs = [(i, w / total) for i, w in pairs]
-    return sorted(pairs)
+def router_topk(router: np.ndarray, h: np.ndarray, k: int) -> TopKSelection:
+    """Pick the k largest router logits (ties to the lower index) and
+    softmax-normalize over the selected logits."""
+    idx, sel = _route(router, h, k)
+    return TopKSelection(tuple(idx.tolist()), tuple(_softmax(sel).tolist()))
 
 
-def consolidated_moe_forward(model: MoEModel, layer_idx: int, plan, h: np.ndarray) -> np.ndarray:
-    """Route on the original slots, then evaluate each selected slot with
-    its assigned prototype's weights.
+def moe_terms(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> list[tuple[int, float, np.ndarray]]:
+    """Per-slot terms (slot, routing weight, expert output) of one MoE layer,
+    in ascending slot order.
 
-    Summing per slot in ascending index keeps the result bit-identical to a
-    plain forward through the materialized model; grouping slots that share
-    a prototype into one aggregated coefficient is the same sum
-    mathematically (see aggregate_coefficients).
+    Routing picks the top-k of the original slots; drop-masked slots are
+    removed before the softmax, so the weights are a softmax over the
+    surviving selected logits. Each surviving slot is evaluated with its
+    plan prototype (with no plan, with itself).
     """
     layer = model.layers[layer_idx]
-    sel = router_topk(layer.router, h, model.spec.top_k)
-    pairs = _selection_after_drops(sel, layer_idx, plan)
-    out = np.zeros(model.spec.hidden_dim, dtype=np.float64)
-    for i, w in pairs:
-        proto = plan.assignment_for((layer_idx, i))
-        out = out + w * expert_forward(model.expert(proto), h)
+    idx, sel = _route(layer.router, h, model.spec.top_k)
+    if plan is not None:
+        keep = [j for j, i in enumerate(idx) if (layer_idx, int(i)) not in plan.drop_mask]
+        if not keep:
+            return []
+        idx, sel = idx[keep], sel[keep]
+    terms = []
+    for i, w in sorted(zip(idx.tolist(), _softmax(sel).tolist())):
+        expert = layer.experts[i] if plan is None else model.expert(plan.assignment_for((layer_idx, i)))
+        terms.append((i, w, expert_forward(expert, h)))
+    return terms
+
+
+def sum_terms(terms: list[tuple[int, float, np.ndarray]], hidden_dim: int) -> np.ndarray:
+    """Weighted sum of per-slot terms, in the order given (ascending slot)."""
+    out = np.zeros(hidden_dim, dtype=np.float64)
+    for _, w, y in terms:
+        out = out + w * y
     return out
+
+
+def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
+    """One MoE layer. A plan redirects each selected slot to its prototype
+    and drops masked slots; with no plan every slot is its own prototype.
+
+    Summing per slot in ascending index keeps a plan forward bit-identical
+    to a plain forward through the materialized model; grouping slots that
+    share a prototype into one aggregated coefficient is the same sum
+    mathematically (see aggregate_coefficients).
+    """
+    return sum_terms(moe_terms(model, layer_idx, h, plan), model.spec.hidden_dim)
 
 
 def aggregate_coefficients(model: MoEModel, layer_idx: int, plan, h: np.ndarray) -> dict[Ref, float]:
     """Per-prototype coefficient: the sum of routing weights over selected
     slots assigned to that prototype."""
-    layer = model.layers[layer_idx]
-    sel = router_topk(layer.router, h, model.spec.top_k)
-    pairs = _selection_after_drops(sel, layer_idx, plan)
     coeffs: dict[Ref, float] = {}
-    for i, w in pairs:
+    for i, w, _ in moe_terms(model, layer_idx, h, plan):
         proto = plan.assignment_for((layer_idx, i))
         coeffs[proto] = coeffs.get(proto, 0.0) + w
     return coeffs
 
 
-def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
-    """Residual stack: h <- h + MoE(h) per layer; with a plan the
-    consolidated operator replaces the plain one."""
+def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Residual stack h <- h + MoE(h) per layer: the final state and each
+    layer's MoE output."""
     h = np.asarray(h0, dtype=np.float64)
     if h.shape != (model.spec.hidden_dim,):
         raise ValueError("hidden vector dimension mismatch")
-    for l in range(model.spec.num_layers):
-        if plan is None:
-            h = h + moe_forward(model.layers[l], h, model.spec.top_k)
-        else:
-            h = h + consolidated_moe_forward(model, l, plan, h)
-    return h
-
-
-def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Like model_forward but also returns each layer's MoE output."""
-    h = np.asarray(h0, dtype=np.float64)
     outputs = []
     for l in range(model.spec.num_layers):
-        if plan is None:
-            out = moe_forward(model.layers[l], h, model.spec.top_k)
-        else:
-            out = consolidated_moe_forward(model, l, plan, h)
+        out = moe_forward(model, l, h, plan)
         outputs.append(out)
         h = h + out
     return h, outputs
+
+
+def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
+    """Final state of the residual stack (see model_forward_trace)."""
+    return model_forward_trace(model, h0, plan)[0]
 
 
 def materialize(model: MoEModel, plan) -> MoEModel:

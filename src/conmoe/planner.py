@@ -24,7 +24,6 @@ class ScopeConfig:
     scope_size: int = 1
     policy: str = "adaptive"
     eps: float = DEFAULT_EPS
-    importance_mode: str = "contribution"  # weights w_e in the objective
 
     def validate(self, num_layers: int):
         if not (0.0 <= self.rho < 1.0):
@@ -33,8 +32,6 @@ class ScopeConfig:
             raise ValueError("scope_size must be in [1, num_layers]")
         if self.policy not in SELECTION_POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
-        if self.importance_mode not in ("contribution", "uniform"):
-            raise ValueError(f"unknown importance mode: {self.importance_mode!r}")
 
 
 @dataclass
@@ -137,14 +134,16 @@ def select_prototypes(
 
 def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
     """Each slot to its nearest prototype; ties go to the ascending
-    (layer, index) prototype. Prototypes map to themselves."""
+    (layer, index) prototype. Prototypes map to themselves, also when an
+    exact duplicate of one is a prototype too."""
     if not prototypes:
         raise ValueError("empty prototype set")
-    mapping: dict[Ref, Ref] = {}
-    for ref in table.scope:
-        best = min(sorted(prototypes), key=lambda p: table.distance(ref, p))
-        mapping[ref] = best
-    return mapping
+    ordered = sorted(prototypes)
+    chosen = set(ordered)
+    return {
+        ref: ref if ref in chosen else min(ordered, key=lambda p: table.distance(ref, p))
+        for ref in table.scope
+    }
 
 
 def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> ConsolidationPlan:
@@ -175,7 +174,6 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
         assignment=assignment,
         metadata={
             "eps": config.eps,
-            "importance_mode": config.importance_mode,
             "reap_score": "aliased to routing-conditioned contribution",
         },
     )

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import conmoe
 from conmoe import ModelSpec, gen_synthetic, gen_tokens, run_calibration
 
 
@@ -28,3 +34,13 @@ def small_stats(small_model, small_tokens):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def run_cli_subprocess(argv, blas_threads):
+    """`python -m conmoe.cli ARGV` in a fresh interpreter whose OpenBLAS
+    uses the given number of threads."""
+    src = str(Path(conmoe.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "conmoe.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)

@@ -19,9 +19,11 @@ from conmoe import (
     evaluate_fidelity,
     gen_synthetic,
     gen_tokens,
+    identity_plan,
     materialize,
     merge_msmoe,
     model_forward,
+    moe_forward,
     objective,
     projection_distance,
     prune_frequency,
@@ -32,6 +34,7 @@ from conmoe import (
     select_prototypes,
 )
 from conmoe.cli import main
+from conftest import run_cli_subprocess
 from conmoe.model import aggregate_coefficients
 from conmoe.planner import importance_weights
 
@@ -90,6 +93,10 @@ def test_criterion_1_identity_pipeline(tmp_path):
 def test_criterion_2_materialization_equivalence():
     for trial in range(20):
         model, stats, config, plan, tokens = random_plan(100 + trial)
+        # the plain forward is the plan forward with every slot its own prototype
+        identity = identity_plan(model.spec.num_layers, model.spec.num_experts)
+        for t in tokens:
+            assert model_forward(model, t).tobytes() == model_forward(model, t, identity).tobytes()
         if plan.is_pruning:
             continue
         mat = materialize(model, plan)
@@ -97,7 +104,8 @@ def test_criterion_2_materialization_equivalence():
             a = model_forward(model, t, plan)
             b = model_forward(mat, t)
             assert np.array_equal(a, b)
-    _pass(2, "consolidated forward == materialized plain forward, bit-exact, 20 plans")
+    _pass(2, "consolidated forward == materialized plain forward and plain forward == "
+             "identity-plan forward, bit-exact, 20 plans")
 
 
 def test_criterion_3_exact_duplicate_recovery():
@@ -218,14 +226,12 @@ def test_criterion_7_coefficient_conservation():
         model, stats, config, plan, tokens = random_plan(700 + trial)
         if plan.is_pruning:
             continue
-        from conmoe import consolidated_moe_forward
-
         for t in tokens:
             h = np.asarray(t, dtype=np.float64)
             for l in range(model.spec.num_layers):
                 coeffs = aggregate_coefficients(model, l, plan, h)
                 assert sum(coeffs.values()) == pytest.approx(1.0, abs=1e-6)
-                h = h + consolidated_moe_forward(model, l, plan, h)
+                h = h + moe_forward(model, l, h, plan)
     _pass(7, "per-layer aggregated coefficients sum to 1 within 1e-6")
 
 
@@ -288,25 +294,37 @@ def test_criterion_10_baseline_parity():
 
 
 def test_criterion_11_determinism(tmp_path):
-    def run_all(tag, threads):
-        model_path = tmp_path / f"{tag}.mckpt"
-        stats_path = tmp_path / f"{tag}.stats.json"
-        plan_path = tmp_path / f"{tag}.plan.json"
-        report_path = tmp_path / f"{tag}.report.json"
-        base = ["--threads", str(threads), "-q"]
-        assert main(["gen", "--layers", "3", "--experts", "6", "--hidden", "12",
-                     "--inter", "16", "--topk", "2", "--seed", "42",
-                     "-o", str(model_path)] + base) == 0
-        assert main(["calibrate", "--model", str(model_path), "--tokens", "24",
-                     "--seed", "42", "-o", str(stats_path)] + base) == 0
-        assert main(["consolidate", "--model", str(model_path), "--stats", str(stats_path),
-                     "--rho", "0.5", "--scope", "3", "-o", str(plan_path)] + base) == 0
-        assert main(["eval", "--model", str(model_path), "--plan", str(plan_path),
-                     "--tokens", "16", "--seed", "42", "-o", str(report_path)] + base) == 0
-        return tuple(p.read_bytes() for p in (model_path, stats_path, plan_path, report_path))
+    def pipeline(tag):
+        paths = [tmp_path / f"{tag}.{name}" for name in ("mckpt", "stats.json", "plan.json", "report.json")]
+        model_path, stats_path, plan_path, report_path = (str(p) for p in paths)
+        argvs = [
+            ["gen", "--layers", "3", "--experts", "6", "--hidden", "12", "--inter", "16",
+             "--topk", "2", "--seed", "42", "-o", model_path],
+            ["calibrate", "--model", model_path, "--tokens", "24", "--seed", "42", "-o", stats_path],
+            ["consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
+             "--scope", "3", "-o", plan_path],
+            ["eval", "--model", model_path, "--plan", plan_path, "--tokens", "16",
+             "--seed", "42", "-o", report_path],
+        ]
+        return [argv + ["-q"] for argv in argvs], paths
 
-    first = run_all("a", 1)
-    second = run_all("b", 1)
-    third = run_all("c", 4)
-    assert first == second == third
-    _pass(11, "all artifacts byte-identical across reruns and --threads settings")
+    def run_in_process(tag):
+        argvs, paths = pipeline(tag)
+        for argv in argvs:
+            assert main(argv) == 0
+        return tuple(p.read_bytes() for p in paths)
+
+    def run_in_subprocess(tag, blas_threads):
+        # the BLAS thread count is fixed when NumPy loads, so each setting
+        # needs fresh interpreters
+        argvs, paths = pipeline(tag)
+        for argv in argvs:
+            assert run_cli_subprocess(argv, blas_threads).returncode == 0
+        return tuple(p.read_bytes() for p in paths)
+
+    first = run_in_process("a")
+    second = run_in_process("b")
+    one_thread = run_in_subprocess("c", 1)
+    two_threads = run_in_subprocess("d", 2)
+    assert first == second == one_thread == two_threads
+    _pass(11, "all artifacts byte-identical across reruns and BLAS thread counts")

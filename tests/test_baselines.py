@@ -93,6 +93,17 @@ class TestMergeMSMoE:
             0.25 * model.expert((0, 1)).gate.astype(np.float64)
         assert fused.base.expert(core).gate == pytest.approx(want_gate.astype(np.float32))
 
+    def test_duplicate_cores_map_to_themselves(self):
+        from conmoe.model import DupConfig, ModelSpec, gen_synthetic
+
+        # experts 0 and 2 are exact copies and both are kept as cores
+        model, _ = gen_synthetic(ModelSpec(1, 4, 8, 12, 1), seed=23, dup=DupConfig("within"))
+        stats = stats_with_counts(model, [3, 1, 2, 0])
+        plan, _ = merge_msmoe(model, stats, 0.5)
+        assert plan.scopes[0].prototypes == [(0, 0), (0, 2)]
+        assert plan.assignment[(0, 0)] == (0, 0)
+        assert plan.assignment[(0, 2)] == (0, 2)
+
     def test_zero_count_cluster_uniform(self, small_model):
         from conmoe.model import ModelSpec, gen_synthetic
 

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from conmoe import CalibStats, contribution, frequency, gen_tokens, reap_score, run_calibration
+from conmoe import (
+    CalibStats,
+    contribution,
+    expert_forward,
+    frequency,
+    gen_synthetic,
+    gen_tokens,
+    reap_score,
+    router_topk,
+    run_calibration,
+)
 from conmoe.calibration import ExpertStats
 from conmoe.model import ModelSpec, MoELayer, MoEModel, ExpertWeights
+from conmoe.store import canonical_json, stats_to_dict
 
 
 def stats_from_pairs(pairs):
@@ -16,7 +27,49 @@ def stats_from_pairs(pairs):
     return CalibStats(token_total=max(1, len(pairs)), top_k=1, records={(0, 0): rec})
 
 
+def reference_calibration(model, tokens):
+    """Independent per-token loop: route each layer with router_topk, record
+    every selected expert's weight times its output norm, then take the
+    residual step over the recorded outputs in ascending slot order."""
+    records = {ref: ExpertStats() for ref in model.slots()}
+    k = model.spec.top_k
+    for h in np.asarray(tokens, dtype=np.float64):
+        for l, layer in enumerate(model.layers):
+            sel = router_topk(layer.router, h, k)
+            outputs = {}
+            for i, g in zip(sel.indices, sel.weights):
+                out = expert_forward(layer.experts[i], h)
+                outputs[i] = (g, out)
+                rec = records[(l, i)]
+                rec.routed_count += 1
+                rec.topk_count += 1
+                rec.sum_weighted_norm += g * float(np.linalg.norm(out))
+            moe_out = np.zeros_like(h)
+            for i in sorted(outputs):
+                g, out = outputs[i]
+                moe_out = moe_out + g * out
+            h = h + moe_out
+    return CalibStats(token_total=len(tokens), top_k=k, records=records)
+
+
 class TestRunCalibration:
+    def test_matches_reference_loop(self):
+        for seed in range(8):
+            rng = np.random.default_rng(500 + seed)
+            num_experts = int(rng.integers(2, 9))
+            spec = ModelSpec(
+                num_layers=int(rng.integers(1, 5)),
+                num_experts=num_experts,
+                hidden_dim=int(rng.integers(4, 17)),
+                intermediate_dim=int(rng.integers(4, 25)),
+                top_k=int(rng.integers(1, num_experts + 1)),
+            )
+            model, _ = gen_synthetic(spec, seed=seed)
+            tokens = gen_tokens(int(rng.integers(1, 12)), spec.hidden_dim, seed=seed + 1)
+            got = canonical_json(stats_to_dict(run_calibration(model, tokens)))
+            want = canonical_json(stats_to_dict(reference_calibration(model, tokens)))
+            assert got == want
+
     def test_one_token_selects_exactly_k(self, small_model):
         tokens = gen_tokens(1, small_model.spec.hidden_dim, seed=9)
         stats = run_calibration(small_model, tokens)

@@ -4,6 +4,7 @@ import pytest
 
 from conmoe.cli import main
 from conmoe import read_checkpoint, read_plan
+from conftest import run_cli_subprocess
 
 
 def run(*argv):
@@ -131,12 +132,52 @@ class TestPipeline:
 class TestDeterminism:
     def test_artifacts_byte_identical_across_threads(self, model_path, tmp_path):
         outs = []
-        for threads, name in [(1, "s1"), (4, "s4")]:
-            stats = tmp_path / f"{name}.json"
-            assert run("calibrate", "--model", model_path, "--tokens", 16, "--seed", 3,
-                       "--threads", threads, "-o", stats, "-q") == 0
-            plan = tmp_path / f"{name}.plan.json"
-            assert run("consolidate", "--model", model_path, "--stats", stats,
-                       "--rho", "0.5", "--threads", threads, "-o", plan, "-q") == 0
+        for threads in (1, 2):
+            stats = tmp_path / f"s{threads}.json"
+            plan = tmp_path / f"s{threads}.plan.json"
+            for argv in (
+                ["calibrate", "--model", model_path, "--tokens", 16, "--seed", 3, "-o", stats, "-q"],
+                ["consolidate", "--model", model_path, "--stats", stats, "--rho", "0.5",
+                 "-o", plan, "-q"],
+            ):
+                done = run_cli_subprocess(argv, threads)
+                assert done.returncode == 0, done.stderr
             outs.append((stats.read_bytes(), plan.read_bytes()))
         assert outs[0] == outs[1]
+
+
+class TestReadmeShapeRegressions:
+    """README quick-start shape (8 layers x 16 experts, hidden 32, inter 48,
+    top-2, 256 tokens, seed 42), where both of these once failed."""
+
+    def readme_model(self, tmp_path, *extra):
+        model = tmp_path / "model.mckpt"
+        stats = tmp_path / "stats.json"
+        assert run("gen", "--layers", 8, "--experts", 16, "--hidden", 32, "--inter", 48,
+                   "--topk", 2, *extra, "-o", model, "-q") == 0
+        assert run("calibrate", "--model", model, "--tokens", 256, "-o", stats, "-q") == 0
+        return model, stats
+
+    def test_eval_of_pruning_plan(self, tmp_path):
+        # some tokens select only dropped experts whose logits dwarf the
+        # survivors'; the survivors' renormalized weights must stay finite
+        model, stats = self.readme_model(tmp_path)
+        plan, report = tmp_path / "prune.json", tmp_path / "report.json"
+        assert run("prune", "--model", model, "--stats", stats, "--method", "frequency",
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        assert run("eval", "--model", model, "--plan", plan, "--tokens", 256,
+                   "-o", report, "-q") == 0
+        doc = json.loads(report.read_text())
+        assert doc["end_to_end_error"] >= 0.0
+
+    def test_consolidate_keeps_duplicate_prototypes(self, tmp_path):
+        # budgets above the number of distinct experts select both copies
+        # of some planted duplicates; each copy must remain its own prototype
+        model, stats = self.readme_model(tmp_path, "--dup", "within")
+        for rho, scope in (("0.5", 2), ("0.25", 1)):
+            path = tmp_path / f"plan-{rho}-{scope}.json"
+            assert run("consolidate", "--model", model, "--stats", stats, "--rho", rho,
+                       "--scope", scope, "-o", path, "-q") == 0
+            plan = read_plan(path)
+            for p in plan.distinct_prototypes():
+                assert plan.assignment[p] == p

@@ -5,7 +5,6 @@ from conmoe import (
     DupConfig,
     ExpertWeights,
     ModelSpec,
-    consolidated_moe_forward,
     distance_matrix,
     expert_forward,
     gen_synthetic,
@@ -13,6 +12,7 @@ from conmoe import (
     materialize,
     model_forward,
     moe_forward,
+    moe_terms,
     router_topk,
 )
 from conmoe.model import MoELayer, MoEModel, aggregate_coefficients
@@ -26,6 +26,11 @@ def make_expert(inter, hidden, fill=0.0):
         up=np.full((inter, hidden), fill, dtype=np.float32),
         down=np.full((hidden, inter), fill, dtype=np.float32),
     )
+
+
+def one_layer_model(layer, k):
+    inter, hidden = layer.experts[0].gate.shape
+    return MoEModel(spec=ModelSpec(1, len(layer.experts), hidden, inter, k), layers=[layer])
 
 
 def identity_padded(rows, cols):
@@ -99,7 +104,7 @@ class TestMoEForward:
         layer = small_model.layers[0]
         h = np.arange(small_model.spec.hidden_dim, dtype=np.float64) / 7.0
         sel = router_topk(layer.router, h, 1)
-        out = moe_forward(layer, h, 1)
+        out = moe_forward(one_layer_model(layer, 1), 0, h)
         assert np.array_equal(out, expert_forward(layer.experts[sel.indices[0]], h))
 
     def test_identical_experts_weight_sum(self, rng):
@@ -110,7 +115,7 @@ class TestMoEForward:
         )
         layer = MoELayer(experts=[e, e.copy()], router=rng.standard_normal((2, 4)).astype(np.float32))
         h = rng.standard_normal(4)
-        out = moe_forward(layer, h, 2)
+        out = moe_forward(one_layer_model(layer, 2), 0, h)
         single = expert_forward(e, h)
         assert out == pytest.approx(single, rel=1e-12)
 
@@ -119,7 +124,15 @@ class TestMoEForward:
             experts=[make_expert(6, 4) for _ in range(3)],
             router=rng.standard_normal((3, 4)).astype(np.float32),
         )
-        assert np.array_equal(moe_forward(layer, rng.standard_normal(4), 2), np.zeros(4))
+        assert np.array_equal(moe_forward(one_layer_model(layer, 2), 0, rng.standard_normal(4)), np.zeros(4))
+
+    def test_terms_are_router_topk_in_ascending_slot_order(self, small_model, small_tokens):
+        for h in small_tokens[:8]:
+            sel = router_topk(small_model.layers[1].router, h, small_model.spec.top_k)
+            terms = moe_terms(small_model, 1, h)
+            assert [(i, w) for i, w, _ in terms] == sorted(zip(sel.indices, sel.weights))
+            for i, _, out in terms:
+                assert np.array_equal(out, expert_forward(small_model.expert((1, i)), h))
 
 
 class TestConsolidatedForward:
@@ -136,7 +149,7 @@ class TestConsolidatedForward:
         for i in range(small_model.spec.num_experts):
             plan.assignment[(0, i)] = (0, 0)
         h = np.linspace(-1, 1, small_model.spec.hidden_dim)
-        out = consolidated_moe_forward(small_model, 0, plan, h)
+        out = moe_forward(small_model, 0, h, plan)
         coeffs = aggregate_coefficients(small_model, 0, plan, h)
         assert set(coeffs) == {(0, 0)}
         assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-6)
@@ -147,10 +160,39 @@ class TestConsolidatedForward:
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
         plan.drop_mask = {(0, i) for i in range(small_model.spec.num_experts)}
         h = np.ones(small_model.spec.hidden_dim)
+        assert moe_terms(small_model, 0, h, plan) == []
         assert np.array_equal(
-            consolidated_moe_forward(small_model, 0, plan, h),
+            moe_forward(small_model, 0, h, plan),
             np.zeros(small_model.spec.hidden_dim),
         )
+
+    def test_dropped_winner_far_above_survivor(self):
+        # the survivor's logit is 1000 below the dropped winner's: its
+        # weight, renormalized by division, would be 0.0 / 0.0
+        layer = MoELayer(
+            experts=[make_expert(6, 4, fill=0.1 * (i + 1)) for i in range(3)],
+            router=np.array([[1000.0, 0, 0, 0], [0, 0, 0, 0], [-1000.0, 0, 0, 0]],
+                            dtype=np.float32),
+        )
+        model = one_layer_model(layer, 2)
+        plan = identity_plan(1, 3)
+        plan.drop_mask = {(0, 0)}
+        h = np.array([1.0, 0.0, 0.0, 0.0])
+        terms = moe_terms(model, 0, h, plan)
+        assert [(i, w) for i, w, _ in terms] == [(1, 1.0)]
+        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(layer.experts[1], h))
+
+    def test_surviving_weights_are_softmax_of_surviving_logits(self):
+        layer = MoELayer(
+            experts=[make_expert(6, 4) for _ in range(3)],
+            router=np.array([[3.0, 0, 0, 0], [np.log(3.0), 0, 0, 0], [0, 0, 0, 0]]),
+        )
+        model = one_layer_model(layer, 3)
+        plan = identity_plan(1, 3)
+        plan.drop_mask = {(0, 0)}
+        terms = moe_terms(model, 0, np.array([1.0, 0.0, 0.0, 0.0]), plan)
+        assert [i for i, _, _ in terms] == [1, 2]
+        assert [w for _, w, _ in terms] == pytest.approx([0.75, 0.25], abs=1e-12)
 
 
 class TestModelForward:
@@ -171,7 +213,7 @@ class TestModelForward:
                                       spec.intermediate_dim, spec.top_k),
                        layers=[small_model.layers[0]])
         h0 = np.linspace(0, 1, spec.hidden_dim)
-        want = h0 + moe_forward(small_model.layers[0], h0, spec.top_k)
+        want = h0 + moe_forward(small_model, 0, h0)
         assert np.array_equal(model_forward(one, h0), want)
 
 

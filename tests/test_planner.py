@@ -185,6 +185,14 @@ class TestAssign:
         m = assign([(0, 1), (0, 2)], table)
         assert m[(0, 0)] == (0, 1)
 
+    def test_exact_duplicate_prototypes_map_to_themselves(self):
+        # (0, 0), (0, 1) and (0, 2) are exact duplicates; the first two are
+        # prototypes, so the zero-distance tie may not pull (0, 1) onto (0, 0)
+        table = table_from([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+                            [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        m = assign([(0, 1), (0, 0), (0, 3)], table)
+        assert m == {(0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 0), (0, 3): (0, 3)}
+
 
 class TestConsolidate:
     def test_rho_zero_is_identity(self, small_model, small_stats):
