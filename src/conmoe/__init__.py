@@ -18,12 +18,13 @@ from .model import (
     moe_terms,
     router_topk,
 )
-from .calibration import CalibStats, contribution, frequency, reap_score, run_calibration
+from .calibration import CalibStats, contribution, frequency, run_calibration
 from .geometry import (
     DistanceTable,
     distance_matrix,
     expert_distance,
     minmax_norm,
+    nearest,
     nearest_neighbor,
     projection_distance,
     replaceability,

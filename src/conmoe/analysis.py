@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import DEFAULT_EPS, distance_matrix, nearest_neighbor
+from .geometry import DEFAULT_EPS, distance_matrix, nearest
 from .model import MoEModel, model_forward_trace
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
@@ -63,6 +63,7 @@ def evaluate_fidelity(
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ValueError("tokens must be a non-empty (count, hidden) array")
     plan.validate()
+    plan.check_covers(model)
     num_layers = model.spec.num_layers
     layer_err = np.zeros(num_layers)
     final_err = 0.0
@@ -96,15 +97,14 @@ def cross_layer_nn(model: MoEModel, scope_size: int, eps: float = DEFAULT_EPS) -
     whether it sits in the same layer or a different one."""
     num_layers = model.spec.num_layers
     n = model.spec.num_experts
-    if scope_size == 1 and n < 2:
-        raise ValueError("nearest neighbor needs at least 2 candidates per scope")
+    if not (1 <= scope_size <= num_layers):
+        raise ValueError("scope_size must be in [1, num_layers]")
     counts = [[0] * num_layers for _ in range(num_layers)]
     for layers in scope_partition(num_layers, scope_size):
-        refs = [(l, i) for l in layers for i in range(n)]
-        table = distance_matrix(model, refs, eps)
-        for ref in refs:
-            nn, _ = nearest_neighbor(ref, table)
-            counts[ref[0]][nn[0]] += 1
+        table = distance_matrix(model, [(l, i) for l in layers for i in range(n)], eps)
+        cols, _ = nearest(table)
+        for ref, c in zip(table.scope, cols):
+            counts[ref[0]][table.scope[c][0]] += 1
     per_layer = [
         (sum(row) - row[l]) / sum(row)
         for l, row in enumerate(counts)

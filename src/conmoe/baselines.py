@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibStats, frequency, reap_score
-from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix
+from .calibration import CalibStats, contribution, frequency
+from .geometry import DEFAULT_EPS, distance_matrix
 from .model import ExpertWeights, MoELayer, MoEModel, Ref
 from .plan import ConsolidationPlan, Scope
 from .planner import _top_k, assign, budget
@@ -67,7 +67,7 @@ def prune_frequency(model: MoEModel, stats: CalibStats, rho: float) -> Consolida
 
 def prune_reap(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationPlan:
     """Keep the highest contribution-score experts per layer."""
-    return _prune_by(model, stats, rho, lambda r: reap_score(stats, r), "prune_reap")
+    return _prune_by(model, stats, rho, lambda r: contribution(stats, r), "prune_reap")
 
 
 def _fusion_weights(stats: CalibStats, cluster: list[Ref]) -> list[float]:
@@ -92,7 +92,6 @@ def merge_msmoe(
     model: MoEModel,
     stats: CalibStats,
     rho: float,
-    tables: list[DistanceTable] | None = None,
     eps: float = DEFAULT_EPS,
 ) -> tuple[ConsolidationPlan, FusedModel]:
     """Layer-local merging: high-usage cores, nearest-core assignment, and
@@ -107,7 +106,7 @@ def merge_msmoe(
     provenance: dict[Ref, list[tuple[Ref, float]]] = {}
     for l in range(model.spec.num_layers):
         refs = [(l, i) for i in range(n)]
-        table = tables[l] if tables is not None else distance_matrix(model, refs, eps)
+        table = distance_matrix(model, refs, eps)
         cores = _top_k(refs, lambda r: frequency(stats, r), budget(rho, n))
         assignment.update(assign(cores, table))
         scopes.append(Scope(layers=[l], prototypes=sorted(cores)))
@@ -133,6 +132,7 @@ def merge_msmoe(
 def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats) -> FusedModel:
     """Replace each prototype's weights with the usage-weighted average of
     its cluster; the reassignment map is left unchanged."""
+    plan.check_covers(model)
     stats.check_covers(model)
     if plan.is_pruning:
         raise ValueError("fusion requires a remapping plan, not a pruning plan")

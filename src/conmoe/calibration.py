@@ -1,6 +1,6 @@
 """Calibration: forward synthetic tokens through the residual stack and
 collect per-expert routing statistics, from which the saliency scores
-(contribution, frequency, REAP) are derived."""
+(contribution, which the REAP baselines rank by, and frequency) are derived."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .model import MoEModel, Ref, moe_terms, sum_terms
 class ExpertStats:
     routed_count: int = 0
     sum_weighted_norm: float = 0.0
-    topk_count: int = 0
 
 
 @dataclass
@@ -29,12 +28,12 @@ class CalibStats:
         if self.token_total < 0:
             raise ValueError("negative token total")
         for ref, rec in self.records.items():
-            if rec.routed_count < 0 or rec.topk_count < 0:
+            if rec.routed_count < 0:
                 raise ValueError(f"negative counts for {ref}")
             if rec.routed_count > self.token_total:
                 raise ValueError(f"routed_count exceeds token_total for {ref}")
-            if rec.sum_weighted_norm < 0:
-                raise ValueError(f"negative weighted norm for {ref}")
+            if not rec.sum_weighted_norm >= 0:
+                raise ValueError(f"negative or NaN weighted norm for {ref}")
             if rec.routed_count == 0 and rec.sum_weighted_norm != 0:
                 raise ValueError(f"inconsistent stats for {ref}")
 
@@ -70,7 +69,6 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
             for i, g, out in terms:
                 rec = records[(l, i)]
                 rec.routed_count += 1
-                rec.topk_count += 1
                 rec.sum_weighted_norm += g * float(np.linalg.norm(out))
             # the residual step reuses the recorded outputs
             h = h + sum_terms(terms, model.spec.hidden_dim)
@@ -89,10 +87,4 @@ def contribution(stats: CalibStats, ref: Ref) -> float:
 
 
 def frequency(stats: CalibStats, ref: Ref) -> int:
-    return stats.record_for(ref).topk_count
-
-
-def reap_score(stats: CalibStats, ref: Ref) -> float:
-    # same routing-conditioned contribution signal; kept as a separate
-    # entry point because the pruning baseline ranks by it explicitly
-    return contribution(stats, ref)
+    return stats.record_for(ref).routed_count

@@ -71,29 +71,38 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
     return DistanceTable(scope=scope, values=values, eps=eps)
 
 
+def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per scope row, the nearest candidate column and the distance to it.
+
+    The candidates are the given column indices, or every other expert when
+    cols is None. The first minimum wins, so with candidates in ascending
+    (layer, index) order ties go to the lowest reference.
+    """
+    if cols is None:
+        if len(table.scope) < 2:
+            raise ValueError("nearest neighbor undefined for a singleton scope")
+        values = table.values.copy()
+        np.fill_diagonal(values, np.inf)
+        cols = np.arange(len(table.scope))
+    else:
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size == 0:
+            raise ValueError("empty candidate set")
+        values = table.values[:, cols]
+    pos = values.argmin(axis=1)
+    return cols[pos], values[np.arange(len(pos)), pos]
+
+
 def replaceability(ref: Ref, table: DistanceTable) -> float:
     """Nearest-neighbor distance within the scope."""
-    if len(table.scope) < 2:
-        raise ValueError("replaceability undefined for a singleton scope")
-    i = table.index_of(ref)
-    row = np.delete(table.values[i], i)
-    return float(row.min())
+    return nearest_neighbor(ref, table)[1]
 
 
 def nearest_neighbor(ref: Ref, table: DistanceTable) -> tuple[Ref, float]:
     """Closest other expert; ties broken by ascending (layer, index)."""
-    if len(table.scope) < 2:
-        raise ValueError("nearest neighbor undefined for a singleton scope")
     i = table.index_of(ref)
-    best = None
-    best_d = None
-    for j, other in enumerate(table.scope):
-        if j == i:
-            continue
-        d = float(table.values[i, j])
-        if best_d is None or d < best_d:
-            best, best_d = other, d
-    return best, best_d
+    cols, dists = nearest(table)
+    return table.scope[cols[i]], float(dists[i])
 
 
 def minmax_norm(values, eps: float = DEFAULT_EPS) -> np.ndarray:

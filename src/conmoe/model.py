@@ -269,6 +269,7 @@ def materialize(model: MoEModel, plan) -> MoEModel:
     """Expand a plan into the original architecture by copying each slot's
     assigned prototype weights into the slot. Routers are untouched.
     Drop-masked slots get zero weights."""
+    plan.check_covers(model)
     spec = model.spec
     layers = []
     zeroed: list[list[int]] = []

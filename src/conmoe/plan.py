@@ -9,17 +9,19 @@ Ref = tuple[int, int]
 
 PLAN_VERSION = 1
 
-POLICIES = (
-    "identity",
-    "adaptive",
-    "fixed_k",
-    "usage_topk",
-    "reap_topk",
-    "distance_only",
-    "prune_frequency",
-    "prune_reap",
-    "merge_msmoe",
-)
+SELECTION_POLICIES = ("adaptive", "fixed_k", "usage_topk", "reap_topk", "distance_only")
+
+POLICIES = ("identity", *SELECTION_POLICIES, "prune_frequency", "prune_reap", "merge_msmoe")
+
+
+def scope_partition(num_layers: int, scope_size: int) -> list[list[int]]:
+    """Consecutive non-overlapping layer groups; the last may be ragged."""
+    if scope_size < 1:
+        raise ValueError("scope_size must be >= 1")
+    return [
+        list(range(start, min(start + scope_size, num_layers)))
+        for start in range(0, num_layers, scope_size)
+    ]
 
 
 @dataclass
@@ -76,6 +78,15 @@ class ConsolidationPlan:
             out.update(scope.prototypes)
         return out
 
+    def check_covers(self, model):
+        """A plan built for a different pool shape is rejected on use."""
+        expected = set(model.slots())
+        if set(self.assignment) != expected:
+            raise ValueError(
+                "plan does not cover this model "
+                f"({len(self.assignment)} slots, model has {len(expected)})"
+            )
+
     def validate(self):
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must be in [0, 1)")
@@ -120,8 +131,6 @@ class ConsolidationPlan:
 def identity_plan(num_layers: int, num_experts: int, scope_size: int = 1,
                   rho: float = 0.0, metadata: dict | None = None) -> ConsolidationPlan:
     """Every slot is its own prototype."""
-    from .planner import scope_partition  # local import avoids a cycle
-
     scopes = []
     assignment: dict[Ref, Ref] = {}
     for layers in scope_partition(num_layers, scope_size):

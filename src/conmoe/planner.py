@@ -10,12 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibStats, contribution, frequency, reap_score
-from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix, minmax_norm, replaceability
+from .calibration import CalibStats, contribution, frequency
+from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
-from .plan import ConsolidationPlan, Scope
-
-SELECTION_POLICIES = ("adaptive", "fixed_k", "usage_topk", "reap_topk", "distance_only")
+from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,8 @@ class ScopeConfig:
             raise ValueError("rho must be in [0, 1)")
         if not (1 <= self.scope_size <= num_layers):
             raise ValueError("scope_size must be in [1, num_layers]")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and > 0")
         if self.policy not in SELECTION_POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
 
@@ -51,16 +51,6 @@ class ScoreTable:
         return self.rows[ref].score
 
 
-def scope_partition(num_layers: int, scope_size: int) -> list[list[int]]:
-    """Consecutive non-overlapping layer groups; the last may be ragged."""
-    if scope_size < 1:
-        raise ValueError("scope_size must be >= 1")
-    return [
-        list(range(start, min(start + scope_size, num_layers)))
-        for start in range(0, num_layers, scope_size)
-    ]
-
-
 def budget(rho: float, pool_size: int) -> int:
     """max(1, round((1 - rho) * pool)); round is half away from zero."""
     if pool_size < 1:
@@ -77,7 +67,7 @@ def score(stats: CalibStats, table: DistanceTable, eps: float = DEFAULT_EPS) -> 
     if len(refs) < 2:
         raise ValueError("scoring undefined for a singleton scope")
     contrib = np.array([contribution(stats, r) for r in refs])
-    replace = np.array([replaceability(r, table) for r in refs])
+    _, replace = nearest(table)
     contrib_n = minmax_norm(contrib, eps)
     replace_n = minmax_norm(replace, eps)
     out = ScoreTable()
@@ -126,9 +116,9 @@ def select_prototypes(
     if policy == "usage_topk":
         return _top_k(refs, lambda r: frequency(stats, r), k)
     if policy == "reap_topk":
-        return _top_k(refs, lambda r: reap_score(stats, r), k)
+        return _top_k(refs, lambda r: contribution(stats, r), k)
     if policy == "distance_only":
-        return _top_k(refs, lambda r: replaceability(r, table), k)
+        return _top_k(refs, lambda r: scores.rows[r].replaceability, k)
     raise ValueError(f"unknown policy: {policy!r}")
 
 
@@ -136,13 +126,12 @@ def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
     """Each slot to its nearest prototype; ties go to the ascending
     (layer, index) prototype. Prototypes map to themselves, also when an
     exact duplicate of one is a prototype too."""
-    if not prototypes:
-        raise ValueError("empty prototype set")
     ordered = sorted(prototypes)
+    cols, _ = nearest(table, [table.index_of(p) for p in ordered])
     chosen = set(ordered)
     return {
-        ref: ref if ref in chosen else min(ordered, key=lambda p: table.distance(ref, p))
-        for ref in table.scope
+        ref: ref if ref in chosen else table.scope[c]
+        for ref, c in zip(table.scope, cols)
     }
 
 
@@ -181,25 +170,26 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
     return plan
 
 
-def importance_weights(stats: CalibStats, refs: list[Ref], mode: str = "contribution") -> np.ndarray:
-    if mode == "uniform":
-        return np.ones(len(refs))
-    if mode == "contribution":
-        return np.array([contribution(stats, r) for r in refs])
-    raise ValueError(f"unknown importance mode: {mode!r}")
+def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
+    """The objective's per-slot weights: each slot's contribution."""
+    return np.array([contribution(stats, r) for r in refs])
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:
     """Importance-weighted sum of nearest-prototype distances."""
-    if not prototypes:
-        raise ValueError("empty prototype set")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(table.scope),):
         raise ValueError("weight vector does not match scope")
-    proto_idx = [table.index_of(p) for p in prototypes]
+    return _cost(table, [table.index_of(p) for p in prototypes], weights)
+
+
+def _cost(table: DistanceTable, cols, weights) -> float:
+    """Weighted sum of each row's distance to its nearest column in cols,
+    added up row by row in scope order."""
+    _, dists = nearest(table, cols)
     total = 0.0
-    for i in range(len(table.scope)):
-        total += float(weights[i]) * float(table.values[i, proto_idx].min())
+    for w, d in zip(weights.tolist(), dists.tolist()):
+        total += w * d
     return total
 
 
@@ -216,13 +206,11 @@ def brute_force_optimal(
         raise ValueError("k must be in [1, scope size]")
     if math.comb(n, k) > cap:
         raise ValueError("enumeration cap exceeded")
+    weights = np.asarray(weights, dtype=np.float64)
     best_set = None
     best_val = None
     for combo in itertools.combinations(range(n), k):
-        val = 0.0
-        idx = list(combo)
-        for i in range(n):
-            val += float(weights[i]) * float(table.values[i, idx].min())
+        val = _cost(table, combo, weights)
         if best_val is None or val < best_val:
             best_val = val
             best_set = combo

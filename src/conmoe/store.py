@@ -29,8 +29,34 @@ _TENSOR_NAME = re.compile(
 )
 
 
+# what a missing, mistyped or malformed JSON value raises on conversion
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+_REQUIRED = object()
+
+
 def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _field(artifact: str, d, key: str, convert, default=_REQUIRED):
+    """convert(d[key]); any missing or malformed field is a ValueError that
+    names the artifact and the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{artifact}: expected a JSON object")
+    value = d.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{artifact}: missing field {key!r}")
+    try:
+        return convert(value)
+    except _MALFORMED as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{artifact}: malformed field {key!r}: {detail}") from None
+
+
+def _object(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a JSON object, got {v!r}")
+    return v
 
 
 def parse_tensor_name(name: str) -> tuple[int, int | None, str | None]:
@@ -97,9 +123,9 @@ def read_checkpoint(path) -> MoEModel:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed header: {exc}") from None
-    if header.get("magic") != MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise ValueError("bad magic")
-    spec = ModelSpec.from_dict(header["spec"])
+    spec = _field("checkpoint header", header, "spec", ModelSpec.from_dict)
     if len(raw) < nl + 9:
         raise ValueError("payload length mismatch")
     (declared_len,) = struct.unpack("<Q", raw[nl + 1 : nl + 9])
@@ -107,14 +133,17 @@ def read_checkpoint(path) -> MoEModel:
     if len(payload) != declared_len:
         raise ValueError("payload length mismatch")
 
-    index = header["tensor_index"]
+    index = _field("checkpoint header", header, "tensor_index", list)
     expected = {name: key for name, key in _tensor_order(spec)}
     seen: set[str] = set()
     offset = 0
     tensors: dict[str, np.ndarray] = {}
     for entry in index:
-        name, shape, byte_offset = entry[0], tuple(int(x) for x in entry[1]), int(entry[2])
-        parse_tensor_name(name)
+        try:
+            name, shape, byte_offset = entry[0], tuple(int(x) for x in entry[1]), int(entry[2])
+            parse_tensor_name(name)
+        except _MALFORMED as exc:
+            raise ValueError(f"checkpoint tensor_index entry {entry!r}: {exc}") from None
         if name in seen:
             raise ValueError(f"duplicate tensor entry: {name}")
         seen.add(name)
@@ -146,7 +175,8 @@ def read_checkpoint(path) -> MoEModel:
             for i in range(spec.num_experts)
         ]
         layers.append(MoELayer(experts=experts, router=tensors[f"layers.{l}.router"]))
-    model = MoEModel(spec=spec, layers=layers, metadata=header.get("metadata", {}))
+    metadata = _field("checkpoint header", header, "metadata", _object, {})
+    model = MoEModel(spec=spec, layers=layers, metadata=metadata)
     model.validate()
     return model
 
@@ -183,27 +213,27 @@ def plan_to_dict(plan: ConsolidationPlan) -> dict:
     }
 
 
+def _scope_from_dict(s) -> Scope:
+    return Scope(
+        layers=_field("plan scope", s, "layers", lambda v: [int(l) for l in v]),
+        prototypes=_field("plan scope", s, "prototypes", lambda v: [_ref_from_list(p) for p in v]),
+    )
+
+
 def plan_from_dict(d: dict) -> ConsolidationPlan:
-    version = int(d["version"])
+    version = _field("plan", d, "version", int)
     if version > PLAN_VERSION:
         raise ValueError(f"unsupported plan version: {version}")
     plan = ConsolidationPlan(
-        rho=float(d["rho"]),
-        scope_size=int(d["scope_size"]),
-        policy=str(d["policy"]),
-        scopes=[
-            Scope(
-                layers=[int(l) for l in s["layers"]],
-                prototypes=[_ref_from_list(p) for p in s["prototypes"]],
-            )
-            for s in d["scopes"]
-        ],
-        assignment={
-            _ref_from_list(slot): _ref_from_list(target)
-            for slot, target in d["assignment"]
-        },
-        drop_mask={_ref_from_list(r) for r in d.get("drop_mask", [])},
-        metadata=d.get("metadata", {}),
+        rho=_field("plan", d, "rho", float),
+        scope_size=_field("plan", d, "scope_size", int),
+        policy=_field("plan", d, "policy", str),
+        scopes=_field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v]),
+        assignment=_field("plan", d, "assignment", lambda v: {
+            _ref_from_list(slot): _ref_from_list(target) for slot, target in v
+        }),
+        drop_mask=_field("plan", d, "drop_mask", lambda v: {_ref_from_list(r) for r in v}, []),
+        metadata=_field("plan", d, "metadata", _object, {}),
         version=version,
     )
     plan.validate()
@@ -229,7 +259,8 @@ def stats_to_dict(stats: CalibStats) -> dict:
                 "ref": _ref_to_list(ref),
                 "routed_count": rec.routed_count,
                 "sum_weighted_norm": rec.sum_weighted_norm,
-                "topk_count": rec.topk_count,
+                # always equal to routed_count; kept so stats files keep their bytes
+                "topk_count": rec.routed_count,
             }
             for ref, rec in sorted(stats.records.items())
         ],
@@ -238,24 +269,27 @@ def stats_to_dict(stats: CalibStats) -> dict:
 
 
 def stats_from_dict(d: dict) -> CalibStats:
-    version = int(d["version"])
+    version = _field("stats", d, "version", int)
     if version > STATS_VERSION:
         raise ValueError(f"unsupported stats version: {version}")
     records = {}
-    for rec in d["experts"]:
-        ref = _ref_from_list(rec["ref"])
+    for rec in _field("stats", d, "experts", list):
+        ref = _field("stats record", rec, "ref", _ref_from_list)
         if ref in records:
             raise ValueError(f"duplicate stats record for {ref}")
+        artifact = f"stats record {list(ref)}"
+        routed = _field(artifact, rec, "routed_count", int)
+        if _field(artifact, rec, "topk_count", int) != routed:
+            raise ValueError(f"{artifact}: topk_count differs from routed_count")
         records[ref] = ExpertStats(
-            routed_count=int(rec["routed_count"]),
-            sum_weighted_norm=float(rec["sum_weighted_norm"]),
-            topk_count=int(rec["topk_count"]),
+            routed_count=routed,
+            sum_weighted_norm=_field(artifact, rec, "sum_weighted_norm", float),
         )
     stats = CalibStats(
-        token_total=int(d["token_total"]),
-        top_k=int(d["top_k"]),
+        token_total=_field("stats", d, "token_total", int),
+        top_k=_field("stats", d, "top_k", int),
         records=records,
-        metadata=d.get("metadata", {}),
+        metadata=_field("stats", d, "metadata", _object, {}),
     )
     stats.validate()
     return stats

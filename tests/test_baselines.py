@@ -15,15 +15,13 @@ from conmoe.calibration import ExpertStats
 
 
 def stats_with_counts(model, per_layer_counts, norms=None):
-    """Build stats where layer l, expert i has topk_count per_layer_counts[i]."""
+    """Build stats where layer l, expert i has routed_count per_layer_counts[i]."""
     records = {}
     for l in range(model.spec.num_layers):
         for i in range(model.spec.num_experts):
             c = per_layer_counts[i]
             norm = norms[i] if norms else float(c)
-            records[(l, i)] = ExpertStats(
-                routed_count=c, sum_weighted_norm=norm if c else 0.0, topk_count=c
-            )
+            records[(l, i)] = ExpertStats(routed_count=c, sum_weighted_norm=norm if c else 0.0)
     return CalibStats(token_total=max(1, sum(per_layer_counts)), top_k=model.spec.top_k, records=records)
 
 

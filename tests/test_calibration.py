@@ -8,7 +8,7 @@ from conmoe import (
     frequency,
     gen_synthetic,
     gen_tokens,
-    reap_score,
+    prune_reap,
     router_topk,
     run_calibration,
 )
@@ -22,7 +22,6 @@ def stats_from_pairs(pairs):
     rec = ExpertStats(
         routed_count=len(pairs),
         sum_weighted_norm=sum(g * n for g, n in pairs),
-        topk_count=len(pairs),
     )
     return CalibStats(token_total=max(1, len(pairs)), top_k=1, records={(0, 0): rec})
 
@@ -42,7 +41,6 @@ def reference_calibration(model, tokens):
                 outputs[i] = (g, out)
                 rec = records[(l, i)]
                 rec.routed_count += 1
-                rec.topk_count += 1
                 rec.sum_weighted_norm += g * float(np.linalg.norm(out))
             moe_out = np.zeros_like(h)
             for i in sorted(outputs):
@@ -102,13 +100,12 @@ class TestRunCalibration:
         assert s2.token_total == 2 * s1.token_total
         for ref, rec in s1.records.items():
             assert s2.records[ref].routed_count == 2 * rec.routed_count
-            assert s2.records[ref].topk_count == 2 * rec.topk_count
             assert s2.records[ref].sum_weighted_norm == pytest.approx(2 * rec.sum_weighted_norm, rel=1e-12)
 
     def test_per_layer_count_conservation(self, small_model, small_stats):
         spec = small_model.spec
         for l in range(spec.num_layers):
-            total = sum(small_stats.records[(l, i)].topk_count for i in range(spec.num_experts))
+            total = sum(small_stats.records[(l, i)].routed_count for i in range(spec.num_experts))
             assert total == small_stats.token_total * spec.top_k
 
     def test_empty_tokens_rejected(self, small_model):
@@ -124,7 +121,6 @@ class TestScores:
     def test_never_routed_contribution_zero(self):
         stats = stats_from_pairs([])
         assert contribution(stats, (0, 0)) == 0.0
-        assert reap_score(stats, (0, 0)) == 0.0
         assert frequency(stats, (0, 0)) == 0
 
     def test_single_observation(self):
@@ -134,11 +130,14 @@ class TestScores:
     def test_mean_over_observations(self):
         stats = stats_from_pairs([(0.5, 2.0), (1.0, 4.0)])
         assert contribution(stats, (0, 0)) == pytest.approx(2.5)
-        assert reap_score(stats, (0, 0)) == pytest.approx(2.5)
 
     def test_reap_aliases_contribution(self, small_model, small_stats):
-        for ref in small_model.slots():
-            assert reap_score(small_stats, ref) == contribution(small_stats, ref)
+        # the REAP baseline keeps, per layer, the experts of largest contribution
+        plan = prune_reap(small_model, small_stats, 0.5)
+        for scope in plan.scopes:
+            refs = [(scope.layers[0], i) for i in range(small_model.spec.num_experts)]
+            ranked = sorted(refs, key=lambda r: (-contribution(small_stats, r), r))
+            assert scope.prototypes == sorted(ranked[:len(scope.prototypes)])
 
     def test_unknown_expert_rejected(self):
         stats = stats_from_pairs([(0.5, 2.0)])

@@ -181,3 +181,75 @@ class TestReadmeShapeRegressions:
             plan = read_plan(path)
             for p in plan.distinct_prototypes():
                 assert plan.assignment[p] == p
+
+
+class TestArtifactBoundary:
+    """Mismatched, malformed or out-of-range inputs end in exit 1 with an
+    `error:` message, never in a traceback."""
+
+    def assert_rejected(self, capsys, *argv, message):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+
+    def test_plan_from_another_model_shape(self, model_path, stats_path, tmp_path, capsys):
+        plan = tmp_path / "plan8.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        small = tmp_path / "model4.mckpt"
+        assert run("gen", "--layers", 4, "--experts", 4, "--hidden", 16, "--inter", 24,
+                   "--topk", 2, "-o", small, "-q") == 0
+        for argv in (("eval", "--tokens", 4), ("materialize",), ("fuse",)):
+            self.assert_rejected(capsys, *argv, "--model", small, "--plan", plan,
+                                 "-o", tmp_path / "out", message="plan does not cover this model")
+
+    @pytest.mark.parametrize("artifact,mutate,message", [
+        ("plan", lambda d: d.pop("rho"), "plan: missing field 'rho'"),
+        ("plan", lambda d: d.update(assignment=5), "plan: malformed field 'assignment'"),
+        ("stats", lambda d: d["experts"][3].pop("sum_weighted_norm"),
+         "stats record [0, 3]: missing field 'sum_weighted_norm'"),
+        ("checkpoint", lambda h: h.pop("spec"), "checkpoint header: missing field 'spec'"),
+        ("checkpoint", lambda h: h["tensor_index"][2].__delitem__(slice(1, None)),
+         "checkpoint tensor_index entry"),
+    ])
+    def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
+                             artifact, mutate, message):
+        plan = tmp_path / "plan.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        paths = {"checkpoint": model_path, "plan": plan, "stats": stats_path}
+        raw = paths[artifact].read_bytes()
+        nl = raw.find(b"\n") if artifact == "checkpoint" else len(raw)
+        doc = json.loads(raw[:nl])
+        mutate(doc)
+        paths[artifact].write_bytes(json.dumps(doc).encode() + raw[nl:])
+        argv = {
+            "checkpoint": ("calibrate", "--model", model_path, "--tokens", 4),
+            "plan": ("eval", "--model", model_path, "--plan", plan, "--tokens", 4),
+            "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
+        }[artifact]
+        self.assert_rejected(capsys, *argv, "-o", tmp_path / "out", message=message)
+
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_eps_out_of_range(self, model_path, stats_path, tmp_path, capsys, eps):
+        self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
+                             "--rho", "0.5", "--eps", eps, "-o", tmp_path / "p.json",
+                             message="eps must be finite and > 0")
+
+    def test_analyze_scope_beyond_layers(self, model_path, tmp_path, capsys):
+        self.assert_rejected(capsys, "analyze", "nn", "--model", model_path, "--scope", 5,
+                             "-o", tmp_path / "out_", message="scope_size must be in [1, num_layers]")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--layers", 1, "--experts", 2, "--hidden", 2, "--inter", 2, "--topk", 1,
+         "--eps", "1e-8"),
+        ("calibrate", "--model", "m", "--tokens", 4, "--eps", "1e-8"),
+        ("prune", "--model", "m", "--stats", "s", "--method", "reap", "--rho", "0.5",
+         "--eps", "1e-8"),
+        ("materialize", "--model", "m", "--plan", "p", "--eps", "1e-8"),
+        ("fuse", "--model", "m", "--plan", "p", "--eps", "1e-8"),
+        ("fuse", "--model", "m", "--plan", "p", "--method", "weighted-average"),
+    ])
+    def test_inert_flags_gone(self, tmp_path, capsys, argv):
+        assert run(*argv, "-o", tmp_path / "out") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

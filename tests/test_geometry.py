@@ -12,6 +12,7 @@ from conmoe import (
     expert_distance,
     gen_synthetic,
     minmax_norm,
+    nearest,
     nearest_neighbor,
     projection_distance,
     replaceability,
@@ -167,6 +168,38 @@ class TestNearestNeighbor:
         for ref in refs:
             _, d = nearest_neighbor(ref, table)
             assert d == replaceability(ref, table)
+
+
+def first_minimum_scan(values, row, candidates):
+    best = None
+    for j in candidates:
+        if best is None or values[row, j] < values[row, best]:
+            best = j
+    return best
+
+
+class TestNearest:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_first_minimum_scan(self, data):
+        # few distinct values, so exact ties (also at distance 0) are common
+        n = data.draw(st.integers(1, 9))
+        upper = data.draw(arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.25, 0.5, 1.5])))
+        values = np.triu(upper, 1) + np.triu(upper, 1).T
+        table = DistanceTable(scope=[(i // 3, i % 3) for i in range(n)], values=values)
+        protos = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        cols, dists = nearest(table, protos)
+        for i in range(n):
+            best = first_minimum_scan(values, i, protos)
+            assert (cols[i], dists[i]) == (best, values[i, best])
+        if n < 2:
+            with pytest.raises(ValueError, match="singleton"):
+                nearest(table)
+            return
+        cols, dists = nearest(table)
+        for i in range(n):
+            best = first_minimum_scan(values, i, [j for j in range(n) if j != i])
+            assert (cols[i], dists[i]) == (best, values[i, best])
 
 
 class TestMinMaxNorm:

@@ -94,7 +94,7 @@ class TestScore:
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
         stats = CalibStats(
             token_total=4, top_k=2,
-            records={r: ExpertStats(routed_count=1, sum_weighted_norm=2.0, topk_count=1)
+            records={r: ExpertStats(routed_count=1, sum_weighted_norm=2.0)
                      for r in small_model.slots()},
         )
         table = distance_matrix(small_model, refs)
@@ -120,7 +120,7 @@ def run_scaled(stats, factor):
         token_total=stats.token_total,
         top_k=stats.top_k,
         records={
-            ref: ExpertStats(rec.routed_count, rec.sum_weighted_norm * factor, rec.topk_count)
+            ref: ExpertStats(rec.routed_count, rec.sum_weighted_norm * factor)
             for ref, rec in stats.records.items()
         },
     )
@@ -139,7 +139,7 @@ class TestSelectPrototypes:
         counts = [5, 3, 1, 0]
         stats = CalibStats(
             token_total=9, top_k=1,
-            records={(0, i): ExpertStats(c, float(c), c) for i, c in enumerate(counts)},
+            records={(0, i): ExpertStats(c, float(c)) for i, c in enumerate(counts)},
         )
         table = table_from(np.zeros((4, 4)))
         got = select_prototypes(score_table([0, 0, 0, 0]), stats, table, 2, "usage_topk")

@@ -17,7 +17,7 @@ from conmoe import (
     write_stats,
 )
 from conmoe.calibration import ExpertStats
-from conmoe.store import parse_tensor_name
+from conmoe.store import parse_tensor_name, stats_from_dict, stats_to_dict
 
 
 @pytest.fixture
@@ -154,8 +154,8 @@ class TestPlanIO:
 class TestStatsIO:
     def make_stats(self):
         records = {
-            (0, 0): ExpertStats(routed_count=3, sum_weighted_norm=1.5, topk_count=3),
-            (0, 1): ExpertStats(routed_count=0, sum_weighted_norm=0.0, topk_count=0),
+            (0, 0): ExpertStats(routed_count=3, sum_weighted_norm=1.5),
+            (0, 1): ExpertStats(routed_count=0, sum_weighted_norm=0.0),
         }
         return CalibStats(token_total=3, top_k=1, records=records)
 
@@ -170,6 +170,19 @@ class TestStatsIO:
         stats.records[(0, 1)].sum_weighted_norm = 0.25
         with pytest.raises(ValueError, match="inconsistent stats"):
             write_stats(stats, tmp_path / "s.json")
+
+    def test_topk_count_must_equal_routed_count(self):
+        doc = stats_to_dict(self.make_stats())
+        assert all(rec["topk_count"] == rec["routed_count"] for rec in doc["experts"])
+        doc["experts"][0]["topk_count"] = 2
+        with pytest.raises(ValueError, match="topk_count differs from routed_count"):
+            stats_from_dict(doc)
+
+    def test_nan_weighted_norm_rejected(self):
+        doc = stats_to_dict(self.make_stats())
+        doc["experts"][0]["sum_weighted_norm"] = float("nan")
+        with pytest.raises(ValueError, match="negative or NaN weighted norm"):
+            stats_from_dict(doc)
 
     def test_negative_counts_rejected(self, tmp_path):
         stats = self.make_stats()
