@@ -58,17 +58,47 @@ class DistanceTable:
 
 
 def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS) -> DistanceTable:
-    """Full pairwise table; each pair computed once and mirrored so the
-    matrix is symmetric by construction."""
+    """Full pairwise table from one Gram matrix per projection; the upper
+    triangle is computed and mirrored, so the matrix is symmetric with a
+    zero diagonal by construction."""
     scope = sorted(scope)
+    experts = [model.expert(ref) for ref in scope]
     n = len(scope)
-    values = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = expert_distance(model.expert(scope[i]), model.expert(scope[j]), eps)
-            values[i, j] = d
-            values[j, i] = d
+    upper = np.triu_indices(n, 1)
+    total = np.zeros(len(upper[0]))
+    for proj in PROJECTIONS:
+        total += _projection_distances(experts, proj, upper, eps)
+    values = np.zeros((n, n))
+    values[upper] = total / len(PROJECTIONS)
+    values[upper[::-1]] = values[upper]
     return DistanceTable(scope=scope, values=values, eps=eps)
+
+
+# A pair whose Gram-expanded squared distance falls below this fraction of
+# ||a||^2 + ||b||^2 has lost most of its significant bits to cancellation.
+# It is recomputed by exact difference, so bitwise-equal projections are
+# exactly 0.0 and near-duplicates are never ranked by rounding noise.
+EXACT_RECOMPUTE_FRACTION = 1e-6
+
+
+def _projection_distances(experts: list[ExpertWeights], proj: str, pairs, eps: float) -> np.ndarray:
+    """projection_distance of one projection for the index pairs (i, j),
+    via ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b> over a float64 stack."""
+    size = getattr(experts[0], proj).size if experts else 0
+    stack = np.empty((len(experts), size))
+    for row, e in zip(stack, experts):
+        row[:] = getattr(e, proj).ravel()
+    gram = stack @ stack.T
+    del stack
+    sq = np.diag(gram)
+    norms = np.sqrt(sq)
+    i, j = pairs
+    sq_sum = sq[i] + sq[j]
+    d2 = np.maximum(sq_sum - 2.0 * gram[i, j], 0.0)
+    dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * eps)
+    for k in np.flatnonzero(d2 < EXACT_RECOMPUTE_FRACTION * sq_sum):
+        dist[k] = projection_distance(getattr(experts[i[k]], proj), getattr(experts[j[k]], proj), eps)
+    return dist
 
 
 def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:

@@ -49,19 +49,6 @@ class ModelSpec:
             "activation": self.activation,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        spec = cls(
-            num_layers=int(d["num_layers"]),
-            num_experts=int(d["num_experts"]),
-            hidden_dim=int(d["hidden_dim"]),
-            intermediate_dim=int(d["intermediate_dim"]),
-            top_k=int(d["top_k"]),
-            activation=str(d["activation"]),
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass
 class ExpertWeights:
@@ -313,8 +300,8 @@ class DupConfig:
     def validate(self):
         if self.mode not in ("none", "within", "cross", "both"):
             raise ValueError(f"unknown dup mode: {self.mode!r}")
-        if self.noise < 0:
-            raise ValueError("dup noise must be >= 0")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError("dup noise must be finite and >= 0")
 
 
 def _random_expert(rng: np.random.Generator, spec: ModelSpec, scale: float) -> ExpertWeights:

@@ -53,6 +53,19 @@ def _field(artifact: str, d, key: str, convert, default=_REQUIRED):
         raise ValueError(f"{artifact}: malformed field {key!r}: {detail}") from None
 
 
+def _int(v) -> int:
+    # bool is a subclass of int, but true/false is not a JSON integer
+    if type(v) is not int:
+        raise TypeError(f"expected a JSON integer, got {v!r}")
+    return v
+
+
+def _float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a JSON number, got {v!r}")
+    return float(v)
+
+
 def _object(v) -> dict:
     if not isinstance(v, dict):
         raise TypeError(f"expected a JSON object, got {v!r}")
@@ -91,26 +104,24 @@ def write_checkpoint(model: MoEModel, path) -> None:
             return model.layers[l].router
         return getattr(model.layers[l].experts[i], proj)
 
+    tensors = [(name, tensor_for(*key)) for name, key in _tensor_order(model.spec)]
     index = []
-    chunks = []
     offset = 0
-    for name, (l, i, proj) in _tensor_order(model.spec):
-        arr = np.ascontiguousarray(tensor_for(l, i, proj), dtype="<f4")
+    for name, arr in tensors:
         index.append([name, list(arr.shape), offset])
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
+        offset += arr.size * 4
     header = {
         "magic": MAGIC,
         "spec": model.spec.to_dict(),
         "tensor_index": index,
         "metadata": model.metadata,
     }
-    payload = b"".join(chunks)
     with open(path, "wb") as f:
         f.write(canonical_json(header))
         f.write(b"\n")
-        f.write(struct.pack("<Q", len(payload)))
-        f.write(payload)
+        f.write(struct.pack("<Q", offset))
+        for _, arr in tensors:
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def read_checkpoint(path) -> MoEModel:
@@ -125,11 +136,11 @@ def read_checkpoint(path) -> MoEModel:
         raise ValueError(f"malformed header: {exc}") from None
     if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise ValueError("bad magic")
-    spec = _field("checkpoint header", header, "spec", ModelSpec.from_dict)
+    spec = _field("checkpoint header", header, "spec", _spec_from_dict)
     if len(raw) < nl + 9:
         raise ValueError("payload length mismatch")
     (declared_len,) = struct.unpack("<Q", raw[nl + 1 : nl + 9])
-    payload = raw[nl + 9 :]
+    payload = memoryview(raw)[nl + 9 :]
     if len(payload) != declared_len:
         raise ValueError("payload length mismatch")
 
@@ -140,7 +151,7 @@ def read_checkpoint(path) -> MoEModel:
     tensors: dict[str, np.ndarray] = {}
     for entry in index:
         try:
-            name, shape, byte_offset = entry[0], tuple(int(x) for x in entry[1]), int(entry[2])
+            name, shape, byte_offset = entry[0], tuple(_int(x) for x in entry[1]), _int(entry[2])
             parse_tensor_name(name)
         except _MALFORMED as exc:
             raise ValueError(f"checkpoint tensor_index entry {entry!r}: {exc}") from None
@@ -181,6 +192,22 @@ def read_checkpoint(path) -> MoEModel:
     return model
 
 
+def _spec_from_dict(d) -> ModelSpec:
+    def count(key):
+        return _field("checkpoint spec", d, key, _int)
+
+    spec = ModelSpec(
+        num_layers=count("num_layers"),
+        num_experts=count("num_experts"),
+        hidden_dim=count("hidden_dim"),
+        intermediate_dim=count("intermediate_dim"),
+        top_k=count("top_k"),
+        activation=_field("checkpoint spec", d, "activation", str),
+    )
+    spec.validate()
+    return spec
+
+
 def _ref_to_list(ref) -> list[int]:
     return [int(ref[0]), int(ref[1])]
 
@@ -188,7 +215,7 @@ def _ref_to_list(ref) -> list[int]:
 def _ref_from_list(v) -> tuple[int, int]:
     if len(v) != 2:
         raise ValueError(f"bad expert reference: {v!r}")
-    return (int(v[0]), int(v[1]))
+    return (_int(v[0]), _int(v[1]))
 
 
 def plan_to_dict(plan: ConsolidationPlan) -> dict:
@@ -215,18 +242,18 @@ def plan_to_dict(plan: ConsolidationPlan) -> dict:
 
 def _scope_from_dict(s) -> Scope:
     return Scope(
-        layers=_field("plan scope", s, "layers", lambda v: [int(l) for l in v]),
+        layers=_field("plan scope", s, "layers", lambda v: [_int(l) for l in v]),
         prototypes=_field("plan scope", s, "prototypes", lambda v: [_ref_from_list(p) for p in v]),
     )
 
 
 def plan_from_dict(d: dict) -> ConsolidationPlan:
-    version = _field("plan", d, "version", int)
+    version = _field("plan", d, "version", _int)
     if version > PLAN_VERSION:
         raise ValueError(f"unsupported plan version: {version}")
     plan = ConsolidationPlan(
-        rho=_field("plan", d, "rho", float),
-        scope_size=_field("plan", d, "scope_size", int),
+        rho=_field("plan", d, "rho", _float),
+        scope_size=_field("plan", d, "scope_size", _int),
         policy=_field("plan", d, "policy", str),
         scopes=_field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v]),
         assignment=_field("plan", d, "assignment", lambda v: {
@@ -269,7 +296,7 @@ def stats_to_dict(stats: CalibStats) -> dict:
 
 
 def stats_from_dict(d: dict) -> CalibStats:
-    version = _field("stats", d, "version", int)
+    version = _field("stats", d, "version", _int)
     if version > STATS_VERSION:
         raise ValueError(f"unsupported stats version: {version}")
     records = {}
@@ -278,16 +305,16 @@ def stats_from_dict(d: dict) -> CalibStats:
         if ref in records:
             raise ValueError(f"duplicate stats record for {ref}")
         artifact = f"stats record {list(ref)}"
-        routed = _field(artifact, rec, "routed_count", int)
-        if _field(artifact, rec, "topk_count", int) != routed:
+        routed = _field(artifact, rec, "routed_count", _int)
+        if _field(artifact, rec, "topk_count", _int) != routed:
             raise ValueError(f"{artifact}: topk_count differs from routed_count")
         records[ref] = ExpertStats(
             routed_count=routed,
-            sum_weighted_norm=_field(artifact, rec, "sum_weighted_norm", float),
+            sum_weighted_norm=_field(artifact, rec, "sum_weighted_norm", _float),
         )
     stats = CalibStats(
-        token_total=_field("stats", d, "token_total", int),
-        top_k=_field("stats", d, "top_k", int),
+        token_total=_field("stats", d, "token_total", _int),
+        top_k=_field("stats", d, "top_k", _int),
         records=records,
         metadata=_field("stats", d, "metadata", _object, {}),
     )

@@ -211,6 +211,17 @@ class TestArtifactBoundary:
         ("checkpoint", lambda h: h.pop("spec"), "checkpoint header: missing field 'spec'"),
         ("checkpoint", lambda h: h["tensor_index"][2].__delitem__(slice(1, None)),
          "checkpoint tensor_index entry"),
+        # numbers of the wrong JSON type are rejected, not coerced
+        ("stats", lambda d: d["experts"][3].update(routed_count=2.7, topk_count="2"),
+         "stats record [0, 3]: malformed field 'routed_count': expected a JSON integer, got 2.7"),
+        ("plan", lambda d: d.update(scope_size="2"),
+         "plan: malformed field 'scope_size': expected a JSON integer, got '2'"),
+        ("checkpoint", lambda h: h["tensor_index"][1].__setitem__(2, 0.5),
+         "expected a JSON integer, got 0.5"),
+        ("checkpoint", lambda h: h["spec"].update(top_k=True),
+         "checkpoint spec: malformed field 'top_k': expected a JSON integer, got True"),
+        ("plan", lambda d: d.update(rho=False),
+         "plan: malformed field 'rho': expected a JSON number, got False"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
                              artifact, mutate, message):
@@ -229,6 +240,14 @@ class TestArtifactBoundary:
             "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
         }[artifact]
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out", message=message)
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_dup_noise_not_finite(self, tmp_path, capsys, noise):
+        path = tmp_path / "model.mckpt"
+        self.assert_rejected(capsys, "gen", "--layers", 2, "--experts", 4, "--hidden", 4,
+                             "--inter", 4, "--topk", 2, "--dup", "within", "--dup-noise", noise,
+                             "-o", path, message="dup noise must be finite and >= 0")
+        assert not path.exists()
 
     @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
     def test_eps_out_of_range(self, model_path, stats_path, tmp_path, capsys, eps):

@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from conmoe import (
     DupConfig,
+    consolidate,
+    merge_msmoe,
     ExpertWeights,
     ModelSpec,
     distance_matrix,
@@ -17,7 +19,9 @@ from conmoe import (
     projection_distance,
     replaceability,
 )
-from conmoe.geometry import DistanceTable, dump_distance_csv
+from conmoe.geometry import DEFAULT_EPS, DistanceTable, dump_distance_csv
+from conmoe.store import plan_to_dict
+from test_acceptance import random_plan
 
 finite_f = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
 
@@ -110,6 +114,73 @@ class TestDistanceMatrix:
         dump_distance_csv(table, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + n(n-1)/2 pairs
+
+
+def reference_table(model, scope, eps=DEFAULT_EPS):
+    """The scalar per-pair loop the Gram kernel replaced."""
+    scope = sorted(scope)
+    n = len(scope)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = expert_distance(model.expert(scope[i]), model.expert(scope[j]), eps)
+            values[i, j] = d
+            values[j, i] = d
+    return DistanceTable(scope=scope, values=values, eps=eps)
+
+
+def whole_model(spec):
+    return [(l, i) for l in range(spec.num_layers) for i in range(spec.num_experts)]
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2),
+                                       (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)])
+    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 0.5])
+    def test_matches_scalar_loop(self, shape, eps):
+        spec = ModelSpec(*shape)
+        model, _ = gen_synthetic(spec, seed=sum(shape))
+        scope = whole_model(spec)
+        got = distance_matrix(model, scope[::-1], eps)
+        want = reference_table(model, scope, eps)
+        assert got.scope == want.scope
+        assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
+        assert np.array_equal(got.values, got.values.T)
+        assert not np.diag(got.values).any()
+
+    def test_zero_experts(self):
+        spec = ModelSpec(1, 4, 4, 6, 1)
+        model, _ = gen_synthetic(spec, seed=1)
+        for i in (0, 1):
+            e = model.expert((0, i))
+            for w in (e.gate, e.up, e.down):
+                w[:] = 0.0
+        got = distance_matrix(model, whole_model(spec))
+        want = reference_table(model, whole_model(spec))
+        assert got.values[0, 1] == 0.0
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+    @pytest.mark.parametrize("dup", [DupConfig("within"), DupConfig("both", 1e-7)])
+    def test_planted_pairs_exact(self, dup):
+        spec = ModelSpec(4, 8, 16, 24, 2)
+        model, dup_map = gen_synthetic(spec, seed=5, dup=dup)
+        table = distance_matrix(model, whole_model(spec))
+        for copy, src in dup_map.items():
+            d = table.distance(copy, src)
+            assert d == expert_distance(model.expert(copy), model.expert(src))
+            assert d == 0.0 or dup.noise > 0
+
+    def test_plans_match_reference_table(self, monkeypatch):
+        built = []
+        for seed in range(100, 120):
+            model, stats, config, plan, _ = random_plan(seed)
+            merged, _ = merge_msmoe(model, stats, config.rho)
+            built.append((model, stats, config, plan, merged))
+        monkeypatch.setattr("conmoe.planner.distance_matrix", reference_table)
+        monkeypatch.setattr("conmoe.baselines.distance_matrix", reference_table)
+        for model, stats, config, plan, merged in built:
+            assert plan_to_dict(consolidate(model, stats, config)) == plan_to_dict(plan)
+            assert plan_to_dict(merge_msmoe(model, stats, config.rho)[0]) == plan_to_dict(merged)
 
 
 class TestReplaceability:
