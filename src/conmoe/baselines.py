@@ -9,20 +9,9 @@ import numpy as np
 
 from .calibration import CalibStats, contribution, frequency
 from .geometry import DEFAULT_EPS, distance_matrix
-from .model import ExpertWeights, MoELayer, MoEModel, Ref
+from .model import PROJECTIONS, ExpertWeights, MoEModel, Ref
 from .plan import ConsolidationPlan, Scope
 from .planner import _top_k, assign, budget
-
-
-def _copy_model(model: MoEModel) -> MoEModel:
-    return MoEModel(
-        spec=model.spec,
-        layers=[
-            MoELayer(experts=[e.copy() for e in layer.experts], router=layer.router.copy())
-            for layer in model.layers
-        ],
-        metadata=dict(model.metadata),
-    )
 
 
 @dataclass
@@ -78,14 +67,14 @@ def _fusion_weights(stats: CalibStats, cluster: list[Ref]) -> list[float]:
     return [c / total for c in counts]
 
 
-def _fuse_cluster(model: MoEModel, cluster: list[Ref], weights: list[float]) -> ExpertWeights:
-    fused = {}
-    for proj in ("gate", "up", "down"):
-        acc = np.zeros_like(getattr(model.expert(cluster[0]), proj), dtype=np.float64)
+def _fuse_cluster(dst: ExpertWeights, model: MoEModel, cluster: list[Ref], weights: list[float]) -> None:
+    """Write the weighted average of the cluster's experts in `model`,
+    accumulated in float64 in cluster order, into dst."""
+    for proj in PROJECTIONS:
+        acc = np.zeros(getattr(dst, proj).shape)
         for ref, w in zip(cluster, weights):
             acc += w * getattr(model.expert(ref), proj).astype(np.float64)
-        fused[proj] = acc.astype(np.float32)
-    return ExpertWeights(**fused)
+        getattr(dst, proj)[...] = acc
 
 
 def merge_msmoe(
@@ -102,7 +91,7 @@ def merge_msmoe(
     n = model.spec.num_experts
     scopes: list[Scope] = []
     assignment: dict[Ref, Ref] = {}
-    fused_base = _copy_model(model)
+    fused_base = model.copy()
     provenance: dict[Ref, list[tuple[Ref, float]]] = {}
     for l in range(model.spec.num_layers):
         refs = [(l, i) for i in range(n)]
@@ -115,7 +104,7 @@ def merge_msmoe(
             clusters[assignment[ref]].append(ref)
         for core, members in clusters.items():
             weights = _fusion_weights(stats, members)
-            fused_base.layers[l].experts[core[1]] = _fuse_cluster(model, members, weights)
+            _fuse_cluster(fused_base.expert(core), model, members, weights)
             provenance[core] = list(zip(members, weights))
     plan = ConsolidationPlan(
         rho=rho,
@@ -136,11 +125,11 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     stats.check_covers(model)
     if plan.is_pruning:
         raise ValueError("fusion requires a remapping plan, not a pruning plan")
-    fused_base = _copy_model(model)
+    fused_base = model.copy()
     provenance: dict[Ref, list[tuple[Ref, float]]] = {}
     for proto, members in plan.clusters().items():
         weights = _fusion_weights(stats, members)
-        fused_base.layers[proto[0]].experts[proto[1]] = _fuse_cluster(model, members, weights)
+        _fuse_cluster(fused_base.expert(proto), model, members, weights)
         provenance[proto] = list(zip(members, weights))
     fused_base.metadata["fusion"] = "weighted_average"
     return FusedModel(base=fused_base, provenance=provenance)

@@ -6,16 +6,13 @@ Each projection distance is a norm-balanced relative Frobenius distance in
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ExpertWeights, MoEModel, Ref
+from .model import PROJECTIONS, ExpertWeights, MoEModel, Ref
 
 DEFAULT_EPS = 1e-8
-
-PROJECTIONS = ("gate", "up", "down")
 
 
 def projection_distance(a: np.ndarray, b: np.ndarray, eps: float = DEFAULT_EPS) -> float:
@@ -144,13 +141,3 @@ def minmax_norm(values, eps: float = DEFAULT_EPS) -> np.ndarray:
     hi = values.max()
     return (values - lo) / (hi - lo + eps)
 
-
-def dump_distance_csv(table: DistanceTable, path) -> None:
-    """Upper-triangle rows `ref_i, ref_j, distance` in ascending pair order."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer_i", "expert_i", "layer_j", "expert_j", "distance"])
-        for i, a in enumerate(table.scope):
-            for j in range(i + 1, len(table.scope)):
-                b = table.scope[j]
-                writer.writerow([a[0], a[1], b[0], b[1], repr(float(table.values[i, j]))])

@@ -52,47 +52,43 @@ class ModelSpec:
 
 @dataclass
 class ExpertWeights:
-    """The three projections of a gated FFN expert, stored as float32."""
+    """The three projections of one gated FFN expert: the argument type of
+    expert_forward and expert_distance. MoELayer.expert returns views."""
 
     gate: np.ndarray  # (intermediate, hidden)
     up: np.ndarray    # (intermediate, hidden)
     down: np.ndarray  # (hidden, intermediate)
 
-    def validate(self, spec: ModelSpec):
-        f, h = spec.intermediate_dim, spec.hidden_dim
-        if self.gate.shape != (f, h) or self.up.shape != (f, h):
-            raise ValueError("gate/up projection shape mismatch")
-        if self.down.shape != (h, f):
-            raise ValueError("down projection shape mismatch")
-        for w in (self.gate, self.up, self.down):
-            if not np.all(np.isfinite(w)):
-                raise ValueError("non-finite expert weights")
 
-    def copy(self) -> "ExpertWeights":
-        return ExpertWeights(self.gate.copy(), self.up.copy(), self.down.copy())
-
-    def equal(self, other: "ExpertWeights") -> bool:
-        return (
-            np.array_equal(self.gate, other.gate)
-            and np.array_equal(self.up, other.up)
-            and np.array_equal(self.down, other.down)
-        )
+PROJECTIONS = ("gate", "up", "down")
 
 
 @dataclass
 class MoELayer:
-    experts: list[ExpertWeights]
-    router: np.ndarray  # (num_experts, hidden)
+    """A layer's experts stacked per projection, float32: gate and up
+    (num_experts, intermediate, hidden), down (num_experts, hidden,
+    intermediate), router (num_experts, hidden)."""
+
+    gate: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    router: np.ndarray
+
+    def expert(self, i: int) -> ExpertWeights:
+        return ExpertWeights(self.gate[i], self.up[i], self.down[i])
+
+    def copy(self) -> "MoELayer":
+        return MoELayer(self.gate.copy(), self.up.copy(), self.down.copy(), self.router.copy())
 
     def validate(self, spec: ModelSpec):
-        if len(self.experts) != spec.num_experts:
-            raise ValueError("expert count mismatch")
-        if self.router.shape != (spec.num_experts, spec.hidden_dim):
-            raise ValueError("router shape mismatch")
-        if not np.all(np.isfinite(self.router)):
-            raise ValueError("non-finite router weights")
-        for e in self.experts:
-            e.validate(spec)
+        n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
+        shapes = {"gate": (n, f, h), "up": (n, f, h), "down": (n, h, f), "router": (n, h)}
+        for name, shape in shapes.items():
+            w = getattr(self, name)
+            if w.shape != shape:
+                raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"non-finite {name} weights")
 
 
 @dataclass
@@ -110,7 +106,10 @@ class MoEModel:
 
     def expert(self, ref: Ref) -> ExpertWeights:
         layer, idx = ref
-        return self.layers[layer].experts[idx]
+        return self.layers[layer].expert(idx)
+
+    def copy(self) -> "MoEModel":
+        return MoEModel(self.spec, [layer.copy() for layer in self.layers], dict(self.metadata))
 
     def slots(self) -> list[Ref]:
         return [
@@ -120,14 +119,11 @@ class MoEModel:
         ]
 
     def equal(self, other: "MoEModel") -> bool:
-        if self.spec != other.spec:
-            return False
-        for a, b in zip(self.layers, other.layers):
-            if not np.array_equal(a.router, b.router):
-                return False
-            if any(not x.equal(y) for x, y in zip(a.experts, b.experts)):
-                return False
-        return True
+        return self.spec == other.spec and all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for a, b in zip(self.layers, other.layers)
+            for name in (*PROJECTIONS, "router")
+        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ def moe_terms(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> list
         idx, sel = idx[keep], sel[keep]
     terms = []
     for i, w in sorted(zip(idx.tolist(), _softmax(sel).tolist())):
-        expert = layer.experts[i] if plan is None else model.expert(plan.assignment_for((layer_idx, i)))
+        expert = layer.expert(i) if plan is None else model.expert(plan.assignment_for((layer_idx, i)))
         terms.append((i, w, expert_forward(expert, h)))
     return terms
 
@@ -257,30 +253,25 @@ def materialize(model: MoEModel, plan) -> MoEModel:
     assigned prototype weights into the slot. Routers are untouched.
     Drop-masked slots get zero weights."""
     plan.check_covers(model)
-    spec = model.spec
-    layers = []
-    zeroed: list[list[int]] = []
-    for l in range(spec.num_layers):
-        experts = []
-        for i in range(spec.num_experts):
-            ref = (l, i)
-            if ref in plan.drop_mask:
-                experts.append(
-                    ExpertWeights(
-                        gate=np.zeros((spec.intermediate_dim, spec.hidden_dim), dtype=np.float32),
-                        up=np.zeros((spec.intermediate_dim, spec.hidden_dim), dtype=np.float32),
-                        down=np.zeros((spec.hidden_dim, spec.intermediate_dim), dtype=np.float32),
-                    )
-                )
-                zeroed.append([l, i])
-            else:
-                experts.append(model.expert(plan.assignment_for(ref)).copy())
-        layers.append(MoELayer(experts=experts, router=model.layers[l].router.copy()))
-    metadata = dict(model.metadata)
-    metadata["materialized_from_policy"] = plan.policy
+    out = model.copy()
+    zeroed = []
+    for ref in model.slots():
+        slot = out.expert(ref)
+        if ref in plan.drop_mask:
+            zeroed.append(list(ref))
+            for w in (slot.gate, slot.up, slot.down):
+                w[...] = 0.0
+        else:
+            _copy_expert(slot, model.expert(plan.assignment_for(ref)))
+    out.metadata["materialized_from_policy"] = plan.policy
     if zeroed:
-        metadata["zeroed_slots"] = zeroed
-    return MoEModel(spec=spec, layers=layers, metadata=metadata)
+        out.metadata["zeroed_slots"] = zeroed
+    return out
+
+
+def _copy_expert(dst: ExpertWeights, src: ExpertWeights) -> None:
+    for name in PROJECTIONS:
+        getattr(dst, name)[...] = getattr(src, name)
 
 
 @dataclass(frozen=True)
@@ -304,21 +295,27 @@ class DupConfig:
             raise ValueError("dup noise must be finite and >= 0")
 
 
-def _random_expert(rng: np.random.Generator, spec: ModelSpec, scale: float) -> ExpertWeights:
-    f, h = spec.intermediate_dim, spec.hidden_dim
-    return ExpertWeights(
-        gate=(rng.standard_normal((f, h)) * scale).astype(np.float32),
-        up=(rng.standard_normal((f, h)) * scale).astype(np.float32),
-        down=(rng.standard_normal((h, f)) * scale).astype(np.float32),
+def _random_layer(rng: np.random.Generator, spec: ModelSpec, scale: float) -> MoELayer:
+    """Each expert's gate, up and down, then the router, drawn in that order."""
+    n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
+    layer = MoELayer(
+        gate=np.empty((n, f, h), dtype=np.float32),
+        up=np.empty((n, f, h), dtype=np.float32),
+        down=np.empty((n, h, f), dtype=np.float32),
+        router=np.empty((n, h), dtype=np.float32),
     )
+    for i in range(n):
+        for w in (layer.gate, layer.up, layer.down):
+            w[i] = rng.standard_normal(w.shape[1:]) * scale
+    layer.router[...] = rng.standard_normal((n, h)) * scale
+    return layer
 
 
-def _perturbed_copy(rng: np.random.Generator, src: ExpertWeights, noise: float) -> ExpertWeights:
-    out = src.copy()
+def _plant_copy(rng: np.random.Generator, dst: ExpertWeights, src: ExpertWeights, noise: float) -> None:
+    _copy_expert(dst, src)
     if noise > 0:
-        for w in (out.gate, out.up, out.down):
+        for w in (dst.gate, dst.up, dst.down):
             w += (rng.standard_normal(w.shape) * noise).astype(np.float32)
-    return out
 
 
 def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> tuple[MoEModel, dict[Ref, Ref]]:
@@ -336,26 +333,21 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> t
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(spec.hidden_dim)
-    layers = []
-    for _ in range(spec.num_layers):
-        experts = [_random_expert(rng, spec, scale) for _ in range(spec.num_experts)]
-        router = (rng.standard_normal((spec.num_experts, spec.hidden_dim)) * scale).astype(np.float32)
-        layers.append(MoELayer(experts=experts, router=router))
+    model = MoEModel(spec=spec, layers=[_random_layer(rng, spec, scale) for _ in range(spec.num_layers)])
 
     dup_map: dict[Ref, Ref] = {}
     if dup.mode in ("within", "both"):
         half = spec.num_experts // 2
         for l in range(spec.num_layers):
             for j in range(half):
-                layers[l].experts[j + half] = _perturbed_copy(rng, layers[l].experts[j], dup.noise)
+                _plant_copy(rng, model.expert((l, j + half)), model.expert((l, j)), dup.noise)
                 dup_map[(l, j + half)] = (l, j)
     if dup.mode in ("cross", "both"):
         for l in range(1, spec.num_layers, 2):
             for i in range(spec.num_experts):
-                layers[l].experts[i] = _perturbed_copy(rng, layers[l - 1].experts[i], dup.noise)
+                _plant_copy(rng, model.expert((l, i)), model.expert((l - 1, i)), dup.noise)
                 dup_map[(l, i)] = (l - 1, i)
 
-    model = MoEModel(spec=spec, layers=layers)
     model.validate()
     return model, dup_map
 

@@ -51,12 +51,6 @@ class ConsolidationPlan:
     def is_pruning(self) -> bool:
         return bool(self.drop_mask)
 
-    def scope_of(self, ref: Ref) -> Scope:
-        for scope in self.scopes:
-            if ref[0] in scope.layers:
-                return scope
-        raise ValueError(f"slot {ref} not covered by any scope")
-
     def slots(self) -> list[Ref]:
         return sorted(self.assignment)
 
@@ -94,7 +88,7 @@ class ConsolidationPlan:
             raise ValueError("scope_size must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
-        seen_layers: set[int] = set()
+        scope_of_layer: dict[int, Scope] = {}
         for scope in self.scopes:
             if len(set(scope.prototypes)) != len(scope.prototypes):
                 raise ValueError("duplicate prototype reference in scope")
@@ -103,24 +97,21 @@ class ConsolidationPlan:
             for p in scope.prototypes:
                 if p[0] not in scope.layers:
                     raise ValueError("prototype outside its scope's layers")
-            overlap = seen_layers.intersection(scope.layers)
+            overlap = scope_of_layer.keys() & set(scope.layers)
             if overlap:
                 raise ValueError(f"layers {sorted(overlap)} appear in two scopes")
-            seen_layers.update(scope.layers)
-        protos_by_layer = {
-            p: scope for scope in self.scopes for p in scope.prototypes
-        }
+            scope_of_layer.update(dict.fromkeys(scope.layers, scope))
+        scope_of_proto = {p: scope for scope in self.scopes for p in scope.prototypes}
         for slot, target in self.assignment.items():
-            if slot[0] not in seen_layers:
+            if slot[0] not in scope_of_layer:
                 raise ValueError(f"slot {slot} outside all scopes")
             if slot in self.drop_mask:
                 if target != slot:
                     raise ValueError("dropped slots must map to themselves")
                 continue
-            scope = self.scope_of(slot)
-            if target not in protos_by_layer or protos_by_layer[target] is not scope:
+            if scope_of_proto.get(target) is not scope_of_layer[slot[0]]:
                 raise ValueError(f"dangling assignment: {slot} -> {target}")
-        for p, scope in protos_by_layer.items():
+        for p in scope_of_proto:
             if p not in self.drop_mask and self.assignment.get(p) != p:
                 raise ValueError(f"prototype {p} does not map to itself")
         for ref in self.drop_mask:

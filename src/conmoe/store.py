@@ -3,30 +3,28 @@
 
 A checkpoint is a single file: canonical UTF-8 JSON header, one newline,
 an 8-byte little-endian payload length, then the raw float32
-little-endian tensor payload. Everything JSON is serialized canonically
-(sorted keys, compact separators) so identical values produce identical
-bytes.
+little-endian tensor payload: per layer, each expert's gate, up and down,
+then the router. The header's tensor_index must be exactly the canonical
+index of its spec. Everything JSON is serialized canonically (sorted keys,
+compact separators) so identical values produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import os
 import struct
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CalibStats, ExpertStats
-from .model import ExpertWeights, MoELayer, MoEModel, ModelSpec
+from .model import PROJECTIONS, MoELayer, MoEModel, ModelSpec
 from .plan import PLAN_VERSION, ConsolidationPlan, Scope
 
 MAGIC = "MCKPT1"
 STATS_VERSION = 1
-
-_TENSOR_NAME = re.compile(
-    r"^layers\.(\d+)\.(?:experts\.(\d+)\.(gate|up|down)|router)$"
-)
 
 
 # what a missing, mistyped or malformed JSON value raises on conversion
@@ -72,120 +70,97 @@ def _object(v) -> dict:
     return v
 
 
-def parse_tensor_name(name: str) -> tuple[int, int | None, str | None]:
-    """Returns (layer, expert, projection); expert/projection are None for
-    router tensors. Rejects anything outside the naming grammar."""
-    m = _TENSOR_NAME.match(name)
-    if not m:
-        raise ValueError(f"invalid tensor name: {name!r}")
-    layer = int(m.group(1))
-    if m.group(2) is None:
-        return layer, None, None
-    return layer, int(m.group(2)), m.group(3)
+def _payload_length(spec: ModelSpec) -> int:
+    return spec.num_layers * spec.num_experts * (3 * spec.intermediate_dim + 1) * spec.hidden_dim * 4
 
 
-def _tensor_order(spec: ModelSpec):
-    """Canonical tensor iteration: per layer, experts (gate/up/down) then
-    the router."""
+def _tensor_index(spec: ModelSpec) -> list:
+    """The header's tensor_index, [name, shape, byte offset] per tensor:
+    per layer, each expert's gate, up and down, then the router, packed."""
+    f, h = spec.intermediate_dim, spec.hidden_dim
+    shapes = {"gate": [f, h], "up": [f, h], "down": [h, f]}
+    index = []
+    offset = 0
     for l in range(spec.num_layers):
         for i in range(spec.num_experts):
-            for proj in ("gate", "up", "down"):
-                yield f"layers.{l}.experts.{i}.{proj}", (l, i, proj)
-        yield f"layers.{l}.router", (l, None, None)
+            for proj in PROJECTIONS:
+                index.append([f"layers.{l}.experts.{i}.{proj}", shapes[proj], offset])
+                offset += f * h * 4
+        index.append([f"layers.{l}.router", [spec.num_experts, h], offset])
+        offset += spec.num_experts * h * 4
+    return index
 
 
 def write_checkpoint(model: MoEModel, path) -> None:
     model.validate()
     if model.spec.num_layers == 0:
         raise ValueError("empty model")
-
-    def tensor_for(l, i, proj):
-        if i is None:
-            return model.layers[l].router
-        return getattr(model.layers[l].experts[i], proj)
-
-    tensors = [(name, tensor_for(*key)) for name, key in _tensor_order(model.spec)]
-    index = []
-    offset = 0
-    for name, arr in tensors:
-        index.append([name, list(arr.shape), offset])
-        offset += arr.size * 4
     header = {
         "magic": MAGIC,
         "spec": model.spec.to_dict(),
-        "tensor_index": index,
+        "tensor_index": _tensor_index(model.spec),
         "metadata": model.metadata,
     }
     with open(path, "wb") as f:
         f.write(canonical_json(header))
         f.write(b"\n")
-        f.write(struct.pack("<Q", offset))
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(struct.pack("<Q", _payload_length(model.spec)))
+        for layer in model.layers:
+            for i in range(model.spec.num_experts):
+                for w in (layer.gate[i], layer.up[i], layer.down[i]):
+                    f.write(np.ascontiguousarray(w, dtype="<f4"))
+            f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
+
+
+def _read_into(f, arr: np.ndarray) -> np.ndarray:
+    if f.readinto(arr) != arr.nbytes:
+        raise ValueError("payload length mismatch")
+    return arr
 
 
 def read_checkpoint(path) -> MoEModel:
     with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError("malformed header: no newline terminator")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"malformed header: {exc}") from None
-    if not isinstance(header, dict) or header.get("magic") != MAGIC:
-        raise ValueError("bad magic")
-    spec = _field("checkpoint header", header, "spec", _spec_from_dict)
-    if len(raw) < nl + 9:
-        raise ValueError("payload length mismatch")
-    (declared_len,) = struct.unpack("<Q", raw[nl + 1 : nl + 9])
-    payload = memoryview(raw)[nl + 9 :]
-    if len(payload) != declared_len:
-        raise ValueError("payload length mismatch")
-
-    index = _field("checkpoint header", header, "tensor_index", list)
-    expected = {name: key for name, key in _tensor_order(spec)}
-    seen: set[str] = set()
-    offset = 0
-    tensors: dict[str, np.ndarray] = {}
-    for entry in index:
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("malformed header: no newline terminator")
         try:
-            name, shape, byte_offset = entry[0], tuple(_int(x) for x in entry[1]), _int(entry[2])
-            parse_tensor_name(name)
-        except _MALFORMED as exc:
-            raise ValueError(f"checkpoint tensor_index entry {entry!r}: {exc}") from None
-        if name in seen:
-            raise ValueError(f"duplicate tensor entry: {name}")
-        seen.add(name)
-        if name not in expected:
-            raise ValueError(f"tensor {name!r} not declared by spec")
-        if byte_offset != offset:
-            raise ValueError("shape/offset mismatch: non-contiguous tensor index")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
-        if byte_offset + nbytes > declared_len:
-            raise ValueError("shape/offset mismatch: tensor exceeds payload")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=byte_offset)
-        tensors[name] = arr.reshape(shape).copy()
-        offset += nbytes
-    if offset != declared_len:
-        raise ValueError("shape/offset mismatch: payload not fully covered")
-    missing = set(expected) - seen
-    if missing:
-        raise ValueError(f"missing tensor entries: {sorted(missing)[:3]}")
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"malformed header: {exc}") from None
+        if not isinstance(header, dict) or header.get("magic") != MAGIC:
+            raise ValueError("bad magic")
+        spec = _field("checkpoint header", header, "spec", _spec_from_dict)
+        length = f.read(8)
+        if len(length) < 8:
+            raise ValueError("payload length mismatch")
+        (declared_len,) = struct.unpack("<Q", length)
+        # checked in O(1) before anything is sized from the untrusted spec
+        if not declared_len == _payload_length(spec) == os.fstat(f.fileno()).st_size - f.tell():
+            raise ValueError("payload length mismatch")
 
-    layers = []
-    for l in range(spec.num_layers):
-        experts = [
-            ExpertWeights(
-                gate=tensors[f"layers.{l}.experts.{i}.gate"],
-                up=tensors[f"layers.{l}.experts.{i}.up"],
-                down=tensors[f"layers.{l}.experts.{i}.down"],
-            )
-            for i in range(spec.num_experts)
-        ]
-        layers.append(MoELayer(experts=experts, router=tensors[f"layers.{l}.router"]))
+        index = _field("checkpoint header", header, "tensor_index", list)
+        for entry in index:
+            try:
+                for number in (*entry[1], entry[2]):
+                    _int(number)
+            except _MALFORMED as exc:
+                raise ValueError(f"checkpoint tensor_index entry {entry!r}: {exc}") from None
+        for k, (got, want) in enumerate(zip_longest(index, _tensor_index(spec))):
+            if got != want:
+                raise ValueError(f"checkpoint tensor_index entry {k} is {got!r}, expected {want!r}")
+
+        n, inter, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
+        layers = []
+        for _ in range(spec.num_layers):
+            # the file holds each expert's gate, up and down in turn
+            block = _read_into(f, np.empty((n, 3, inter * h), dtype="<f4"))
+            router = _read_into(f, np.empty((n, h), dtype="<f4"))
+            layers.append(MoELayer(
+                gate=block[:, 0].reshape(n, inter, h),
+                up=block[:, 1].reshape(n, inter, h),
+                down=block[:, 2].reshape(n, h, inter),
+                router=router,
+            ))
     metadata = _field("checkpoint header", header, "metadata", _object, {})
     model = MoEModel(spec=spec, layers=layers, metadata=metadata)
     model.validate()

@@ -8,6 +8,7 @@ import pytest
 
 import conmoe
 from conmoe import ModelSpec, gen_synthetic, gen_tokens, run_calibration
+from conmoe.model import PROJECTIONS, MoELayer
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,13 @@ def run_cli_subprocess(argv, blas_threads):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "conmoe.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def stack_layer(experts, router):
+    """MoELayer whose stacks hold the given ExpertWeights, in order."""
+    stacks = {p: np.stack([getattr(e, p) for e in experts]) for p in PROJECTIONS}
+    return MoELayer(router=router, **stacks)
+
+
+def experts_equal(a, b):
+    return all(np.array_equal(getattr(a, p), getattr(b, p)) for p in PROJECTIONS)

@@ -13,8 +13,9 @@ from conmoe import (
     run_calibration,
 )
 from conmoe.calibration import ExpertStats
-from conmoe.model import ModelSpec, MoELayer, MoEModel, ExpertWeights
+from conmoe.model import ModelSpec, MoEModel, ExpertWeights
 from conmoe.store import canonical_json, stats_to_dict
+from conftest import stack_layer
 
 
 def stats_from_pairs(pairs):
@@ -37,7 +38,7 @@ def reference_calibration(model, tokens):
             sel = router_topk(layer.router, h, k)
             outputs = {}
             for i, g in zip(sel.indices, sel.weights):
-                out = expert_forward(layer.experts[i], h)
+                out = expert_forward(layer.expert(i), h)
                 outputs[i] = (g, out)
                 rec = records[(l, i)]
                 rec.routed_count += 1
@@ -85,8 +86,8 @@ class TestRunCalibration:
         )
         rng = np.random.default_rng(0)
         model = MoEModel(spec=spec, layers=[
-            MoELayer(experts=[zero.copy() for _ in range(3)],
-                     router=rng.standard_normal((3, 4)).astype(np.float32))
+            stack_layer([zero] * 3,
+                        router=rng.standard_normal((3, 4)).astype(np.float32))
             for _ in range(2)
         ])
         stats = run_calibration(model, gen_tokens(5, 4, seed=1))

@@ -19,7 +19,7 @@ from conmoe import (
     projection_distance,
     replaceability,
 )
-from conmoe.geometry import DEFAULT_EPS, DistanceTable, dump_distance_csv
+from conmoe.geometry import DEFAULT_EPS, DistanceTable
 from conmoe.store import plan_to_dict
 from test_acceptance import random_plan
 
@@ -106,14 +106,6 @@ class TestDistanceMatrix:
         table = distance_matrix(small_model, refs)
         assert np.array_equal(table.values, table.values.T)
         assert np.array_equal(np.diag(table.values), np.zeros(len(refs)))
-
-    def test_csv_dump(self, small_model, tmp_path):
-        refs = [(0, i) for i in range(3)]
-        table = distance_matrix(small_model, refs)
-        path = tmp_path / "dist.csv"
-        dump_distance_csv(table, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 3  # header + n(n-1)/2 pairs
 
 
 def reference_table(model, scope, eps=DEFAULT_EPS):

@@ -15,7 +15,8 @@ from conmoe import (
     moe_terms,
     router_topk,
 )
-from conmoe.model import MoELayer, MoEModel, aggregate_coefficients
+from conmoe.model import MoEModel, aggregate_coefficients
+from conftest import experts_equal, stack_layer
 
 SILU_ONE = 1.0 / (1.0 + np.exp(-1.0))  # closed form, ~0.7310585786300049
 
@@ -29,8 +30,8 @@ def make_expert(inter, hidden, fill=0.0):
 
 
 def one_layer_model(layer, k):
-    inter, hidden = layer.experts[0].gate.shape
-    return MoEModel(spec=ModelSpec(1, len(layer.experts), hidden, inter, k), layers=[layer])
+    n, inter, hidden = layer.gate.shape
+    return MoEModel(spec=ModelSpec(1, n, hidden, inter, k), layers=[layer])
 
 
 def identity_padded(rows, cols):
@@ -105,7 +106,7 @@ class TestMoEForward:
         h = np.arange(small_model.spec.hidden_dim, dtype=np.float64) / 7.0
         sel = router_topk(layer.router, h, 1)
         out = moe_forward(one_layer_model(layer, 1), 0, h)
-        assert np.array_equal(out, expert_forward(layer.experts[sel.indices[0]], h))
+        assert np.array_equal(out, expert_forward(layer.expert(sel.indices[0]), h))
 
     def test_identical_experts_weight_sum(self, rng):
         e = ExpertWeights(
@@ -113,15 +114,15 @@ class TestMoEForward:
             up=rng.standard_normal((6, 4)).astype(np.float32),
             down=rng.standard_normal((4, 6)).astype(np.float32),
         )
-        layer = MoELayer(experts=[e, e.copy()], router=rng.standard_normal((2, 4)).astype(np.float32))
+        layer = stack_layer([e, e], router=rng.standard_normal((2, 4)).astype(np.float32))
         h = rng.standard_normal(4)
         out = moe_forward(one_layer_model(layer, 2), 0, h)
         single = expert_forward(e, h)
         assert out == pytest.approx(single, rel=1e-12)
 
     def test_all_zero_experts(self, rng):
-        layer = MoELayer(
-            experts=[make_expert(6, 4) for _ in range(3)],
+        layer = stack_layer(
+            [make_expert(6, 4) for _ in range(3)],
             router=rng.standard_normal((3, 4)).astype(np.float32),
         )
         assert np.array_equal(moe_forward(one_layer_model(layer, 2), 0, rng.standard_normal(4)), np.zeros(4))
@@ -169,8 +170,8 @@ class TestConsolidatedForward:
     def test_dropped_winner_far_above_survivor(self):
         # the survivor's logit is 1000 below the dropped winner's: its
         # weight, renormalized by division, would be 0.0 / 0.0
-        layer = MoELayer(
-            experts=[make_expert(6, 4, fill=0.1 * (i + 1)) for i in range(3)],
+        layer = stack_layer(
+            [make_expert(6, 4, fill=0.1 * (i + 1)) for i in range(3)],
             router=np.array([[1000.0, 0, 0, 0], [0, 0, 0, 0], [-1000.0, 0, 0, 0]],
                             dtype=np.float32),
         )
@@ -180,11 +181,11 @@ class TestConsolidatedForward:
         h = np.array([1.0, 0.0, 0.0, 0.0])
         terms = moe_terms(model, 0, h, plan)
         assert [(i, w) for i, w, _ in terms] == [(1, 1.0)]
-        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(layer.experts[1], h))
+        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(layer.expert(1), h))
 
     def test_surviving_weights_are_softmax_of_surviving_logits(self):
-        layer = MoELayer(
-            experts=[make_expert(6, 4) for _ in range(3)],
+        layer = stack_layer(
+            [make_expert(6, 4) for _ in range(3)],
             router=np.array([[3.0, 0, 0, 0], [np.log(3.0), 0, 0, 0], [0, 0, 0, 0]]),
         )
         model = one_layer_model(layer, 3)
@@ -199,8 +200,8 @@ class TestModelForward:
     def test_zero_model_residual_identity(self):
         spec = ModelSpec(2, 3, 4, 6, 2)
         layers = [
-            MoELayer(experts=[make_expert(6, 4) for _ in range(3)],
-                     router=np.zeros((3, 4), dtype=np.float32))
+            stack_layer([make_expert(6, 4) for _ in range(3)],
+                        router=np.zeros((3, 4), dtype=np.float32))
             for _ in range(2)
         ]
         model = MoEModel(spec=spec, layers=layers)
@@ -228,7 +229,7 @@ class TestMaterialize:
             plan.assignment[(1, i)] = (1, 0)
         mat = materialize(small_model, plan)
         for i in range(small_model.spec.num_experts):
-            assert mat.expert((1, i)).equal(small_model.expert((1, 0)))
+            assert experts_equal(mat.expert((1, i)), small_model.expert((1, 0)))
 
     def test_forward_equivalence(self, small_model, small_tokens):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)

@@ -17,7 +17,9 @@ from conmoe import (
     write_stats,
 )
 from conmoe.calibration import ExpertStats
-from conmoe.store import parse_tensor_name, stats_from_dict, stats_to_dict
+from conmoe.cli import main
+from conmoe.model import PROJECTIONS
+from conmoe.store import _tensor_index, stats_from_dict, stats_to_dict
 
 
 @pytest.fixture
@@ -90,22 +92,54 @@ class TestCheckpoint:
     def test_float32_truncation(self, tmp_path):
         model, _ = gen_synthetic(ModelSpec(1, 2, 4, 6, 1), seed=2)
         # values already f32; bump one weight via float64 math and round-trip
-        model.layers[0].experts[0].gate[0, 0] = np.float32(1.0 / 3.0)
+        model.layers[0].expert(0).gate[0, 0] = np.float32(1.0 / 3.0)
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
         loaded = read_checkpoint(path)
-        assert loaded.layers[0].experts[0].gate.dtype == np.float32
-        assert loaded.layers[0].experts[0].gate[0, 0] == np.float32(1.0 / 3.0)
+        assert loaded.layers[0].expert(0).gate.dtype == np.float32
+        assert loaded.layers[0].expert(0).gate[0, 0] == np.float32(1.0 / 3.0)
+
+
+def rewrite_header(path, edit):
+    """Apply edit(header) to a checkpoint's JSON header, payload untouched."""
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
+def assert_index_rejected(model, tmp_path, capsys, edit):
+    """A checkpoint whose tensor_index went through edit() is a ValueError
+    for the reader and exit 1 for the CLI."""
+    path = tmp_path / "m.mckpt"
+    write_checkpoint(model, path)
+    rewrite_header(path, lambda h: edit(h["tensor_index"]))
+    with pytest.raises(ValueError, match="checkpoint tensor_index entry"):
+        read_checkpoint(path)
+    assert main(["calibrate", "--model", str(path), "--tokens", "2",
+                 "-o", str(tmp_path / "s.json")]) == 1
+    assert "checkpoint tensor_index entry" in capsys.readouterr().err
+
+
+def swap_names(index, a, b):
+    index[a][0], index[b][0] = index[b][0], index[a][0]
 
 
 class TestTensorNames:
+    """Names come from the spec's canonical index; a header that names a
+    tensor any other way is rejected."""
+
     @pytest.mark.parametrize("name,expected", [
         ("layers.0.experts.3.gate", (0, 3, "gate")),
         ("layers.12.experts.0.down", (12, 0, "down")),
         ("layers.4.router", (4, None, None)),
     ])
     def test_grammar_accepts(self, name, expected):
-        assert parse_tensor_name(name) == expected
+        layer, expert, proj = expected
+        per_layer = 3 * 4 + 1  # 4 experts' gate, up, down, then the router
+        pos = layer * per_layer + (per_layer - 1 if expert is None else 3 * expert + PROJECTIONS.index(proj))
+        assert _tensor_index(ModelSpec(13, 4, 8, 12, 2))[pos][0] == name
 
     @pytest.mark.parametrize("name", [
         "layers.0.experts.3.bias",
@@ -114,9 +148,40 @@ class TestTensorNames:
         "layers.-1.router",
         "embeddings",
     ])
-    def test_grammar_rejects(self, name):
-        with pytest.raises(ValueError):
-            parse_tensor_name(name)
+    def test_grammar_rejects(self, model, tmp_path, capsys, name):
+        assert_index_rejected(model, tmp_path, capsys, lambda ix: ix[0].__setitem__(0, name))
+
+
+class TestTensorIndex:
+    """The header's tensor_index must be the canonical one for its spec."""
+
+    @pytest.mark.parametrize("edit", [
+        # same shapes and offsets: a reader that trusted names would swap gate and up
+        pytest.param(lambda ix: swap_names(ix, 0, 1), id="swapped"),
+        pytest.param(lambda ix: ix.append(["layers.0.experts.9.gate", [12, 8], ix[-1][2]]), id="extra"),
+        pytest.param(lambda ix: ix.pop(), id="missing"),
+    ])
+    def test_non_canonical_index_rejected(self, model, tmp_path, capsys, edit):
+        assert_index_rejected(model, tmp_path, capsys, edit)
+
+    def test_huge_spec_rejected_before_index(self, model, tmp_path, capsys):
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        rewrite_header(path, lambda h: h["spec"].update(num_layers=100000))
+        with pytest.raises(ValueError, match="payload length mismatch"):
+            read_checkpoint(path)
+        assert main(["calibrate", "--model", str(path), "--tokens", "2",
+                     "-o", str(tmp_path / "s.json")]) == 1
+        assert "payload length mismatch" in capsys.readouterr().err
+
+    def test_reads_one_copy_of_the_payload(self, model, tmp_path):
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        layer = read_checkpoint(path).layers[0]
+        # gate, up and down are views of the one block read from the file
+        block = layer.gate.base
+        assert block.nbytes == layer.gate.nbytes * 3
+        assert layer.up.base is block and layer.down.base is block
 
 
 class TestPlanIO:
