@@ -8,15 +8,11 @@ from .model import (
     MoELayer,
     MoEModel,
     ModelSpec,
-    TopKSelection,
-    expert_forward,
     gen_synthetic,
     gen_tokens,
     materialize,
     model_forward,
     moe_forward,
-    moe_terms,
-    router_topk,
 )
 from .calibration import CalibStats, contribution, frequency, run_calibration
 from .geometry import (
@@ -25,9 +21,7 @@ from .geometry import (
     expert_distance,
     minmax_norm,
     nearest,
-    nearest_neighbor,
     projection_distance,
-    replaceability,
 )
 from .plan import ConsolidationPlan, Scope, identity_plan
 from .planner import (

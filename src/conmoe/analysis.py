@@ -47,8 +47,9 @@ class NNReport:
         }
 
 
-def _relative_error(got: np.ndarray, want: np.ndarray, eps: float) -> float:
-    return float(np.linalg.norm(got - want) / (np.linalg.norm(want) + eps))
+def _relative_errors(got: np.ndarray, want: np.ndarray, eps: float) -> np.ndarray:
+    """Per-token relative L2 error of (count, hidden) rows."""
+    return np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + eps)
 
 
 def evaluate_fidelity(
@@ -56,29 +57,27 @@ def evaluate_fidelity(
     plan: ConsolidationPlan,
     tokens: np.ndarray,
     eps: float = DEFAULT_EPS,
+    reference: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> FidelityReport:
-    """Run the original and consolidated stacks side by side and average
-    the relative L2 error of each layer's output and of the final state."""
+    """Run the original and consolidated stacks on the same tokens and
+    average the relative L2 error of each layer's output and of the final
+    state. reference, if given, is the original stack's
+    model_forward_trace of the tokens."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ValueError("tokens must be a non-empty (count, hidden) array")
     plan.validate()
     plan.check_covers(model)
-    num_layers = model.spec.num_layers
-    layer_err = np.zeros(num_layers)
-    final_err = 0.0
-    for t in range(tokens.shape[0]):
-        h = tokens[t]
-        orig_final, orig_outs = model_forward_trace(model, h)
-        plan_final, plan_outs = model_forward_trace(model, h, plan)
-        for l in range(num_layers):
-            layer_err[l] += _relative_error(plan_outs[l], orig_outs[l], eps)
-        final_err += _relative_error(plan_final, orig_final, eps)
-    count = tokens.shape[0]
+    if reference is None:
+        reference = model_forward_trace(model, tokens)
+    orig_final, orig_outs = reference
+    plan_final, plan_outs = model_forward_trace(model, tokens, plan)
     return FidelityReport(
-        per_layer_error=[float(x) / count for x in layer_err],
-        end_to_end_error=final_err / count,
-        token_count=count,
+        per_layer_error=[
+            float(_relative_errors(got, want, eps).mean()) for got, want in zip(plan_outs, orig_outs)
+        ],
+        end_to_end_error=float(_relative_errors(plan_final, orig_final, eps).mean()),
+        token_count=tokens.shape[0],
         achieved_reduction=reduction_accounting(plan),
         metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
     )
@@ -142,10 +141,12 @@ def scope_sweep(
     tokens: np.ndarray,
     base_config: ScopeConfig | None = None,
 ) -> list[FidelityReport]:
-    """Consolidate and evaluate at each scope size with a constant rho."""
+    """Consolidate and evaluate at each scope size with a constant rho,
+    against one reference trace of the original model."""
     config = base_config or ScopeConfig(rho=rho)
+    reference = model_forward_trace(model, tokens)
     reports = []
     for size in scope_sizes:
         plan = consolidate(model, stats, replace(config, rho=rho, scope_size=size))
-        reports.append(evaluate_fidelity(model, plan, tokens, config.eps))
+        reports.append(evaluate_fidelity(model, plan, tokens, config.eps, reference))
     return reports

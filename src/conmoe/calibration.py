@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, Ref, moe_terms, sum_terms
+from .model import MoEModel, Ref, slot_groups
 
 
 @dataclass
@@ -62,16 +62,23 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     if tokens.shape[1] != model.spec.hidden_dim:
         raise ValueError("token dimension mismatch")
 
-    records: dict[Ref, ExpertStats] = {ref: ExpertStats() for ref in model.slots()}
-    for h in tokens:
-        for l in range(model.spec.num_layers):
-            terms = moe_terms(model, l, h)
-            for i, g, out in terms:
-                rec = records[(l, i)]
-                rec.routed_count += 1
-                rec.sum_weighted_norm += g * float(np.linalg.norm(out))
-            # the residual step reuses the recorded outputs
-            h = h + sum_terms(terms, model.spec.hidden_dim)
+    shape = (model.spec.num_layers, model.spec.num_experts)
+    counts = np.zeros(shape, dtype=np.int64)
+    sums = np.zeros(shape)
+    h = tokens
+    for l in range(model.spec.num_layers):
+        out = np.zeros_like(h)
+        for i, tok, g, y in slot_groups(model, l, h):
+            counts[l, i] = tok.size
+            # summed in token order, one token at a time
+            np.add.at(sums[l], np.full(tok.size, i), g * np.linalg.norm(y, axis=1))
+            out[tok] = out[tok] + g[:, None] * y
+        # the residual step reuses the recorded outputs
+        h = h + out
+    records = {
+        (l, i): ExpertStats(int(counts[l, i]), float(sums[l, i]))
+        for l, i in model.slots()
+    }
     stats = CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k, records=records)
     stats.validate()
     return stats

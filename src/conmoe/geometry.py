@@ -120,18 +120,6 @@ def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:
     return cols[pos], values[np.arange(len(pos)), pos]
 
 
-def replaceability(ref: Ref, table: DistanceTable) -> float:
-    """Nearest-neighbor distance within the scope."""
-    return nearest_neighbor(ref, table)[1]
-
-
-def nearest_neighbor(ref: Ref, table: DistanceTable) -> tuple[Ref, float]:
-    """Closest other expert; ties broken by ascending (layer, index)."""
-    i = table.index_of(ref)
-    cols, dists = nearest(table)
-    return table.scope[cols[i]], float(dists[i])
-
-
 def minmax_norm(values, eps: float = DEFAULT_EPS) -> np.ndarray:
     """(x - min) / (max - min + eps) over the whole scope."""
     values = np.asarray(values, dtype=np.float64)

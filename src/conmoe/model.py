@@ -2,8 +2,9 @@
 
 The model is a residual stack of routed-expert layers: h <- h + MoE(h).
 Routers, and only routers, decide which experts run; consolidation never
-touches them. All summations run in a fixed order (ascending slot index)
-so consolidated and materialized forwards can be compared bit-exactly.
+touches them. The forward runs a batch of tokens one layer at a time,
+grouped by slot, and sums each token's terms in ascending slot order, so
+consolidated and materialized forwards can be compared bit-exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ModelSpec:
 @dataclass
 class ExpertWeights:
     """The three projections of one gated FFN expert: the argument type of
-    expert_forward and expert_distance. MoELayer.expert returns views."""
+    expert_distance. MoELayer.expert returns views."""
 
     gate: np.ndarray  # (intermediate, hidden)
     up: np.ndarray    # (intermediate, hidden)
@@ -127,9 +128,32 @@ class MoEModel:
 
 
 @dataclass(frozen=True)
-class TopKSelection:
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
+class PlanArrays:
+    """A plan lowered to per-layer arrays, each (num_layers, num_experts):
+    slot (l, i) runs expert (proto_layer[l, i], proto_index[l, i]) unless
+    drop[l, i]."""
+
+    proto_layer: np.ndarray
+    proto_index: np.ndarray
+    drop: np.ndarray
+
+
+def lower_plan(model: MoEModel, plan=None) -> PlanArrays:
+    """The arrays of a ConsolidationPlan; with no plan every slot runs
+    itself. A PlanArrays passes through unchanged."""
+    if isinstance(plan, PlanArrays):
+        return plan
+    num_layers, n = model.spec.num_layers, model.spec.num_experts
+    proto_layer = np.repeat(np.arange(num_layers)[:, None], n, axis=1)
+    proto_index = np.tile(np.arange(n), (num_layers, 1))
+    drop = np.zeros((num_layers, n), dtype=bool)
+    if plan is not None:
+        plan.check_covers(model)
+        for (l, i), (pl, pi) in plan.assignment.items():
+            proto_layer[l, i], proto_index[l, i] = pl, pi
+        for l, i in plan.drop_mask:
+            drop[l, i] = True
+    return PlanArrays(proto_layer, proto_index, drop)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -138,109 +162,83 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def expert_forward(e: ExpertWeights, h: np.ndarray) -> np.ndarray:
-    """down @ (silu(gate @ h) * (up @ h)), computed in float64."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (e.gate.shape[1],):
+def _token_batch(h: np.ndarray, hidden_dim: int) -> np.ndarray:
+    """A (hidden,) token or a (count, hidden) batch, as a float64 batch."""
+    x = np.asarray(h, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != hidden_dim:
         raise ValueError("hidden vector dimension mismatch")
-    pre = e.gate.astype(np.float64) @ h
-    lin = e.up.astype(np.float64) @ h
-    return e.down.astype(np.float64) @ (silu(pre) * lin)
+    return x.reshape(-1, hidden_dim)
 
 
-def _route(router: np.ndarray, h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest router logits, descending (ties to the lower index):
-    (slot indices, logits)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = router.shape[0]
-    if k > n:
-        raise ValueError("k exceeds expert count")
-    logits = router.astype(np.float64) @ np.asarray(h, dtype=np.float64)
+def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
+    """Route the (count, hidden) batch x through one layer and yield, per
+    slot in ascending order, (slot, token rows, routing weights, outputs of
+    the slot's prototype on those rows).
+
+    Each token picks the top-k original slots by router logit (ties to the
+    lower index). Drop-masked slots leave before the softmax, so the weights
+    are a softmax over the surviving selected logits; a token whose every
+    selected slot is dropped is in no group. Tokens are grouped by slot, not
+    by prototype, so a plan forward issues the same GEMMs as a plain forward
+    through the materialized model.
+    """
+    arrays = lower_plan(model, plan)
+    layer = model.layers[layer_idx]
+    logits = x @ layer.router.astype(np.float64).T
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
-    # descending by logit, ascending index on ties
-    idx = np.lexsort((np.arange(n), -logits))[:k]
-    return idx, logits[idx]
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    ex = np.exp(logits - logits.max())
-    return ex / ex.sum()
-
-
-def router_topk(router: np.ndarray, h: np.ndarray, k: int) -> TopKSelection:
-    """Pick the k largest router logits (ties to the lower index) and
-    softmax-normalize over the selected logits."""
-    idx, sel = _route(router, h, k)
-    return TopKSelection(tuple(idx.tolist()), tuple(_softmax(sel).tolist()))
-
-
-def moe_terms(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> list[tuple[int, float, np.ndarray]]:
-    """Per-slot terms (slot, routing weight, expert output) of one MoE layer,
-    in ascending slot order.
-
-    Routing picks the top-k of the original slots; drop-masked slots are
-    removed before the softmax, so the weights are a softmax over the
-    surviving selected logits. Each surviving slot is evaluated with its
-    plan prototype (with no plan, with itself).
-    """
-    layer = model.layers[layer_idx]
-    idx, sel = _route(layer.router, h, model.spec.top_k)
-    if plan is not None:
-        keep = [j for j, i in enumerate(idx) if (layer_idx, int(i)) not in plan.drop_mask]
-        if not keep:
-            return []
-        idx, sel = idx[keep], sel[keep]
-    terms = []
-    for i, w in sorted(zip(idx.tolist(), _softmax(sel).tolist())):
-        expert = layer.expert(i) if plan is None else model.expert(plan.assignment_for((layer_idx, i)))
-        terms.append((i, w, expert_forward(expert, h)))
-    return terms
-
-
-def sum_terms(terms: list[tuple[int, float, np.ndarray]], hidden_dim: int) -> np.ndarray:
-    """Weighted sum of per-slot terms, in the order given (ascending slot)."""
-    out = np.zeros(hidden_dim, dtype=np.float64)
-    for _, w, y in terms:
-        out = out + w * y
-    return out
+    top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k]
+    keep = ~arrays.drop[layer_idx][top]
+    sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
+    peak = sel.max(axis=1, keepdims=True)
+    peak[~keep.any(axis=1)] = 0.0  # nothing survives: every exp below is 0
+    ex = np.exp(sel - peak)
+    # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
+    weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
+    routed = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(routed, top, keep, axis=1)
+    dense = np.zeros(logits.shape)
+    np.put_along_axis(dense, top, weights, axis=1)
+    for i in range(model.spec.num_experts):
+        tok = np.flatnonzero(routed[:, i])
+        if tok.size == 0:
+            continue
+        src = model.layers[arrays.proto_layer[layer_idx, i]]
+        j = arrays.proto_index[layer_idx, i]
+        gate, up, down = (w[j].astype(np.float64) for w in (src.gate, src.up, src.down))
+        xs = x[tok]
+        yield i, tok, dense[tok, i], (silu(xs @ gate.T) * (xs @ up.T)) @ down.T
 
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
-    """One MoE layer. A plan redirects each selected slot to its prototype
-    and drops masked slots; with no plan every slot is its own prototype.
+    """One MoE layer on a (hidden,) token or a (count, hidden) batch,
+    returning the same shape. A plan (a ConsolidationPlan or its
+    PlanArrays) redirects each selected slot to its prototype and drops
+    masked slots; with no plan every slot is its own prototype.
 
-    Summing per slot in ascending index keeps a plan forward bit-identical
-    to a plain forward through the materialized model; grouping slots that
-    share a prototype into one aggregated coefficient is the same sum
-    mathematically (see aggregate_coefficients).
+    Each token sums its slot terms in ascending slot order, so a plan
+    forward is bit-identical to a plain forward through the materialized
+    model. A token's last bits can depend on which tokens share its slot
+    groups.
     """
-    return sum_terms(moe_terms(model, layer_idx, h, plan), model.spec.hidden_dim)
-
-
-def aggregate_coefficients(model: MoEModel, layer_idx: int, plan, h: np.ndarray) -> dict[Ref, float]:
-    """Per-prototype coefficient: the sum of routing weights over selected
-    slots assigned to that prototype."""
-    coeffs: dict[Ref, float] = {}
-    for i, w, _ in moe_terms(model, layer_idx, h, plan):
-        proto = plan.assignment_for((layer_idx, i))
-        coeffs[proto] = coeffs.get(proto, 0.0) + w
-    return coeffs
+    x = _token_batch(h, model.spec.hidden_dim)
+    out = np.zeros_like(x)
+    for _, tok, w, y in slot_groups(model, layer_idx, x, plan):
+        out[tok] = out[tok] + w[:, None] * y
+    return out.reshape(np.shape(h))
 
 
 def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Residual stack h <- h + MoE(h) per layer: the final state and each
-    layer's MoE output."""
-    h = np.asarray(h0, dtype=np.float64)
-    if h.shape != (model.spec.hidden_dim,):
-        raise ValueError("hidden vector dimension mismatch")
+    """Residual stack h <- h + MoE(h) per layer on a token or a batch: the
+    final state and each layer's MoE output, in the shape of h0."""
+    x = _token_batch(h0, model.spec.hidden_dim)
+    arrays = lower_plan(model, plan)
     outputs = []
     for l in range(model.spec.num_layers):
-        out = moe_forward(model, l, h, plan)
-        outputs.append(out)
-        h = h + out
-    return h, outputs
+        out = moe_forward(model, l, x, arrays)
+        outputs.append(out.reshape(np.shape(h0)))
+        x = x + out
+    return x.reshape(np.shape(h0)), outputs
 
 
 def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:

@@ -35,7 +35,7 @@ from conmoe import (
 )
 from conmoe.cli import main
 from conftest import run_cli_subprocess
-from conmoe.model import aggregate_coefficients
+from oracle import aggregate_coefficients
 from conmoe.planner import importance_weights
 
 
@@ -97,6 +97,7 @@ def test_criterion_2_materialization_equivalence():
         identity = identity_plan(model.spec.num_layers, model.spec.num_experts)
         for t in tokens:
             assert model_forward(model, t).tobytes() == model_forward(model, t, identity).tobytes()
+        assert model_forward(model, tokens).tobytes() == model_forward(model, tokens, identity).tobytes()
         if plan.is_pruning:
             continue
         mat = materialize(model, plan)
@@ -104,8 +105,9 @@ def test_criterion_2_materialization_equivalence():
             a = model_forward(model, t, plan)
             b = model_forward(mat, t)
             assert np.array_equal(a, b)
+        assert np.array_equal(model_forward(model, tokens, plan), model_forward(mat, tokens))
     _pass(2, "consolidated forward == materialized plain forward and plain forward == "
-             "identity-plan forward, bit-exact, 20 plans")
+             "identity-plan forward, bit-exact, per token and per batch, 20 plans")
 
 
 def test_criterion_3_exact_duplicate_recovery():

@@ -4,18 +4,17 @@ import pytest
 from conmoe import (
     CalibStats,
     contribution,
-    expert_forward,
     frequency,
     gen_synthetic,
     gen_tokens,
     prune_reap,
-    router_topk,
     run_calibration,
 )
 from conmoe.calibration import ExpertStats
 from conmoe.model import ModelSpec, MoEModel, ExpertWeights
-from conmoe.store import canonical_json, stats_to_dict
 from conftest import stack_layer
+import oracle
+from oracle import assert_stats_close
 
 
 def stats_from_pairs(pairs):
@@ -25,30 +24,6 @@ def stats_from_pairs(pairs):
         sum_weighted_norm=sum(g * n for g, n in pairs),
     )
     return CalibStats(token_total=max(1, len(pairs)), top_k=1, records={(0, 0): rec})
-
-
-def reference_calibration(model, tokens):
-    """Independent per-token loop: route each layer with router_topk, record
-    every selected expert's weight times its output norm, then take the
-    residual step over the recorded outputs in ascending slot order."""
-    records = {ref: ExpertStats() for ref in model.slots()}
-    k = model.spec.top_k
-    for h in np.asarray(tokens, dtype=np.float64):
-        for l, layer in enumerate(model.layers):
-            sel = router_topk(layer.router, h, k)
-            outputs = {}
-            for i, g in zip(sel.indices, sel.weights):
-                out = expert_forward(layer.expert(i), h)
-                outputs[i] = (g, out)
-                rec = records[(l, i)]
-                rec.routed_count += 1
-                rec.sum_weighted_norm += g * float(np.linalg.norm(out))
-            moe_out = np.zeros_like(h)
-            for i in sorted(outputs):
-                g, out = outputs[i]
-                moe_out = moe_out + g * out
-            h = h + moe_out
-    return CalibStats(token_total=len(tokens), top_k=k, records=records)
 
 
 class TestRunCalibration:
@@ -65,9 +40,7 @@ class TestRunCalibration:
             )
             model, _ = gen_synthetic(spec, seed=seed)
             tokens = gen_tokens(int(rng.integers(1, 12)), spec.hidden_dim, seed=seed + 1)
-            got = canonical_json(stats_to_dict(run_calibration(model, tokens)))
-            want = canonical_json(stats_to_dict(reference_calibration(model, tokens)))
-            assert got == want
+            assert_stats_close(run_calibration(model, tokens), oracle.calibrate(model, tokens))
 
     def test_one_token_selects_exactly_k(self, small_model):
         tokens = gen_tokens(1, small_model.spec.hidden_dim, seed=9)

@@ -15,12 +15,11 @@ from conmoe import (
     gen_synthetic,
     minmax_norm,
     nearest,
-    nearest_neighbor,
     projection_distance,
-    replaceability,
 )
 from conmoe.geometry import DEFAULT_EPS, DistanceTable
 from conmoe.store import plan_to_dict
+from oracle import nearest_neighbor, replaceability
 from test_acceptance import random_plan
 
 finite_f = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)

@@ -6,17 +6,21 @@ from conmoe import (
     ExpertWeights,
     ModelSpec,
     distance_matrix,
-    expert_forward,
     gen_synthetic,
     identity_plan,
     materialize,
     model_forward,
     moe_forward,
-    moe_terms,
+)
+from conmoe.model import MoEModel, slot_groups
+from conftest import experts_equal, stack_layer
+from oracle import (
+    BATCH_RTOL,
+    aggregate_coefficients,
+    assert_rows_close,
+    expert_forward,
     router_topk,
 )
-from conmoe.model import MoEModel, aggregate_coefficients
-from conftest import experts_equal, stack_layer
 
 SILU_ONE = 1.0 / (1.0 + np.exp(-1.0))  # closed form, ~0.7310585786300049
 
@@ -128,12 +132,42 @@ class TestMoEForward:
         assert np.array_equal(moe_forward(one_layer_model(layer, 2), 0, rng.standard_normal(4)), np.zeros(4))
 
     def test_terms_are_router_topk_in_ascending_slot_order(self, small_model, small_tokens):
-        for h in small_tokens[:8]:
+        x = small_tokens[:8]
+        terms = {t: [] for t in range(len(x))}
+        for i, tok, w, y in slot_groups(small_model, 1, x):
+            for t, g, out in zip(tok.tolist(), w.tolist(), y):
+                terms[t].append((i, g))
+                assert_rows_close(out, expert_forward(small_model.expert((1, i)), x[t]))
+        for t, h in enumerate(x):
             sel = router_topk(small_model.layers[1].router, h, small_model.spec.top_k)
-            terms = moe_terms(small_model, 1, h)
-            assert [(i, w) for i, w, _ in terms] == sorted(zip(sel.indices, sel.weights))
-            for i, _, out in terms:
-                assert np.array_equal(out, expert_forward(small_model.expert((1, i)), h))
+            want = sorted(zip(sel.indices, sel.weights))
+            assert [i for i, _ in terms[t]] == [i for i, _ in want]
+            assert [g for _, g in terms[t]] == pytest.approx([g for _, g in want], rel=BATCH_RTOL)
+
+
+class TestBatchedRouting:
+    def test_equal_logits_tie_break(self):
+        # router @ e0 gives logits 2, 2, -1: slots 0 and 1 at 0.5 each
+        layer = stack_layer(
+            [make_expert(6, 4) for _ in range(3)],
+            router=np.array([[2.0, 0, 0, 0], [2.0, 0, 0, 0], [-1.0, 0, 0, 0]], dtype=np.float32),
+        )
+        groups = slot_groups(one_layer_model(layer, 2), 0, np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert [(i, w.tolist()) for i, _, w, _ in groups] == [(0, [0.5]), (1, [0.5])]
+
+    def test_nonfinite_logits_rejected(self):
+        layer = stack_layer(
+            [make_expert(6, 4) for _ in range(2)],
+            router=np.array([[np.inf, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32),
+        )
+        with pytest.raises(ValueError, match="non-finite router logits"):
+            moe_forward(one_layer_model(layer, 1), 0, np.array([1.0, 0.0, 0.0, 0.0]))
+
+    def test_dimension_mismatch(self, small_model):
+        hidden = small_model.spec.hidden_dim
+        for shape in [(hidden + 1,), (2, hidden + 1), (1, 2, hidden)]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                model_forward(small_model, np.ones(shape))
 
 
 class TestConsolidatedForward:
@@ -161,11 +195,13 @@ class TestConsolidatedForward:
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
         plan.drop_mask = {(0, i) for i in range(small_model.spec.num_experts)}
         h = np.ones(small_model.spec.hidden_dim)
-        assert moe_terms(small_model, 0, h, plan) == []
+        assert list(slot_groups(small_model, 0, h[None], plan)) == []
         assert np.array_equal(
             moe_forward(small_model, 0, h, plan),
             np.zeros(small_model.spec.hidden_dim),
         )
+        batch = np.stack([h, -h, 2 * h])
+        assert np.array_equal(moe_forward(small_model, 0, batch, plan), np.zeros_like(batch))
 
     def test_dropped_winner_far_above_survivor(self):
         # the survivor's logit is 1000 below the dropped winner's: its
@@ -179,8 +215,8 @@ class TestConsolidatedForward:
         plan = identity_plan(1, 3)
         plan.drop_mask = {(0, 0)}
         h = np.array([1.0, 0.0, 0.0, 0.0])
-        terms = moe_terms(model, 0, h, plan)
-        assert [(i, w) for i, w, _ in terms] == [(1, 1.0)]
+        groups = slot_groups(model, 0, h[None], plan)
+        assert [(i, tok.tolist(), w.tolist()) for i, tok, w, _ in groups] == [(1, [0], [1.0])]
         assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(layer.expert(1), h))
 
     def test_surviving_weights_are_softmax_of_surviving_logits(self):
@@ -191,9 +227,9 @@ class TestConsolidatedForward:
         model = one_layer_model(layer, 3)
         plan = identity_plan(1, 3)
         plan.drop_mask = {(0, 0)}
-        terms = moe_terms(model, 0, np.array([1.0, 0.0, 0.0, 0.0]), plan)
-        assert [i for i, _, _ in terms] == [1, 2]
-        assert [w for _, w, _ in terms] == pytest.approx([0.75, 0.25], abs=1e-12)
+        groups = list(slot_groups(model, 0, np.array([[1.0, 0.0, 0.0, 0.0]]), plan))
+        assert [i for i, _, _, _ in groups] == [1, 2]
+        assert [w[0] for _, _, w, _ in groups] == pytest.approx([0.75, 0.25], abs=1e-12)
 
 
 class TestModelForward:
@@ -207,6 +243,15 @@ class TestModelForward:
         model = MoEModel(spec=spec, layers=layers)
         h0 = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(model_forward(model, h0), h0)
+
+    def test_token_and_one_row_batch_bit_identical(self, small_model, small_tokens):
+        plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
+        plan.assignment[(1, 3)] = (1, 0)
+        for p in (None, plan):
+            for t in small_tokens[:8]:
+                one = model_forward(small_model, t, p)
+                assert one.shape == t.shape
+                assert one.tobytes() == model_forward(small_model, t[None], p).tobytes()
 
     def test_single_layer(self, small_model):
         spec = small_model.spec
