@@ -195,19 +195,16 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     ex = np.exp(sel - peak)
     # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
     weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
-    routed = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(routed, top, keep, axis=1)
-    dense = np.zeros(logits.shape)
-    np.put_along_axis(dense, top, weights, axis=1)
     for i in range(model.spec.num_experts):
-        tok = np.flatnonzero(routed[:, i])
+        # a token selects a slot at most once, so its rows come out unique and ascending
+        tok, pos = np.nonzero((top == i) & keep)
         if tok.size == 0:
             continue
         src = model.layers[arrays.proto_layer[layer_idx, i]]
         j = arrays.proto_index[layer_idx, i]
         gate, up, down = (w[j].astype(np.float64) for w in (src.gate, src.up, src.down))
         xs = x[tok]
-        yield i, tok, dense[tok, i], (silu(xs @ gate.T) * (xs @ up.T)) @ down.T
+        yield i, tok, weights[tok, pos], (silu(xs @ gate.T) * (xs @ up.T)) @ down.T
 
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:

@@ -102,11 +102,11 @@ def slot_weights(model, layer_idx, h, plan=None):
 
 def moe_terms(model, layer_idx, h, plan=None):
     """(slot, weight, prototype output) per surviving selected slot."""
-    return [
-        (i, w, expert_forward(model.expert((layer_idx, i) if plan is None
-                                           else plan.assignment[(layer_idx, i)]), h))
-        for i, w in slot_weights(model, layer_idx, h, plan)
-    ]
+    terms = []
+    for i, w in slot_weights(model, layer_idx, h, plan):
+        ref = (layer_idx, i) if plan is None else plan.assignment[(layer_idx, i)]
+        terms.append((i, w, expert_forward(model.expert(ref), h)))
+    return terms
 
 
 def moe_forward(model, layer_idx, h, plan=None):
