@@ -36,7 +36,7 @@ from .planner import (
     select_prototypes,
     score,
 )
-from .baselines import FusedModel, fuse_weighted_average, merge_msmoe, prune_frequency, prune_reap
+from .baselines import fuse_weighted_average, merge_msmoe, prune_frequency, prune_reap
 from .analysis import (
     FidelityReport,
     NNReport,

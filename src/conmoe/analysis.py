@@ -136,17 +136,15 @@ def dump_nn_csvs(report: NNReport, heatmap_path, fractions_path) -> None:
 def scope_sweep(
     model: MoEModel,
     stats,
-    rho: float,
+    config: ScopeConfig,
     scope_sizes: list[int],
     tokens: np.ndarray,
-    base_config: ScopeConfig | None = None,
 ) -> list[FidelityReport]:
-    """Consolidate and evaluate at each scope size with a constant rho,
-    against one reference trace of the original model."""
-    config = base_config or ScopeConfig(rho=rho)
+    """Consolidate and evaluate at each scope size with config's rho, policy
+    and eps, against one reference trace of the original model."""
     reference = model_forward_trace(model, tokens)
     reports = []
     for size in scope_sizes:
-        plan = consolidate(model, stats, replace(config, rho=rho, scope_size=size))
+        plan = consolidate(model, stats, replace(config, scope_size=size))
         reports.append(evaluate_fidelity(model, plan, tokens, config.eps, reference))
     return reports

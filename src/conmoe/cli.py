@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import analysis, baselines, store
-from .calibration import CalibStats, ExpertStats, run_calibration
+from .calibration import run_calibration
 from .geometry import DEFAULT_EPS
 from .model import DupConfig, ModelSpec, gen_synthetic, gen_tokens, materialize
 from .planner import SELECTION_POLICIES, ScopeConfig, consolidate
@@ -156,13 +156,10 @@ def _run(args) -> None:
         plan, fused = baselines.merge_msmoe(model, stats, args.rho, eps=args.eps)
         plan.metadata["seed"] = args.seed
         store.write_plan(plan, args.output)
-        fused.base.metadata["provenance"] = _provenance_json(fused)
-        store.write_checkpoint(fused.base, args.fused_model)
+        store.write_checkpoint(fused, args.fused_model)
 
     elif args.command == "fuse":
-        fused = baselines.fuse_weighted_average(model, plan, stats or _uniform_stats(model))
-        fused.base.metadata["provenance"] = _provenance_json(fused)
-        store.write_checkpoint(fused.base, args.output)
+        store.write_checkpoint(baselines.fuse_weighted_average(model, plan, stats), args.output)
 
     elif args.command == "materialize":
         store.write_checkpoint(materialize(model, plan), args.output)
@@ -186,7 +183,7 @@ def _run(args) -> None:
             raise ValueError("empty scope list")
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
         config = ScopeConfig(rho=args.rho, eps=args.eps)
-        reports = analysis.scope_sweep(model, stats, args.rho, sizes, tokens, config)
+        reports = analysis.scope_sweep(model, stats, config, sizes, tokens)
         _write_json(
             args.output,
             {
@@ -201,22 +198,6 @@ def _run(args) -> None:
 
     if not args.quiet:
         print(f"{args.command}: wrote {args.output}")
-
-
-def _provenance_json(fused) -> list:
-    return sorted(
-        [[list(slot), [[list(src), w] for src, w in sources]]
-         for slot, sources in fused.provenance.items()]
-    )
-
-
-def _uniform_stats(model) -> CalibStats:
-    """Empty counts for every slot, which give uniform fusion weights."""
-    return CalibStats(
-        token_total=0,
-        top_k=model.spec.top_k,
-        records={ref: ExpertStats() for ref in model.slots()},
-    )
 
 
 def main(argv=None) -> int:

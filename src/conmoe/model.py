@@ -257,7 +257,7 @@ def materialize(model: MoEModel, plan) -> MoEModel:
             for w in (slot.gate, slot.up, slot.down):
                 w[...] = 0.0
         else:
-            _copy_expert(slot, model.expert(plan.assignment_for(ref)))
+            _copy_expert(slot, model.expert(plan.assignment[ref]))
     out.metadata["materialized_from_policy"] = plan.policy
     if zeroed:
         out.metadata["zeroed_slots"] = zeroed

@@ -41,12 +41,6 @@ class ConsolidationPlan:
     metadata: dict = field(default_factory=dict)
     version: int = PLAN_VERSION
 
-    def assignment_for(self, ref: Ref) -> Ref:
-        try:
-            return self.assignment[ref]
-        except KeyError:
-            raise ValueError(f"slot {ref} missing from plan") from None
-
     @property
     def is_pruning(self) -> bool:
         return bool(self.drop_mask)

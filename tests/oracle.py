@@ -1,5 +1,6 @@
-"""Per-token reference implementations the tests compare the batched
-forward and the geometry queries against. Nothing in conmoe imports them.
+"""Reference implementations the tests compare conmoe against: the
+per-token forward, the geometry queries, and the per-layer pruning and
+merging baselines. Nothing in conmoe imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -9,13 +10,15 @@ is summed in ascending slot order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from conmoe.calibration import CalibStats, ExpertStats
-from conmoe.geometry import nearest
-from conmoe.model import silu
+from conmoe.calibration import CalibStats, ExpertStats, contribution, frequency
+from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest
+from conmoe.model import PROJECTIONS, silu
+from conmoe.plan import ConsolidationPlan, Scope
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -166,3 +169,66 @@ def nearest_neighbor(ref, table):
 def replaceability(ref, table):
     """Nearest-neighbor distance within the scope."""
     return nearest_neighbor(ref, table)[1]
+
+
+# The baselines as per-layer loops: each layer keeps its budget's top
+# experts by a key (ties to the lower index); pruning drops the rest, and
+# merging sends each to its nearest core and fuses every core's cluster.
+
+def _keep(refs, key, rho):
+    k = max(1, math.floor((1.0 - rho) * len(refs) + 0.5))
+    return sorted(sorted(refs, key=lambda r: (-key(r), r))[:k])
+
+
+def _layers(model):
+    n = model.spec.num_experts
+    return [[(l, i) for i in range(n)] for l in range(model.spec.num_layers)]
+
+
+def prune(model, stats, rho, method):
+    """prune_frequency (method "frequency") or prune_reap ("reap")."""
+    key = {"frequency": frequency, "reap": contribution}[method]
+    scopes, assignment, drop_mask = [], {}, set()
+    for refs in _layers(model):
+        keep = _keep(refs, lambda r: key(stats, r), rho)
+        scopes.append(Scope(layers=[refs[0][0]], prototypes=keep))
+        assignment.update((ref, ref) for ref in refs)
+        drop_mask.update(ref for ref in refs if ref not in keep)
+    return ConsolidationPlan(rho=rho, scope_size=1, policy=f"prune_{method}", scopes=scopes,
+                             assignment=assignment, drop_mask=drop_mask)
+
+
+def fuse(model, clusters, stats=None):
+    """(fused model, provenance): each core's weights become the usage-
+    weighted average of its cluster (uniform if the cluster was never
+    routed or stats is None), accumulated in float64 in cluster order."""
+    fused = model.copy()
+    provenance = []
+    for core, members in clusters.items():
+        counts = [frequency(stats, r) if stats is not None else 0 for r in members]
+        total = sum(counts)
+        weights = [c / total for c in counts] if total else [1.0 / len(members)] * len(members)
+        for proj in PROJECTIONS:
+            acc = np.zeros(getattr(model.expert(core), proj).shape)
+            for ref, w in zip(members, weights):
+                acc += w * getattr(model.expert(ref), proj).astype(np.float64)
+            getattr(fused.expert(core), proj)[...] = acc
+        provenance.append([list(core), [[list(r), w] for r, w in zip(members, weights)]])
+    return fused, sorted(provenance)
+
+
+def merge(model, stats, rho, eps=DEFAULT_EPS):
+    """merge_msmoe: (plan, fused model, provenance)."""
+    scopes, assignment, clusters = [], {}, {}
+    for refs in _layers(model):
+        table = distance_matrix(model, refs, eps)
+        cores = _keep(refs, lambda r: frequency(stats, r), rho)
+        scopes.append(Scope(layers=[refs[0][0]], prototypes=cores))
+        clusters.update((c, []) for c in cores)
+        for ref in refs:
+            core = ref if ref in cores else min(cores, key=lambda c: (table.distance(ref, c), c))
+            assignment[ref] = core
+            clusters[core].append(ref)
+    plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", scopes=scopes,
+                             assignment=assignment)
+    return (plan, *fuse(model, clusters, stats))

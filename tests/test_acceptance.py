@@ -282,14 +282,14 @@ def test_criterion_10_baseline_parity():
     for plan in (freq, reap):
         assert all(slot == target for slot, target in plan.assignment.items())
         assert plan.drop_mask
-    for core, sources in msmoe_fused.provenance.items():
+    for core, sources in msmoe_fused.metadata["provenance"]:
         if len(sources) != 2:
             continue
         (a, _), (b, _) = sources
         for proj in ("gate", "up", "down"):
             lo = np.minimum(getattr(model.expert(a), proj), getattr(model.expert(b), proj))
             hi = np.maximum(getattr(model.expert(a), proj), getattr(model.expert(b), proj))
-            fusedw = getattr(msmoe_fused.base.expert(core), proj)
+            fusedw = getattr(msmoe_fused.expert(core), proj)
             assert np.all(fusedw >= lo - 1e-6)
             assert np.all(fusedw <= hi + 1e-6)
     _pass(10, "all baselines match the logical budget; pruning never remaps; fusion is convex")

@@ -99,12 +99,12 @@ class TestCrossLayerNN:
 
 class TestScopeSweep:
     def test_output_rows(self, small_model, small_stats, small_tokens):
-        reports = scope_sweep(small_model, small_stats, 0.5, [1, 2, 4], small_tokens[:8])
+        reports = scope_sweep(small_model, small_stats, ScopeConfig(rho=0.5), [1, 2, 4], small_tokens[:8])
         assert len(reports) == 3
         assert all(r.metadata["rho"] == 0.5 for r in reports)
 
     def test_whole_model_scope(self, small_model, small_stats, small_tokens):
-        reports = scope_sweep(small_model, small_stats, 0.25, [small_model.spec.num_layers], small_tokens[:4])
+        reports = scope_sweep(small_model, small_stats, ScopeConfig(rho=0.25), [small_model.spec.num_layers], small_tokens[:4])
         assert len(reports) == 1
 
     def test_duplicate_model_zero_everywhere(self):
@@ -112,5 +112,5 @@ class TestScopeSweep:
         model, _ = gen_synthetic(spec, seed=23, dup=DupConfig("within"))
         tokens = gen_tokens(12, spec.hidden_dim, seed=6)
         stats = run_calibration(model, tokens)
-        reports = scope_sweep(model, stats, 0.5, [1], tokens)
+        reports = scope_sweep(model, stats, ScopeConfig(rho=0.5), [1], tokens)
         assert reports[0].end_to_end_error == 0.0

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
+import oracle
 from conmoe import (
     CalibStats,
+    DupConfig,
+    ModelSpec,
     ScopeConfig,
     consolidate,
     fuse_weighted_average,
+    gen_synthetic,
+    gen_tokens,
     merge_msmoe,
     prune_frequency,
     prune_reap,
     reduction_accounting,
+    run_calibration,
 )
 from conmoe.calibration import ExpertStats
+from conmoe.store import plan_to_dict
 from conftest import experts_equal
+from test_acceptance import random_plan
 
 
 def stats_with_counts(model, per_layer_counts, norms=None):
@@ -68,7 +76,7 @@ class TestPruning:
 class TestMergeMSMoE:
     def test_singleton_cluster_bit_exact(self, small_model, small_stats):
         plan, fused = merge_msmoe(small_model, small_stats, 0.0)
-        assert fused.base.equal(small_model)
+        assert fused.equal(small_model)
         assert not plan.drop_mask
 
     def test_usage_weighted_average(self, small_model):
@@ -76,8 +84,8 @@ class TestMergeMSMoE:
         plan, fused = merge_msmoe(small_model, stats, 0.875)  # keep 1 core per layer
         core = plan.scopes[0].prototypes[0]
         assert core == (0, 0)
-        for slot in fused.provenance:
-            assert sum(w for _, w in fused.provenance[slot]) == pytest.approx(1.0, abs=1e-6)
+        for _, sources in fused.metadata["provenance"]:
+            assert sum(w for _, w in sources) == pytest.approx(1.0, abs=1e-6)
 
     def test_two_member_blend(self, small_model):
         # 2 experts per layer keeps the arithmetic readable
@@ -90,7 +98,7 @@ class TestMergeMSMoE:
         assert core == (0, 0)
         want_gate = 0.75 * model.expert((0, 0)).gate.astype(np.float64) + \
             0.25 * model.expert((0, 1)).gate.astype(np.float64)
-        assert fused.base.expert(core).gate == pytest.approx(want_gate.astype(np.float32))
+        assert fused.expert(core).gate == pytest.approx(want_gate.astype(np.float32))
 
     def test_duplicate_cores_map_to_themselves(self):
         from conmoe.model import DupConfig, ModelSpec, gen_synthetic
@@ -110,7 +118,8 @@ class TestMergeMSMoE:
         stats = stats_with_counts(model, [0, 0])
         plan, fused = merge_msmoe(model, stats, 0.5)
         core = plan.scopes[0].prototypes[0]
-        weights = [w for _, w in fused.provenance[core]]
+        provenance = {tuple(slot): sources for slot, sources in fused.metadata["provenance"]}
+        weights = [w for _, w in provenance[core]]
         assert weights == pytest.approx([0.5, 0.5])
 
 
@@ -118,7 +127,7 @@ class TestFuseWeightedAverage:
     def test_singleton_clusters_keep_weights(self, small_model, small_stats):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.0))
         fused = fuse_weighted_average(small_model, plan, small_stats)
-        assert fused.base.equal(small_model)
+        assert fused.equal(small_model)
 
     def test_duplicate_cluster_preserves_weights(self):
         from conmoe.model import DupConfig, ModelSpec, gen_synthetic, gen_tokens
@@ -133,19 +142,19 @@ class TestFuseWeightedAverage:
             for p in scope.prototypes:
                 cluster = [r for r, t in plan.assignment.items() if t == p]
                 if all(experts_equal(model.expert(r), model.expert(p)) for r in cluster):
-                    assert fused.base.expert(p).gate == pytest.approx(model.expert(p).gate)
+                    assert fused.expert(p).gate == pytest.approx(model.expert(p).gate)
 
     def test_convexity_for_pairs(self, small_model, small_stats):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
         fused = fuse_weighted_average(small_model, plan, small_stats)
-        for proto, sources in fused.provenance.items():
+        for proto, sources in fused.metadata["provenance"]:
             if len(sources) != 2:
                 continue
             (a, wa), (b, wb) = sources
             for proj in ("gate", "up", "down"):
                 lo = np.minimum(getattr(small_model.expert(a), proj), getattr(small_model.expert(b), proj))
                 hi = np.maximum(getattr(small_model.expert(a), proj), getattr(small_model.expert(b), proj))
-                f = getattr(fused.base.expert(proto), proj)
+                f = getattr(fused.expert(proto), proj)
                 assert np.all(f >= lo - 1e-6) and np.all(f <= hi + 1e-6)
 
     def test_pruning_plan_rejected(self, small_model, small_stats):
@@ -165,3 +174,44 @@ class TestBudgetParity:
         assert len(counts) == 1
         ratios = {reduction_accounting(p) for p in (conmoe, freq, reap, msmoe)}
         assert len(ratios) == 1
+
+
+class TestAgainstOracle:
+    """The planner-built baselines give the plans, fused stacks and
+    provenance of the per-layer loops in tests/oracle.py."""
+
+    SHAPES = {
+        "readme": ModelSpec(8, 16, 32, 48, 2),
+        "token-heavy": ModelSpec(8, 16, 64, 128, 4),
+    }
+    DUPS = {"none": DupConfig(), "within": DupConfig("within"), "both": DupConfig("both", 1e-7)}
+
+    @staticmethod
+    def check(model, stats, rho):
+        for method, fn in (("frequency", prune_frequency), ("reap", prune_reap)):
+            assert plan_to_dict(fn(model, stats, rho)) == plan_to_dict(oracle.prune(model, stats, rho, method))
+        plan, fused = merge_msmoe(model, stats, rho)
+        want_plan, want_fused, want_provenance = oracle.merge(model, stats, rho)
+        assert plan_to_dict(plan) == plan_to_dict(want_plan)
+        assert fused.equal(want_fused)
+        assert fused.metadata["provenance"] == want_provenance
+
+    @pytest.mark.parametrize("dup", sorted(DUPS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_benchmark_shapes(self, shape, dup):
+        model, _ = gen_synthetic(self.SHAPES[shape], seed=42, dup=self.DUPS[dup])
+        stats = run_calibration(model, gen_tokens(256, model.spec.hidden_dim, seed=42))
+        for rho in (0.0, 0.25, 0.5, 0.9):
+            self.check(model, stats, rho)
+
+    def test_random_plans(self):
+        for trial in range(20):
+            model, stats, config, plan, _ = random_plan(100 + trial)
+            self.check(model, stats, config.rho)
+            clusters = {p: sorted(s for s, t in plan.assignment.items() if t == p)
+                        for scope in plan.scopes for p in scope.prototypes}
+            for weights in (stats, None):
+                fused = fuse_weighted_average(model, plan, weights)
+                want_fused, want_provenance = oracle.fuse(model, clusters, weights)
+                assert fused.equal(want_fused)
+                assert fused.metadata["provenance"] == want_provenance

@@ -168,7 +168,6 @@ class TestGramKernel:
             merged, _ = merge_msmoe(model, stats, config.rho)
             built.append((model, stats, config, plan, merged))
         monkeypatch.setattr("conmoe.planner.distance_matrix", reference_table)
-        monkeypatch.setattr("conmoe.baselines.distance_matrix", reference_table)
         for model, stats, config, plan, merged in built:
             assert plan_to_dict(consolidate(model, stats, config)) == plan_to_dict(plan)
             assert plan_to_dict(merge_msmoe(model, stats, config.rho)[0]) == plan_to_dict(merged)
