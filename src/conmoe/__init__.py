@@ -26,13 +26,13 @@ from .geometry import (
 from .plan import ConsolidationPlan, Scope, identity_plan
 from .planner import (
     ScopeConfig,
-    ScoreTable,
     assign,
     brute_force_optimal,
     budget,
     consolidate,
     objective,
     scope_partition,
+    select_pool,
     select_prototypes,
     score,
 )

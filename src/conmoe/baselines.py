@@ -1,10 +1,10 @@
 """Matched-budget pruning and merging baselines, plus post-hoc fusion of a
 remapping plan's clusters.
 
-Each baseline is a scope-1 consolidation plan with the usage (`usage_topk`)
-or REAP (`reap_topk`) selection; they differ only in what the unselected
-slots become. Pruning drops them; merging keeps the nearest-core
-assignment and fuses each core's cluster."""
+Each baseline starts from the planner's scope-1 reduced pool with the usage
+(`usage_topk`) or REAP (`reap_topk`) selection; they differ only in what the
+unselected slots become. Pruning drops them; merging keeps the nearest-core
+assignment of `consolidate` and fuses each core's cluster."""
 
 from __future__ import annotations
 
@@ -16,21 +16,19 @@ from .calibration import CalibStats, frequency
 from .geometry import DEFAULT_EPS
 from .model import PROJECTIONS, MoEModel, Ref
 from .plan import ConsolidationPlan
-from .planner import ScopeConfig, consolidate
-
-
-def _layer_plan(model: MoEModel, stats: CalibStats, rho: float, selection: str,
-                policy: str, eps: float = DEFAULT_EPS) -> ConsolidationPlan:
-    """Scope-1 consolidation with the given selection, relabelled `policy`."""
-    plan = consolidate(model, stats, ScopeConfig(rho, 1, selection, eps))
-    return replace(plan, policy=policy, metadata={})
+from .planner import ScopeConfig, consolidate, select_pool
 
 
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
-    plan = _layer_plan(model, stats, rho, selection, policy)
-    # pruning never remaps: every slot maps to itself, the unselected are dropped
-    return replace(plan, assignment={ref: ref for ref in plan.assignment},
-                   drop_mask=set(plan.assignment) - plan.distinct_prototypes())
+    """The scope-1 reduced pool of `selection`; every slot keeps its own
+    weights and the unselected are dropped, so no distance table is built."""
+    scopes = [scope for scope, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))]
+    kept = {p for scope in scopes for p in scope.prototypes}
+    plan = ConsolidationPlan(rho=rho, scope_size=1, policy=policy, scopes=scopes,
+                             assignment={ref: ref for ref in model.slots()},
+                             drop_mask=set(model.slots()) - kept)
+    plan.validate()
+    return plan
 
 
 def prune_frequency(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationPlan:
@@ -51,7 +49,8 @@ def merge_msmoe(
 ) -> tuple[ConsolidationPlan, MoEModel]:
     """Layer-local merging: high-usage cores, nearest-core assignment, and
     usage-weighted averaging of each core's cluster."""
-    plan = _layer_plan(model, stats, rho, "usage_topk", "merge_msmoe", eps)
+    plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk", eps))
+    plan = replace(plan, policy="merge_msmoe", metadata={})
     fused = fuse_weighted_average(model, plan, stats)
     fused.metadata["fusion"] = "msmoe_usage_weighted"
     return plan, fused
@@ -69,7 +68,9 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     """A copy of `model` whose prototypes hold the usage-weighted average of
     their clusters (uniform weights without stats), accumulated in float64
     in cluster order; the reassignment map is left unchanged.
-    metadata["provenance"] lists each fused slot's (source, weight) pairs."""
+    metadata["provenance"] lists each fused slot's (source, weight) pairs;
+    a fused source's fusion, provenance and prior_fusion move under
+    metadata["prior_fusion"]."""
     plan.check_covers(model)
     if stats is not None:
         stats.check_covers(model)
@@ -86,6 +87,9 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
                 acc += w * getattr(model.expert(ref), proj).astype(np.float64)
             getattr(dst, proj)[...] = acc
         provenance.append([list(proto), [[list(src), w] for src, w in zip(members, weights)]])
+    if "fusion" in model.metadata:  # a fused source keeps its lineage
+        lineage = ("fusion", "provenance", "prior_fusion")
+        fused.metadata["prior_fusion"] = {k: model.metadata[k] for k in lineage if k in model.metadata}
     fused.metadata["fusion"] = "weighted_average"
     fused.metadata["provenance"] = sorted(provenance)
     return fused

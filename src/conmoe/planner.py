@@ -1,12 +1,13 @@
-"""Consolidation planner: scope partitioning, prototype budgets, scoring,
-selection policies, nearest-prototype assignment, and the consolidation
+"""Consolidation planner, in the paper's two steps: select the reduced
+expert pool per scope (budgets, scoring, selection policies), then choose
+the reuse structure (nearest-prototype assignment); plus the consolidation
 objective with a brute-force oracle."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +35,6 @@ class ScopeConfig:
             raise ValueError(f"unknown policy: {self.policy!r}")
 
 
-@dataclass
-class ScoreRow:
-    contribution: float
-    replaceability: float
-    contribution_norm: float
-    replaceability_norm: float
-    score: float
-
-
-@dataclass
-class ScoreTable:
-    rows: dict[Ref, ScoreRow] = field(default_factory=dict)
-
-    def score(self, ref: Ref) -> float:
-        return self.rows[ref].score
-
-
 def budget(rho: float, pool_size: int) -> int:
     """max(1, round((1 - rho) * pool)); round is half away from zero."""
     if pool_size < 1:
@@ -60,66 +44,78 @@ def budget(rho: float, pool_size: int) -> int:
     return max(1, math.floor((1.0 - rho) * pool_size + 0.5))
 
 
-def score(stats: CalibStats, table: DistanceTable, eps: float = DEFAULT_EPS) -> ScoreTable:
-    """Product of min-max normalized contribution and replaceability,
-    both normalized within the scope."""
-    refs = table.scope
-    if len(refs) < 2:
-        raise ValueError("scoring undefined for a singleton scope")
-    contrib = np.array([contribution(stats, r) for r in refs])
+def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
+    """The objective's per-slot weights: each slot's contribution."""
+    return np.array([contribution(stats, r) for r in refs])
+
+
+def score(stats: CalibStats, table: DistanceTable, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Per scope row, the product of min-max normalized contribution and
+    replaceability, both normalized within the scope."""
     _, replace = nearest(table)
-    contrib_n = minmax_norm(contrib, eps)
-    replace_n = minmax_norm(replace, eps)
-    out = ScoreTable()
-    for idx, ref in enumerate(refs):
-        out.rows[ref] = ScoreRow(
-            contribution=float(contrib[idx]),
-            replaceability=float(replace[idx]),
-            contribution_norm=float(contrib_n[idx]),
-            replaceability_norm=float(replace_n[idx]),
-            score=float(contrib_n[idx] * replace_n[idx]),
-        )
-    return out
+    return minmax_norm(importance_weights(stats, table.scope), eps) * minmax_norm(replace, eps)
 
 
-def _top_k(refs: list[Ref], key, k: int) -> list[Ref]:
+# The policies that rank by the distance table; the others read only stats.
+TABLE_POLICIES = ("adaptive", "fixed_k", "distance_only")
+
+
+def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None, eps: float):
+    """The per-ref ranking key of a policy; the largest keys are kept."""
+    if policy == "usage_topk":
+        return [frequency(stats, r) for r in refs]
+    if policy == "reap_topk":
+        return importance_weights(stats, refs)
+    if policy == "distance_only":
+        return nearest(table)[1]
+    return score(stats, table, eps)
+
+
+def _top_k(keys: list[float], refs: list[Ref], k: int) -> list[Ref]:
     """Largest-k by key; ties broken by ascending (layer, index)."""
-    ranked = sorted(refs, key=lambda r: (-key(r), r))
-    return sorted(ranked[:k])
+    ranked = sorted(zip(keys, refs), key=lambda kr: (-kr[0], kr[1]))
+    return sorted(r for _, r in ranked[:k])
 
 
-def select_prototypes(
-    scores: ScoreTable,
-    stats: CalibStats,
-    table: DistanceTable,
-    k: int,
-    policy: str,
-    layers: list[int] | None = None,
-) -> list[Ref]:
-    refs = table.scope
+def select_prototypes(keys, refs: list[Ref], k: int, per_layer: bool = False) -> list[Ref]:
+    """The k refs with the largest keys. With per_layer, each layer of refs
+    keeps k // layers of its own, the remainder going to the earliest layers."""
     if k > len(refs):
         raise ValueError("budget exceeds scope pool size")
-    if policy == "adaptive":
-        return _top_k(refs, scores.score, k)
-    if policy == "fixed_k":
-        if layers is None:
-            layers = sorted({r[0] for r in refs})
-        base, rem = divmod(k, len(layers))
-        chosen: list[Ref] = []
-        for pos, layer in enumerate(sorted(layers)):
-            layer_refs = [r for r in refs if r[0] == layer]
-            quota = base + (1 if pos < rem else 0)
-            if quota > len(layer_refs):
-                raise ValueError("per-layer budget exceeds layer pool size")
-            chosen.extend(_top_k(layer_refs, scores.score, quota))
-        return sorted(chosen)
-    if policy == "usage_topk":
-        return _top_k(refs, lambda r: frequency(stats, r), k)
-    if policy == "reap_topk":
-        return _top_k(refs, lambda r: contribution(stats, r), k)
-    if policy == "distance_only":
-        return _top_k(refs, lambda r: scores.rows[r].replaceability, k)
-    raise ValueError(f"unknown policy: {policy!r}")
+    keys = np.asarray(keys, dtype=np.float64).tolist()
+    if not per_layer:
+        return _top_k(keys, refs, k)
+    layers = sorted({r[0] for r in refs})
+    base, rem = divmod(k, len(layers))
+    chosen: list[Ref] = []
+    for pos, layer in enumerate(layers):
+        rows = [i for i, r in enumerate(refs) if r[0] == layer]
+        quota = base + (1 if pos < rem else 0)
+        if quota > len(rows):
+            raise ValueError("per-layer budget exceeds layer pool size")
+        chosen.extend(_top_k([keys[i] for i in rows], [refs[i] for i in rows], quota))
+    return sorted(chosen)
+
+
+def select_pool(model: MoEModel, stats: CalibStats,
+                config: ScopeConfig) -> list[tuple[Scope, DistanceTable | None]]:
+    """The reduced expert pool: per scope, the Scope holding its retained
+    prototypes and the distance table they were ranked by. The table is None
+    when the policy reads only stats or the scope keeps every expert."""
+    config.validate(model.spec.num_layers)
+    stats.check_covers(model)
+    pool = []
+    for layers in scope_partition(model.spec.num_layers, config.scope_size):
+        refs = [(l, i) for l in layers for i in range(model.spec.num_experts)]
+        k = budget(config.rho, len(refs))
+        if k == len(refs):
+            pool.append((Scope(layers=list(layers), prototypes=refs), None))
+            continue
+        table = distance_matrix(model, refs, config.eps) if config.policy in TABLE_POLICIES else None
+        keys = _keys(config.policy, stats, refs, table, config.eps)
+        prototypes = select_prototypes(keys, refs, k, per_layer=config.policy == "fixed_k")
+        pool.append((Scope(layers=list(layers), prototypes=prototypes), table))
+    return pool
 
 
 def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
@@ -136,25 +132,16 @@ def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
 
 
 def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> ConsolidationPlan:
-    """Full planner: partition into scopes, score, select under budget,
-    and assign every slot to its nearest prototype."""
-    config.validate(model.spec.num_layers)
-    stats.check_covers(model)
+    """Full planner: select the reduced pool, then assign every slot to its
+    nearest prototype, reusing the table the selection ranked by."""
     scopes: list[Scope] = []
     assignment: dict[Ref, Ref] = {}
-    for layers in scope_partition(model.spec.num_layers, config.scope_size):
-        refs = [(l, i) for l in layers for i in range(model.spec.num_experts)]
-        k = budget(config.rho, len(refs))
-        if k == len(refs):
-            prototypes = list(refs)
-            mapping = {r: r for r in refs}
-        else:
-            table = distance_matrix(model, refs, config.eps)
-            scores = score(stats, table, config.eps)
-            prototypes = select_prototypes(scores, stats, table, k, config.policy, layers)
-            mapping = assign(prototypes, table)
-        scopes.append(Scope(layers=list(layers), prototypes=prototypes))
-        assignment.update(mapping)
+    for scope, table in select_pool(model, stats, config):
+        refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
+        if table is None and len(scope.prototypes) < len(refs):
+            table = distance_matrix(model, refs, config.eps)  # the policy read only stats
+        assignment.update(zip(refs, refs) if table is None else assign(scope.prototypes, table))
+        scopes.append(scope)
     plan = ConsolidationPlan(
         rho=config.rho,
         scope_size=config.scope_size,
@@ -168,11 +155,6 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
     )
     plan.validate()
     return plan
-
-
-def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
-    """The objective's per-slot weights: each slot's contribution."""
-    return np.array([contribution(stats, r) for r in refs])
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:

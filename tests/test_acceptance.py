@@ -172,7 +172,7 @@ def test_criterion_4_objective_oracle():
         scores = score(stats, table)
         weights = importance_weights(stats, refs)
         k = int(rng.integers(1, min(6, len(refs) - 1) + 1))
-        selected = select_prototypes(scores, stats, table, k, "adaptive")
+        selected = select_prototypes(scores, refs, k)
         sel_val = objective(selected, table, weights)
         best_set, best_val = brute_force_optimal(table, k, weights)
         assert sel_val >= best_val - 1e-12

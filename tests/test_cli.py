@@ -116,6 +116,27 @@ class TestPipeline:
                    "-o", mat_path, "-q") == 0
         assert read_checkpoint(mat_path).spec == read_checkpoint(model_path).spec
 
+    def test_fusing_a_fused_checkpoint_keeps_its_lineage(self, model_path, stats_path, tmp_path):
+        merged = tmp_path / "merged.mckpt"
+        assert run("merge", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
+                   "-o", tmp_path / "merge.json", "--fused-model", merged, "-q") == 0
+        plan_path = tmp_path / "plan.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan_path, "-q") == 0
+        twice, thrice = tmp_path / "twice.mckpt", tmp_path / "thrice.mckpt"
+        assert run("fuse", "--model", merged, "--plan", plan_path, "-o", twice, "-q") == 0
+        assert run("fuse", "--model", twice, "--plan", plan_path, "--stats", stats_path,
+                   "-o", thrice, "-q") == 0
+        first, second, third = (read_checkpoint(p).metadata for p in (merged, twice, thrice))
+        assert "prior_fusion" not in first
+        assert second["fusion"] == "weighted_average"
+        assert second["prior_fusion"] == {"fusion": "msmoe_usage_weighted",
+                                          "provenance": first["provenance"]}
+        assert third["prior_fusion"] == {"fusion": "weighted_average",
+                                         "provenance": second["provenance"],
+                                         "prior_fusion": second["prior_fusion"]}
+        assert third["seed"] == first["seed"]
+
     def test_analyze_and_sweep(self, model_path, stats_path, tmp_path):
         prefix = str(tmp_path / "out_")
         assert run("analyze", "nn", "--model", model_path, "--scope", 2, "-o", prefix, "-q") == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from conmoe import (
     DupConfig,
     ModelSpec,
@@ -13,13 +14,18 @@ from conmoe import (
     gen_synthetic,
     gen_tokens,
     objective,
+    prune_frequency,
+    prune_reap,
     run_calibration,
     scope_partition,
     select_prototypes,
     score,
 )
-from conmoe.geometry import DistanceTable
-from conmoe.planner import ScoreRow, ScoreTable, importance_weights
+from conmoe import planner
+from conmoe.geometry import DEFAULT_EPS, DistanceTable
+from conmoe.calibration import frequency
+from conmoe.plan import SELECTION_POLICIES
+from conmoe.planner import importance_weights
 from conmoe.store import canonical_json, plan_to_dict
 
 
@@ -28,11 +34,8 @@ def table_from(values, layer=0):
     return DistanceTable(scope=[(layer, i) for i in range(n)], values=np.asarray(values, dtype=np.float64))
 
 
-def score_table(scores, layer=0):
-    t = ScoreTable()
-    for i, s in enumerate(scores):
-        t.rows[(layer, i)] = ScoreRow(0, 0, 0, 0, s)
-    return t
+def refs_of(n, layer=0):
+    return [(layer, i) for i in range(n)]
 
 
 def brute_objective(prototypes, table, weights):
@@ -83,10 +86,13 @@ class TestScore:
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
-        for ref, row in scores.rows.items():
-            assert 0.0 <= row.contribution_norm <= 1.0
-            assert 0.0 <= row.replaceability_norm <= 1.0
-            assert row.score == pytest.approx(row.contribution_norm * row.replaceability_norm)
+        contrib = importance_weights(small_stats, refs)
+        replace = np.array([min(table.distance(r, o) for o in refs if o != r) for r in refs])
+        contrib_n = (contrib - contrib.min()) / (contrib.max() - contrib.min() + 1e-8)
+        replace_n = (replace - replace.min()) / (replace.max() - replace.min() + 1e-8)
+        assert np.all((0.0 <= contrib_n) & (contrib_n <= 1.0))
+        assert np.all((0.0 <= replace_n) & (replace_n <= 1.0))
+        assert scores == pytest.approx(contrib_n * replace_n)
 
     def test_all_equal_contributions_zero_scores(self, small_model):
         from conmoe.calibration import CalibStats, ExpertStats
@@ -99,7 +105,7 @@ class TestScore:
         )
         table = distance_matrix(small_model, refs)
         scores = score(stats, table)
-        assert all(row.score == 0.0 for row in scores.rows.values())
+        assert np.all(scores == 0.0)
 
     def test_scale_invariance_of_selection(self, small_model, small_stats):
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
@@ -108,8 +114,8 @@ class TestScore:
         scaled_stats = run_scaled(small_stats, 3.5)
         scaled = score(scaled_stats, table)
         for k in (2, 4, 6):
-            a = select_prototypes(base, small_stats, table, k, "adaptive")
-            b = select_prototypes(scaled, scaled_stats, table, k, "adaptive")
+            a = select_prototypes(base, refs, k)
+            b = select_prototypes(scaled, refs, k)
             assert a == b
 
 
@@ -128,9 +134,7 @@ def run_scaled(stats, factor):
 
 class TestSelectPrototypes:
     def test_adaptive_tie_break(self):
-        scores = score_table([0.9, 0.1, 0.5, 0.5])
-        table = table_from(np.zeros((4, 4)))
-        got = select_prototypes(scores, None, table, 2, "adaptive")
+        got = select_prototypes([0.9, 0.1, 0.5, 0.5], refs_of(4), 2)
         assert got == [(0, 0), (0, 2)]
 
     def test_usage_topk(self, small_model):
@@ -141,15 +145,15 @@ class TestSelectPrototypes:
             token_total=9, top_k=1,
             records={(0, i): ExpertStats(c, float(c)) for i, c in enumerate(counts)},
         )
-        table = table_from(np.zeros((4, 4)))
-        got = select_prototypes(score_table([0, 0, 0, 0]), stats, table, 2, "usage_topk")
+        refs = refs_of(4)
+        got = select_prototypes([frequency(stats, r) for r in refs], refs, 2)
         assert got == [(0, 0), (0, 1)]
 
     def test_fixed_k_equal_per_layer(self, small_stats, small_model):
         refs = [(l, i) for l in (0, 1) for i in range(4)]
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
-        got = select_prototypes(scores, small_stats, table, 4, "fixed_k", layers=[0, 1])
+        got = select_prototypes(scores, refs, 4, per_layer=True)
         assert sum(1 for r in got if r[0] == 0) == 2
         assert sum(1 for r in got if r[0] == 1) == 2
 
@@ -157,13 +161,13 @@ class TestSelectPrototypes:
         refs = [(l, i) for l in (0, 1) for i in range(4)]
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
-        got = select_prototypes(scores, small_stats, table, 5, "fixed_k", layers=[0, 1])
+        got = select_prototypes(scores, refs, 5, per_layer=True)
         assert sum(1 for r in got if r[0] == 0) == 3
         assert sum(1 for r in got if r[0] == 1) == 2
 
     def test_budget_exceeds_pool(self):
         with pytest.raises(ValueError):
-            select_prototypes(score_table([1.0, 0.5]), None, table_from(np.zeros((2, 2))), 3, "adaptive")
+            select_prototypes([1.0, 0.5], refs_of(2), 3)
 
 
 class TestAssign:
@@ -237,6 +241,44 @@ class TestConsolidate:
                 assert table.distance(ref, plan.assignment[ref]) == best
 
 
+class TestTablesBuilt:
+    """Pruning reads only stats and builds no distance table; consolidate
+    builds one per reduced scope and reuses it for the assignment."""
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        model, _ = gen_synthetic(ModelSpec(8, 16, 32, 48, 2), seed=42)
+        return model, run_calibration(model, gen_tokens(256, model.spec.hidden_dim, seed=42))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def counting(model, scope, eps=DEFAULT_EPS):
+            calls.append(len(scope))
+            return distance_matrix(model, scope, eps)
+
+        monkeypatch.setattr(planner, "distance_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_pruning_builds_none(self, readme, built, rho):
+        model, stats = readme
+        for method, fn in (("frequency", prune_frequency), ("reap", prune_reap)):
+            got = fn(model, stats, rho)
+            assert plan_to_dict(got) == plan_to_dict(oracle.prune(model, stats, rho, method))
+        assert built == []
+
+    @pytest.mark.parametrize("policy", SELECTION_POLICIES)
+    @pytest.mark.parametrize("scope_size", [1, 2, 8])
+    def test_consolidate_builds_one_per_reduced_scope(self, readme, built, policy, scope_size):
+        model, stats = readme
+        consolidate(model, stats, ScopeConfig(rho=0.0, scope_size=scope_size, policy=policy))
+        assert built == []
+        consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=scope_size, policy=policy))
+        assert built == [16 * len(layers) for layers in scope_partition(8, scope_size)]
+
+
 class TestObjective:
     def test_full_scope_is_zero(self, small_model, small_stats):
         refs = [(0, i) for i in range(4)]
@@ -291,7 +333,7 @@ class TestBruteForceOptimal:
         scores = score(small_stats, table)
         w = importance_weights(small_stats, refs)
         for k in (1, 2, 4):
-            protos = select_prototypes(scores, small_stats, table, k, "adaptive")
+            protos = select_prototypes(scores, refs, k)
             _, best = brute_force_optimal(table, k, w)
             assert objective(protos, table, w) >= best - 1e-12
 
