@@ -1,9 +1,9 @@
-"""Pinned checkpoint bytes.
+"""Pinned checkpoint and plan bytes.
 
-Each checkpoint here is built without BLAS (random draws, copies and
+Each output here is built without BLAS (random draws, copies, sorts and
 elementwise sums only), so its sha256 is the same on every machine. A
-change to the `.mckpt` layout, the tensor order, the header or the
-generator's draw order changes a hash.
+change to the `.mckpt` layout, the tensor order, the header, the
+generator's draw order, or how stats are read and ranked changes a hash.
 """
 
 import hashlib
@@ -25,6 +25,13 @@ GEN = {
 }
 MATERIALIZED = "bfa448bd2bdacd6b4a5e57e39e936cee8bb2ed3c5f3b07d5af192e3e3e9ba8cf"
 FUSED = "e5835af8ae8ee988e4e978a9823e2acaeb3ba6e76b14c48a3771100d4088d60b"
+# from the hand-written stats of hand_stats: the stats reader, contribution,
+# the selection and the fusion weights, none of which uses BLAS
+PRUNED = {
+    "frequency": "f9754725d8cacd5d7a8c975a5afd9ce2d2ac1460cd7b36768d0062f31a6e4239",
+    "reap": "4fa091e5e3bfb429d50ac90fc566d252d7d2cc6359bd4cbca0d63aa01ea2d657",
+}
+FUSED_STATS = "4d66b7ff2a2d9da92f0fbf873bd686cfb87e5f670981504625a9b116bc893536"
 
 
 def sha256(path) -> str:
@@ -86,3 +93,34 @@ def test_fuse_uniform(workdir, base_model):
     out = workdir / "fused.mckpt"
     run("fuse", "--model", base_model, "--plan", plan, "-o", out, "-q")
     assert sha256(out) == FUSED
+
+
+def hand_stats(path):
+    """README-shape stats from a fixed formula: some slots never routed,
+    and contribution ranks the slots differently from the counts."""
+    experts = []
+    for l in range(8):
+        for i in range(16):
+            count = (5 * l + 7 * i) % 11 * 3
+            experts.append({"ref": [l, i], "routed_count": count, "topk_count": count,
+                            "sum_weighted_norm": count * 0.25 * (1 + (3 * l + i) % 7)})
+    stats = {"version": 1, "token_total": 256, "top_k": 2, "experts": experts, "metadata": {}}
+    path.write_text(json.dumps(stats))
+    return path
+
+
+@pytest.mark.parametrize("method", sorted(PRUNED))
+def test_prune_from_hand_stats(workdir, base_model, method):
+    stats = hand_stats(workdir / "hand.stats.json")
+    out = workdir / f"prune-{method}.plan.json"
+    run("prune", "--model", base_model, "--stats", stats, "--method", method,
+        "--rho", "0.5", "-o", out, "-q")
+    assert sha256(out) == PRUNED[method]
+
+
+def test_fuse_with_hand_stats(workdir, base_model):
+    stats = hand_stats(workdir / "hand.stats.json")
+    plan = hand_plan(workdir / "remap.plan.json", dropped=[])
+    out = workdir / "fused-stats.mckpt"
+    run("fuse", "--model", base_model, "--plan", plan, "--stats", stats, "-o", out, "-q")
+    assert sha256(out) == FUSED_STATS
