@@ -14,7 +14,7 @@ from .model import (
     model_forward,
     moe_forward,
 )
-from .calibration import CalibStats, contribution, frequency, run_calibration
+from .calibration import CalibStats, contribution, run_calibration
 from .geometry import (
     DistanceTable,
     distance_matrix,

@@ -23,28 +23,12 @@ class FidelityReport:
     achieved_reduction: float
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "per_layer_error": self.per_layer_error,
-            "end_to_end_error": self.end_to_end_error,
-            "token_count": self.token_count,
-            "achieved_reduction": self.achieved_reduction,
-            "metadata": self.metadata,
-        }
-
 
 @dataclass
 class NNReport:
     counts: list[list[int]]          # counts[source_layer][target_layer]
     per_layer_fraction: list[float]  # cross-layer fraction per source layer
     overall_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": self.counts,
-            "per_layer_fraction": self.per_layer_fraction,
-            "overall_fraction": self.overall_fraction,
-        }
 
 
 def _relative_errors(got: np.ndarray, want: np.ndarray, eps: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .calibration import CalibStats, frequency
+from .calibration import CalibStats
 from .geometry import DEFAULT_EPS
 from .model import PROJECTIONS, MoEModel, Ref
 from .plan import ConsolidationPlan
@@ -57,7 +57,7 @@ def merge_msmoe(
 
 
 def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]:
-    counts = [frequency(stats, r) if stats is not None else 0 for r in cluster]
+    counts = [int(stats.routed_count[r]) if stats is not None else 0 for r in cluster]
     total = sum(counts)
     if total == 0:
         return [1.0 / len(cluster)] * len(cluster)

@@ -1,6 +1,6 @@
 """Calibration: forward synthetic tokens through the residual stack and
-collect per-expert routing statistics, from which the saliency scores
-(contribution, which the REAP baselines rank by, and frequency) are derived."""
+collect per-slot routing statistics, from which the saliency scores
+(contribution, which the REAP baselines rank by, and usage) are derived."""
 
 from __future__ import annotations
 
@@ -8,48 +8,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, Ref, slot_groups
+from .model import MoEModel, slot_groups
 
 
-@dataclass
-class ExpertStats:
-    routed_count: int = 0
-    sum_weighted_norm: float = 0.0
-
-
-@dataclass
+@dataclass(eq=False)  # array fields make the generated == raise
 class CalibStats:
+    """Per (layer, expert) slot: routed_count, the tokens that selected it
+    (int64), and sum_weighted_norm, the sum over those tokens of routing
+    weight times output norm (float64); both (num_layers, num_experts)."""
+
     token_total: int
     top_k: int
-    records: dict[Ref, ExpertStats]
+    routed_count: np.ndarray
+    sum_weighted_norm: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
         if self.token_total < 0:
             raise ValueError("negative token total")
-        for ref, rec in self.records.items():
-            if rec.routed_count < 0:
-                raise ValueError(f"negative counts for {ref}")
-            if rec.routed_count > self.token_total:
-                raise ValueError(f"routed_count exceeds token_total for {ref}")
-            if not rec.sum_weighted_norm >= 0:
-                raise ValueError(f"negative or NaN weighted norm for {ref}")
-            if rec.routed_count == 0 and rec.sum_weighted_norm != 0:
-                raise ValueError(f"inconsistent stats for {ref}")
-
-    def record_for(self, ref: Ref) -> ExpertStats:
-        try:
-            return self.records[ref]
-        except KeyError:
-            raise ValueError(f"no calibration record for expert {ref}") from None
+        counts, sums = self.routed_count, self.sum_weighted_norm
+        for bad, message in (
+            (counts < 0, "negative counts for"),
+            (counts > self.token_total, "routed_count exceeds token_total for"),
+            (~(sums >= 0), "negative or NaN weighted norm for"),
+            ((counts == 0) & (sums != 0), "inconsistent stats for"),
+        ):
+            if bad.any():
+                ref = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise ValueError(f"{message} {ref}")
 
     def check_covers(self, model: MoEModel):
-        """Stats computed for a different pool shape are rejected on use."""
-        expected = set(model.slots())
-        if set(self.records) != expected:
+        """Stats computed for a different pool shape or top-k are rejected on use."""
+        shape = (model.spec.num_layers, model.spec.num_experts)
+        if self.routed_count.shape != shape:
             raise ValueError(
                 "calibration stats do not cover this model "
-                f"({len(self.records)} records, {len(expected)} slots)"
+                f"(stats grid {self.routed_count.shape}, model grid {shape})"
+            )
+        if self.top_k != model.spec.top_k:
+            raise ValueError(
+                f"calibration stats top_k {self.top_k} does not match model top_k {model.spec.top_k}"
             )
 
 
@@ -75,23 +73,14 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
             out[tok] = out[tok] + g[:, None] * y
         # the residual step reuses the recorded outputs
         h = h + out
-    records = {
-        (l, i): ExpertStats(int(counts[l, i]), float(sums[l, i]))
-        for l, i in model.slots()
-    }
-    stats = CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k, records=records)
+    stats = CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,
+                       routed_count=counts, sum_weighted_norm=sums)
     stats.validate()
     return stats
 
 
-def contribution(stats: CalibStats, ref: Ref) -> float:
-    """Mean routing-weight-scaled output norm over tokens that selected the
-    expert; zero when it was never selected."""
-    rec = stats.record_for(ref)
-    if rec.routed_count == 0:
-        return 0.0
-    return rec.sum_weighted_norm / rec.routed_count
-
-
-def frequency(stats: CalibStats, ref: Ref) -> int:
-    return stats.record_for(ref).routed_count
+def contribution(stats: CalibStats) -> np.ndarray:
+    """Per slot, the mean routing-weight-scaled output norm over the tokens
+    that selected it; zero where it was never selected."""
+    counts = stats.routed_count
+    return np.divide(stats.sum_weighted_norm, counts, out=np.zeros(counts.shape), where=counts > 0)

@@ -1,10 +1,10 @@
 """Command-line pipeline: generate, calibrate, consolidate, prune, merge,
 fuse, materialize, evaluate, analyze, sweep.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. Plans, stats and
-reports record the --seed that produced them; derived checkpoints carry
-their source checkpoint's metadata. Reruns with identical inputs write
-byte-identical outputs.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error.
+Plans, stats and reports record the --seed that produced them; derived
+checkpoints carry their source checkpoint's metadata. Reruns with identical
+inputs write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
@@ -168,14 +169,14 @@ def _run(args) -> None:
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
         report = analysis.evaluate_fidelity(model, plan, tokens, args.eps)
         report.metadata["seed"] = args.seed
-        _write_json(args.output, report.to_dict())
+        _write_json(args.output, asdict(report))
 
     elif args.command == "analyze":
         report = analysis.cross_layer_nn(model, args.scope, args.eps)
         analysis.dump_nn_csvs(
             report, f"{args.output}nn_heatmap.csv", f"{args.output}nn_fractions.csv"
         )
-        _write_json(f"{args.output}nn_report.json", report.to_dict())
+        _write_json(f"{args.output}nn_report.json", asdict(report))
 
     elif args.command == "sweep":
         sizes = [int(s) for s in args.scopes.split(",") if s]
@@ -190,7 +191,7 @@ def _run(args) -> None:
                 "rho": args.rho,
                 "seed": args.seed,
                 "reports": [
-                    {"scope_size": size, **rep.to_dict()}
+                    {"scope_size": size, **asdict(rep)}
                     for size, rep in zip(sizes, reports)
                 ],
             },
@@ -210,6 +211,9 @@ def main(argv=None) -> int:
         _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

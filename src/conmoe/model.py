@@ -40,16 +40,6 @@ class ModelSpec:
         if self.activation not in SUPPORTED_ACTIVATIONS:
             raise ValueError(f"unsupported activation: {self.activation!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "num_experts": self.num_experts,
-            "hidden_dim": self.hidden_dim,
-            "intermediate_dim": self.intermediate_dim,
-            "top_k": self.top_k,
-            "activation": self.activation,
-        }
-
 
 @dataclass
 class ExpertWeights:

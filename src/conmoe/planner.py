@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibStats, contribution, frequency
+from .calibration import CalibStats, contribution
 from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
@@ -46,7 +46,7 @@ def budget(rho: float, pool_size: int) -> int:
 
 def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
     """The objective's per-slot weights: each slot's contribution."""
-    return np.array([contribution(stats, r) for r in refs])
+    return contribution(stats)[tuple(zip(*refs))]
 
 
 def score(stats: CalibStats, table: DistanceTable, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -63,7 +63,7 @@ TABLE_POLICIES = ("adaptive", "fixed_k", "distance_only")
 def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None, eps: float):
     """The per-ref ranking key of a policy; the largest keys are kept."""
     if policy == "usage_topk":
-        return [frequency(stats, r) for r in refs]
+        return stats.routed_count[tuple(zip(*refs))]
     if policy == "reap_topk":
         return importance_weights(stats, refs)
     if policy == "distance_only":

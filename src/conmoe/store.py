@@ -1,5 +1,6 @@
 """Bit-exact file formats: `.mckpt` checkpoints, `.plan.json` plans, and
-`.stats.json` calibration statistics.
+`.stats.json` calibration statistics, one record per slot in the full
+ascending (layer, expert) grid.
 
 A checkpoint is a single file: canonical UTF-8 JSON header, one newline,
 an 8-byte little-endian payload length, then the raw float32
@@ -14,12 +15,13 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibStats, ExpertStats
+from .calibration import CalibStats
 from .model import PROJECTIONS, MoELayer, MoEModel, ModelSpec
 from .plan import PLAN_VERSION, ConsolidationPlan, Scope
 
@@ -95,7 +97,7 @@ def write_checkpoint(model: MoEModel, path) -> None:
     model.validate()
     header = {
         "magic": MAGIC,
-        "spec": model.spec.to_dict(),
+        "spec": asdict(model.spec),
         "tensor_index": _tensor_index(model.spec),
         "metadata": model.metadata,
     }
@@ -222,7 +224,7 @@ def _scope_from_dict(s) -> Scope:
 
 def plan_from_dict(d: dict) -> ConsolidationPlan:
     version = _field("plan", d, "version", _int)
-    if version > PLAN_VERSION:
+    if version != PLAN_VERSION:
         raise ValueError(f"unsupported plan version: {version}")
     plan = ConsolidationPlan(
         rho=_field("plan", d, "rho", _float),
@@ -250,19 +252,20 @@ def read_plan(path) -> ConsolidationPlan:
 
 
 def stats_to_dict(stats: CalibStats) -> dict:
+    counts, sums = stats.routed_count.tolist(), stats.sum_weighted_norm.tolist()
     return {
         "version": STATS_VERSION,
         "token_total": stats.token_total,
         "top_k": stats.top_k,
         "experts": [
             {
-                "ref": _ref_to_list(ref),
-                "routed_count": rec.routed_count,
-                "sum_weighted_norm": rec.sum_weighted_norm,
+                "ref": [l, i],
+                "routed_count": counts[l][i],
+                "sum_weighted_norm": sums[l][i],
                 # always equal to routed_count; kept so stats files keep their bytes
-                "topk_count": rec.routed_count,
+                "topk_count": counts[l][i],
             }
-            for ref, rec in sorted(stats.records.items())
+            for l, i in np.ndindex(stats.routed_count.shape)
         ],
         "metadata": stats.metadata,
     }
@@ -270,25 +273,28 @@ def stats_to_dict(stats: CalibStats) -> dict:
 
 def stats_from_dict(d: dict) -> CalibStats:
     version = _field("stats", d, "version", _int)
-    if version > STATS_VERSION:
+    if version != STATS_VERSION:
         raise ValueError(f"unsupported stats version: {version}")
-    records = {}
-    for rec in _field("stats", d, "experts", list):
-        ref = _field("stats record", rec, "ref", _ref_from_list)
-        if ref in records:
-            raise ValueError(f"duplicate stats record for {ref}")
+    records = _field("stats", d, "experts", list)
+    refs = [_field("stats record", rec, "ref", _ref_from_list) for rec in records]
+    # the shape comes from the last ref; the record count is checked
+    # against it before anything is sized from it
+    shape = (refs[-1][0] + 1, refs[-1][1] + 1) if refs else (0, 0)
+    if not (min(shape) > 0 and len(refs) == shape[0] * shape[1] and refs == list(np.ndindex(shape))):
+        raise ValueError("stats records are not the full ascending (layer, expert) grid")
+    counts, sums = [], []
+    for ref, rec in zip(refs, records):
         artifact = f"stats record {list(ref)}"
-        routed = _field(artifact, rec, "routed_count", _int)
+        routed = _field(artifact, rec, "routed_count", lambda v: np.int64(_int(v)))
         if _field(artifact, rec, "topk_count", _int) != routed:
             raise ValueError(f"{artifact}: topk_count differs from routed_count")
-        records[ref] = ExpertStats(
-            routed_count=routed,
-            sum_weighted_norm=_field(artifact, rec, "sum_weighted_norm", _float),
-        )
+        counts.append(routed)
+        sums.append(_field(artifact, rec, "sum_weighted_norm", _float))
     stats = CalibStats(
         token_total=_field("stats", d, "token_total", _int),
         top_k=_field("stats", d, "top_k", _int),
-        records=records,
+        routed_count=np.array(counts, dtype=np.int64).reshape(shape),
+        sum_weighted_norm=np.array(sums).reshape(shape),
         metadata=_field("stats", d, "metadata", _object, {}),
     )
     stats.validate()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conmoe.calibration import CalibStats, ExpertStats, contribution, frequency
+from conmoe.calibration import CalibStats
 from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest
 from conmoe.model import PROJECTIONS, silu
 from conmoe.plan import ConsolidationPlan, Scope
@@ -41,11 +41,9 @@ def assert_rows_close(got, want, rtol=BATCH_RTOL):
 def assert_stats_close(got, want, rtol=BATCH_RTOL):
     """Equal counts and totals; weighted norms within rtol."""
     assert (got.token_total, got.top_k) == (want.token_total, want.top_k)
-    assert got.records.keys() == want.records.keys()
-    for ref, rec in want.records.items():
-        assert got.records[ref].routed_count == rec.routed_count, ref
-        assert abs(got.records[ref].sum_weighted_norm - rec.sum_weighted_norm) \
-            <= rtol * rec.sum_weighted_norm, ref
+    np.testing.assert_array_equal(got.routed_count, want.routed_count)
+    err = np.abs(got.sum_weighted_norm - want.sum_weighted_norm)
+    assert np.all(err <= rtol * want.sum_weighted_norm), err.max()
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,19 @@ def calibrate(model, tokens):
     """Per-token calibration loop: route each layer with router_topk, record
     every selected expert's weight times its output norm, then take the
     residual step over the recorded outputs in ascending slot order."""
-    records = {ref: ExpertStats() for ref in model.slots()}
+    shape = (model.spec.num_layers, model.spec.num_experts)
+    counts, sums = np.zeros(shape, dtype=np.int64), np.zeros(shape)
     for h in np.asarray(tokens, dtype=np.float64):
         for l in range(model.spec.num_layers):
             terms = moe_terms(model, l, h)
             moe_out = np.zeros_like(h)
             for i, g, out in terms:
-                rec = records[(l, i)]
-                rec.routed_count += 1
-                rec.sum_weighted_norm += g * float(np.linalg.norm(out))
+                counts[l, i] += 1
+                sums[l, i] += g * float(np.linalg.norm(out))
                 moe_out = moe_out + g * out
             h = h + moe_out
-    return CalibStats(token_total=len(tokens), top_k=model.spec.top_k, records=records)
+    return CalibStats(token_total=len(tokens), top_k=model.spec.top_k,
+                      routed_count=counts, sum_weighted_norm=sums)
 
 
 def aggregate_coefficients(model, layer_idx, plan, h):
@@ -174,6 +173,16 @@ def replaceability(ref, table):
 # The baselines as per-layer loops: each layer keeps its budget's top
 # experts by a key (ties to the lower index); pruning drops the rest, and
 # merging sends each to its nearest core and fuses every core's cluster.
+
+def frequency(stats, ref):
+    return int(stats.routed_count[ref])
+
+
+def contribution(stats, ref):
+    """One slot's mean weighted norm; zero when it was never routed."""
+    count = frequency(stats, ref)
+    return float(stats.sum_weighted_norm[ref]) / count if count else 0.0
+
 
 def _keep(refs, key, rho):
     k = max(1, math.floor((1.0 - rho) * len(refs) + 0.5))

@@ -17,7 +17,6 @@ from conmoe import (
     reduction_accounting,
     run_calibration,
 )
-from conmoe.calibration import ExpertStats
 from conmoe.store import plan_to_dict
 from conftest import experts_equal
 from test_acceptance import random_plan
@@ -25,13 +24,11 @@ from test_acceptance import random_plan
 
 def stats_with_counts(model, per_layer_counts, norms=None):
     """Build stats where layer l, expert i has routed_count per_layer_counts[i]."""
-    records = {}
-    for l in range(model.spec.num_layers):
-        for i in range(model.spec.num_experts):
-            c = per_layer_counts[i]
-            norm = norms[i] if norms else float(c)
-            records[(l, i)] = ExpertStats(routed_count=c, sum_weighted_norm=norm if c else 0.0)
-    return CalibStats(token_total=max(1, sum(per_layer_counts)), top_k=model.spec.top_k, records=records)
+    counts = np.array(per_layer_counts)
+    sums = np.where(counts > 0, norms if norms else counts, 0.0)
+    layers = model.spec.num_layers
+    return CalibStats(token_total=max(1, sum(per_layer_counts)), top_k=model.spec.top_k,
+                      routed_count=np.tile(counts, (layers, 1)), sum_weighted_norm=np.tile(sums, (layers, 1)))
 
 
 class TestPruning:

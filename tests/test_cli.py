@@ -1,10 +1,15 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from conmoe.cli import main
 from conmoe import read_checkpoint, read_plan
 from conftest import run_cli_subprocess
+
+
+GRID = "stats records are not the full ascending (layer, expert) grid"
 
 
 def run(*argv):
@@ -243,6 +248,17 @@ class TestArtifactBoundary:
          "checkpoint spec: malformed field 'top_k': expected a JSON integer, got True"),
         ("plan", lambda d: d.update(rho=False),
          "plan: malformed field 'rho': expected a JSON number, got False"),
+        # versions must match, older ones included
+        ("plan", lambda d: d.update(version=-7), "unsupported plan version: -7"),
+        ("stats", lambda d: d.update(version=0), "unsupported stats version: 0"),
+        # stats records must be the full ascending (layer, expert) grid
+        ("stats", lambda d: d["experts"].insert(0, d["experts"].pop(1)), GRID),
+        ("stats", lambda d: d["experts"].pop(5), GRID),
+        ("stats", lambda d: d["experts"].insert(5, d["experts"][5]), GRID),
+        ("stats", lambda d: d["experts"][-1].update(ref=[-2, -2]), GRID),
+        # a count no int64 holds is malformed, not a traceback
+        ("stats", lambda d: d["experts"][3].update(routed_count=2**64, topk_count=2**64),
+         "stats record [0, 3]: malformed field 'routed_count'"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
                              artifact, mutate, message):
@@ -261,6 +277,38 @@ class TestArtifactBoundary:
             "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
         }[artifact]
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out", message=message)
+
+    def test_huge_stats_ref_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
+        doc = json.loads(stats_path.read_text())
+        doc["experts"].append({**doc["experts"][-1], "ref": [0, 10**12]})
+        stats_path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
+                                 "--rho", "0.5", "-o", tmp_path / "p.json", message=GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 16 * 2**20
+
+    def test_stats_top_k_must_match_model(self, model_path, stats_path, tmp_path, capsys):
+        doc = json.loads(stats_path.read_text())
+        doc["top_k"] = 3
+        stats_path.write_text(json.dumps(doc))
+        self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
+                             "--rho", "0.5", "-o", tmp_path / "p.json",
+                             message="calibration stats top_k 3 does not match model top_k 2")
+
+    def test_out_of_memory_is_an_error(self, model_path, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate the tokens")
+
+        monkeypatch.setattr("conmoe.cli.gen_tokens", exhausted)
+        self.assert_rejected(capsys, "calibrate", "--model", model_path, "--tokens", 10**11,
+                             "-o", tmp_path / "s.json",
+                             message="error: out of memory: cannot allocate the tokens")
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_dup_noise_not_finite(self, tmp_path, capsys, noise):

@@ -23,7 +23,7 @@ from conmoe import (
 )
 from conmoe import planner
 from conmoe.geometry import DEFAULT_EPS, DistanceTable
-from conmoe.calibration import frequency
+from conmoe.calibration import CalibStats
 from conmoe.plan import SELECTION_POLICIES
 from conmoe.planner import importance_weights
 from conmoe.store import canonical_json, plan_to_dict
@@ -95,14 +95,10 @@ class TestScore:
         assert scores == pytest.approx(contrib_n * replace_n)
 
     def test_all_equal_contributions_zero_scores(self, small_model):
-        from conmoe.calibration import CalibStats, ExpertStats
-
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
-        stats = CalibStats(
-            token_total=4, top_k=2,
-            records={r: ExpertStats(routed_count=1, sum_weighted_norm=2.0)
-                     for r in small_model.slots()},
-        )
+        shape = (small_model.spec.num_layers, small_model.spec.num_experts)
+        stats = CalibStats(token_total=4, top_k=2, routed_count=np.ones(shape, dtype=np.int64),
+                           sum_weighted_norm=np.full(shape, 2.0))
         table = distance_matrix(small_model, refs)
         scores = score(stats, table)
         assert np.all(scores == 0.0)
@@ -120,15 +116,11 @@ class TestScore:
 
 
 def run_scaled(stats, factor):
-    from conmoe.calibration import CalibStats, ExpertStats
-
     return CalibStats(
         token_total=stats.token_total,
         top_k=stats.top_k,
-        records={
-            ref: ExpertStats(rec.routed_count, rec.sum_weighted_norm * factor)
-            for ref, rec in stats.records.items()
-        },
+        routed_count=stats.routed_count,
+        sum_weighted_norm=stats.sum_weighted_norm * factor,
     )
 
 
@@ -138,15 +130,10 @@ class TestSelectPrototypes:
         assert got == [(0, 0), (0, 2)]
 
     def test_usage_topk(self, small_model):
-        from conmoe.calibration import CalibStats, ExpertStats
-
-        counts = [5, 3, 1, 0]
-        stats = CalibStats(
-            token_total=9, top_k=1,
-            records={(0, i): ExpertStats(c, float(c)) for i, c in enumerate(counts)},
-        )
-        refs = refs_of(4)
-        got = select_prototypes([frequency(stats, r) for r in refs], refs, 2)
+        counts = np.array([[5, 3, 1, 0]])
+        stats = CalibStats(token_total=9, top_k=1, routed_count=counts,
+                           sum_weighted_norm=counts.astype(np.float64))
+        got = select_prototypes(stats.routed_count[0], refs_of(4), 2)
         assert got == [(0, 0), (0, 1)]
 
     def test_fixed_k_equal_per_layer(self, small_stats, small_model):

@@ -16,7 +16,6 @@ from conmoe import (
     write_plan,
     write_stats,
 )
-from conmoe.calibration import ExpertStats
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import _tensor_index, stats_from_dict, stats_to_dict
@@ -218,21 +217,20 @@ class TestPlanIO:
 
 class TestStatsIO:
     def make_stats(self):
-        records = {
-            (0, 0): ExpertStats(routed_count=3, sum_weighted_norm=1.5),
-            (0, 1): ExpertStats(routed_count=0, sum_weighted_norm=0.0),
-        }
-        return CalibStats(token_total=3, top_k=1, records=records)
+        return CalibStats(token_total=3, top_k=1, routed_count=np.array([[3, 0]]),
+                          sum_weighted_norm=np.array([[1.5, 0.0]]))
 
     def test_round_trip(self, tmp_path):
         stats = self.make_stats()
         path = tmp_path / "s.stats.json"
         write_stats(stats, path)
-        assert read_stats(path) == stats
+        again = read_stats(path)
+        assert stats_to_dict(again) == stats_to_dict(stats)
+        assert (again.routed_count.dtype, again.sum_weighted_norm.dtype) == (np.int64, np.float64)
 
     def test_inconsistent_stats_rejected(self, tmp_path):
         stats = self.make_stats()
-        stats.records[(0, 1)].sum_weighted_norm = 0.25
+        stats.sum_weighted_norm[0, 1] = 0.25
         with pytest.raises(ValueError, match="inconsistent stats"):
             write_stats(stats, tmp_path / "s.json")
 
@@ -251,7 +249,7 @@ class TestStatsIO:
 
     def test_negative_counts_rejected(self, tmp_path):
         stats = self.make_stats()
-        stats.records[(0, 0)].routed_count = -1
+        stats.routed_count[0, 0] = -1
         with pytest.raises(ValueError):
             write_stats(stats, tmp_path / "s.json")
 
