@@ -26,9 +26,9 @@ def stats_with_counts(model, per_layer_counts, norms=None):
     """Build stats where layer l, expert i has routed_count per_layer_counts[i]."""
     counts = np.array(per_layer_counts)
     sums = np.where(counts > 0, norms if norms else counts, 0.0)
-    layers = model.spec.num_layers
+    tile = (model.spec.num_layers, 1)
     return CalibStats(token_total=max(1, sum(per_layer_counts)), top_k=model.spec.top_k,
-                      routed_count=np.tile(counts, (layers, 1)), sum_weighted_norm=np.tile(sums, (layers, 1)))
+                      routed_count=np.tile(counts, tile), sum_weighted_norm=np.tile(sums, tile))
 
 
 class TestPruning:
