@@ -231,6 +231,16 @@ class TestConsolidatedForward:
         assert [i for i, _, _, _ in groups] == [1, 2]
         assert [w[0] for _, _, w, _ in groups] == pytest.approx([0.75, 0.25], abs=1e-12)
 
+    # fewer experts, fewer layers, and a superset of the model's slots
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 8), (5, 8)])
+    def test_plan_from_another_shape_rejected(self, small_model, small_tokens, shape):
+        plan = identity_plan(*shape)
+        for h in (small_tokens[0], small_tokens[:4]):
+            with pytest.raises(ValueError, match="plan does not cover this model"):
+                moe_forward(small_model, 0, h, plan)
+            with pytest.raises(ValueError, match="plan does not cover this model"):
+                model_forward(small_model, h, plan)
+
 
 class TestModelForward:
     def test_zero_model_residual_identity(self):
