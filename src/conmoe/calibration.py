@@ -31,6 +31,7 @@ class CalibStats:
             (counts < 0, "negative counts for"),
             (counts > self.token_total, "routed_count exceeds token_total for"),
             (~(sums >= 0), "negative or NaN weighted norm for"),
+            (np.isinf(sums), "infinite weighted norm for"),
             ((counts == 0) & (sums != 0), "inconsistent stats for"),
         ):
             if bad.any():

@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path, obj):
-    with open(path, "wb") as f:
-        f.write(store.canonical_json(obj) + b"\n")
-
-
 def _run(args) -> None:
     if args.command == "gen":
         spec = ModelSpec(
@@ -169,14 +164,14 @@ def _run(args) -> None:
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
         report = analysis.evaluate_fidelity(model, plan, tokens, args.eps)
         report.metadata["seed"] = args.seed
-        _write_json(args.output, asdict(report))
+        store.write_json(args.output, asdict(report))
 
     elif args.command == "analyze":
         report = analysis.cross_layer_nn(model, args.scope, args.eps)
         analysis.dump_nn_csvs(
             report, f"{args.output}nn_heatmap.csv", f"{args.output}nn_fractions.csv"
         )
-        _write_json(f"{args.output}nn_report.json", asdict(report))
+        store.write_json(f"{args.output}nn_report.json", asdict(report))
 
     elif args.command == "sweep":
         sizes = [int(s) for s in args.scopes.split(",") if s]
@@ -185,7 +180,7 @@ def _run(args) -> None:
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
         config = ScopeConfig(rho=args.rho, eps=args.eps)
         reports = analysis.scope_sweep(model, stats, config, sizes, tokens)
-        _write_json(
+        store.write_json(
             args.output,
             {
                 "rho": args.rho,

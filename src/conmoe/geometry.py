@@ -37,12 +37,10 @@ def expert_distance(e: ExpertWeights, f: ExpertWeights, eps: float = DEFAULT_EPS
 class DistanceTable:
     scope: list[Ref]          # ascending (layer, index)
     values: np.ndarray        # symmetric, zero diagonal
-    eps: float = DEFAULT_EPS
-    _index: dict[Ref, int] = field(default_factory=dict, repr=False)
+    _index: dict[Ref, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {ref: i for i, ref in enumerate(self.scope)}
+        self._index = {ref: i for i, ref in enumerate(self.scope)}
 
     def index_of(self, ref: Ref) -> int:
         try:
@@ -68,7 +66,7 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
     values = np.zeros((n, n))
     values[upper] = total / len(PROJECTIONS)
     values[upper[::-1]] = values[upper]
-    return DistanceTable(scope=scope, values=values, eps=eps)
+    return DistanceTable(scope=scope, values=values)
 
 
 # A pair whose Gram-expanded squared distance falls below this fraction of

@@ -117,35 +117,6 @@ class MoEModel:
         )
 
 
-@dataclass(frozen=True)
-class PlanArrays:
-    """A plan lowered to per-layer arrays, each (num_layers, num_experts):
-    slot (l, i) runs expert (proto_layer[l, i], proto_index[l, i]) unless
-    drop[l, i]."""
-
-    proto_layer: np.ndarray
-    proto_index: np.ndarray
-    drop: np.ndarray
-
-
-def lower_plan(model: MoEModel, plan=None) -> PlanArrays:
-    """The arrays of a ConsolidationPlan; with no plan every slot runs
-    itself. A PlanArrays passes through unchanged."""
-    if isinstance(plan, PlanArrays):
-        return plan
-    num_layers, n = model.spec.num_layers, model.spec.num_experts
-    proto_layer = np.repeat(np.arange(num_layers)[:, None], n, axis=1)
-    proto_index = np.tile(np.arange(n), (num_layers, 1))
-    drop = np.zeros((num_layers, n), dtype=bool)
-    if plan is not None:
-        plan.check_covers(model)
-        for (l, i), (pl, pi) in plan.assignment.items():
-            proto_layer[l, i], proto_index[l, i] = pl, pi
-        for l, i in plan.drop_mask:
-            drop[l, i] = True
-    return PlanArrays(proto_layer, proto_index, drop)
-
-
 def silu(x: np.ndarray) -> np.ndarray:
     # overflow-safe x * sigmoid(x)
     z = np.exp(-np.abs(x))
@@ -172,26 +143,29 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     by prototype, so a plan forward issues the same GEMMs as a plain forward
     through the materialized model.
     """
-    arrays = lower_plan(model, plan)
+    if plan is not None:
+        plan.check_covers(model)
+    slots = [(layer_idx, i) for i in range(model.spec.num_experts)]
+    protos = slots if plan is None else [plan.assignment[s] for s in slots]
+    dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
     layer = model.layers[layer_idx]
     logits = x @ layer.router.astype(np.float64).T
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
     top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k]
-    keep = ~arrays.drop[layer_idx][top]
+    keep = ~dropped[top]
     sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
     peak = sel.max(axis=1, keepdims=True)
     peak[~keep.any(axis=1)] = 0.0  # nothing survives: every exp below is 0
     ex = np.exp(sel - peak)
     # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
     weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
-    for i in range(model.spec.num_experts):
+    for i, (src_layer, j) in enumerate(protos):
         # a token selects a slot at most once, so its rows come out unique and ascending
         tok, pos = np.nonzero((top == i) & keep)
         if tok.size == 0:
             continue
-        src = model.layers[arrays.proto_layer[layer_idx, i]]
-        j = arrays.proto_index[layer_idx, i]
+        src = model.layers[src_layer]
         gate, up, down = (w[j].astype(np.float64) for w in (src.gate, src.up, src.down))
         xs = x[tok]
         yield i, tok, weights[tok, pos], (silu(xs @ gate.T) * (xs @ up.T)) @ down.T
@@ -199,9 +173,9 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
     """One MoE layer on a (hidden,) token or a (count, hidden) batch,
-    returning the same shape. A plan (a ConsolidationPlan or its
-    PlanArrays) redirects each selected slot to its prototype and drops
-    masked slots; with no plan every slot is its own prototype.
+    returning the same shape. A ConsolidationPlan redirects each selected
+    slot to its prototype and drops masked slots; with no plan every slot
+    is its own prototype.
 
     Each token sums its slot terms in ascending slot order, so a plan
     forward is bit-identical to a plain forward through the materialized
@@ -219,10 +193,9 @@ def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.
     """Residual stack h <- h + MoE(h) per layer on a token or a batch: the
     final state and each layer's MoE output, in the shape of h0."""
     x = _token_batch(h0, model.spec.hidden_dim)
-    arrays = lower_plan(model, plan)
     outputs = []
     for l in range(model.spec.num_layers):
-        out = moe_forward(model, l, x, arrays)
+        out = moe_forward(model, l, x, plan)
         outputs.append(out.reshape(np.shape(h0)))
         x = x + out
     return x.reshape(np.shape(h0)), outputs

@@ -38,6 +38,11 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def write_json(path, obj) -> None:
+    """A JSON artifact: its canonical bytes and one newline."""
+    Path(path).write_bytes(canonical_json(obj) + b"\n")
+
+
 def _field(artifact: str, d, key: str, convert, default=_REQUIRED):
     """convert(d[key]); any missing or malformed field is a ValueError that
     names the artifact and the field."""
@@ -222,6 +227,16 @@ def _scope_from_dict(s) -> Scope:
     )
 
 
+def _assignment_from_list(v) -> dict:
+    assignment = {}
+    for slot, target in v:
+        ref = _ref_from_list(slot)
+        if ref in assignment:
+            raise ValueError(f"slot {list(ref)} is assigned twice")
+        assignment[ref] = _ref_from_list(target)
+    return assignment
+
+
 def plan_from_dict(d: dict) -> ConsolidationPlan:
     version = _field("plan", d, "version", _int)
     if version != PLAN_VERSION:
@@ -231,9 +246,7 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
         scope_size=_field("plan", d, "scope_size", _int),
         policy=_field("plan", d, "policy", str),
         scopes=_field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v]),
-        assignment=_field("plan", d, "assignment", lambda v: {
-            _ref_from_list(slot): _ref_from_list(target) for slot, target in v
-        }),
+        assignment=_field("plan", d, "assignment", _assignment_from_list),
         drop_mask=_field("plan", d, "drop_mask", lambda v: {_ref_from_list(r) for r in v}, []),
         metadata=_field("plan", d, "metadata", _object, {}),
         version=version,
@@ -244,7 +257,7 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
 
 def write_plan(plan: ConsolidationPlan, path) -> None:
     plan.validate()
-    Path(path).write_bytes(canonical_json(plan_to_dict(plan)) + b"\n")
+    write_json(path, plan_to_dict(plan))
 
 
 def read_plan(path) -> ConsolidationPlan:
@@ -303,7 +316,7 @@ def stats_from_dict(d: dict) -> CalibStats:
 
 def write_stats(stats: CalibStats, path) -> None:
     stats.validate()
-    Path(path).write_bytes(canonical_json(stats_to_dict(stats)) + b"\n")
+    write_json(path, stats_to_dict(stats))
 
 
 def read_stats(path) -> CalibStats:

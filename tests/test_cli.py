@@ -259,6 +259,12 @@ class TestArtifactBoundary:
         # a count no int64 holds is malformed, not a traceback
         ("stats", lambda d: d["experts"][3].update(routed_count=2**64, topk_count=2**64),
          "stats record [0, 3]: malformed field 'routed_count'"),
+        # an infinite norm would turn every score into NaN
+        ("stats", lambda d: d["experts"][3].update(sum_weighted_norm=float("inf")),
+         "infinite weighted norm for (0, 3)"),
+        # each slot is assigned once; a second entry would silently win
+        ("plan", lambda d: d["assignment"].append(d["assignment"][1]),
+         "slot [0, 1] is assigned twice"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
                              artifact, mutate, message):

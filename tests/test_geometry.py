@@ -117,7 +117,7 @@ def reference_table(model, scope, eps=DEFAULT_EPS):
             d = expert_distance(model.expert(scope[i]), model.expert(scope[j]), eps)
             values[i, j] = d
             values[j, i] = d
-    return DistanceTable(scope=scope, values=values, eps=eps)
+    return DistanceTable(scope=scope, values=values)
 
 
 def whole_model(spec):
