@@ -1,4 +1,5 @@
 import json
+import struct
 import time
 import tracemalloc
 
@@ -283,6 +284,20 @@ class TestArtifactBoundary:
             "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
         }[artifact]
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out", message=message)
+
+    @pytest.mark.parametrize("tensor,value,message", [
+        ("layers.1.experts.5.down", "nan", "non-finite down weights"),
+        ("layers.2.router", "inf", "non-finite router weights"),
+    ])
+    def test_non_finite_payload(self, model_path, tmp_path, capsys, tensor, value, message):
+        raw = bytearray(model_path.read_bytes())
+        nl = raw.find(b"\n")
+        offsets = {name: offset for name, _, offset in json.loads(raw[:nl])["tensor_index"]}
+        pos = nl + 1 + 8 + offsets[tensor] + 4 * 7  # the tensor's eighth float32
+        raw[pos:pos + 4] = struct.pack("<f", float(value))
+        model_path.write_bytes(bytes(raw))
+        self.assert_rejected(capsys, "calibrate", "--model", model_path, "--tokens", 4,
+                             "-o", tmp_path / "s.json", message=message)
 
     def test_huge_stats_ref_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
         doc = json.loads(stats_path.read_text())
