@@ -14,7 +14,7 @@ import numpy as np
 
 from .calibration import CalibStats
 from .geometry import DEFAULT_EPS
-from .model import PROJECTIONS, MoEModel, Ref
+from .model import MoEModel, Ref
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
 
@@ -80,12 +80,10 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     provenance = []
     for proto, members in plan.clusters().items():
         weights = _fusion_weights(stats, members)
-        dst = fused.expert(proto)
-        for proj in PROJECTIONS:
-            acc = np.zeros(getattr(dst, proj).shape)
-            for ref, w in zip(members, weights):
-                acc += w * getattr(model.expert(ref), proj).astype(np.float64)
-            getattr(dst, proj)[...] = acc
+        acc = np.zeros(model.row(proto).shape)
+        for ref, w in zip(members, weights):
+            acc += w * model.row(ref).astype(np.float64)
+        fused.row(proto)[...] = acc
         provenance.append([list(proto), [[list(src), w] for src, w in zip(members, weights)]])
     if "fusion" in model.metadata:  # a fused source keeps its lineage
         lineage = ("fusion", "provenance", "prior_fusion")

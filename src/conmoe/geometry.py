@@ -57,12 +57,12 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
     triangle is computed and mirrored, so the matrix is symmetric with a
     zero diagonal by construction."""
     scope = sorted(scope)
-    experts = [model.expert(ref) for ref in scope]
+    rows = [model.row(ref) for ref in scope]
     n = len(scope)
     upper = np.triu_indices(n, 1)
     total = np.zeros(len(upper[0]))
-    for proj in PROJECTIONS:
-        total += _projection_distances(experts, proj, upper, eps)
+    for k in range(len(PROJECTIONS)):
+        total += _projection_distances([row[k] for row in rows], upper, eps)
     values = np.zeros((n, n))
     values[upper] = total / len(PROJECTIONS)
     values[upper[::-1]] = values[upper]
@@ -76,13 +76,13 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
 EXACT_RECOMPUTE_FRACTION = 1e-6
 
 
-def _projection_distances(experts: list[ExpertWeights], proj: str, pairs, eps: float) -> np.ndarray:
-    """projection_distance of one projection for the index pairs (i, j),
-    via ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b> over a float64 stack."""
-    size = getattr(experts[0], proj).size if experts else 0
-    stack = np.empty((len(experts), size))
-    for row, e in zip(stack, experts):
-        row[:] = getattr(e, proj).ravel()
+def _projection_distances(flat: list[np.ndarray], pairs, eps: float) -> np.ndarray:
+    """projection_distance of one projection, given per expert as a flat
+    row, for the index pairs (i, j), via ||a - b||^2 = ||a||^2 + ||b||^2 -
+    2<a, b> over a float64 stack."""
+    stack = np.empty((len(flat), flat[0].size if flat else 0))
+    for row, w in zip(stack, flat):
+        row[:] = w
     gram = stack @ stack.T
     del stack
     sq = np.diag(gram)
@@ -92,7 +92,7 @@ def _projection_distances(experts: list[ExpertWeights], proj: str, pairs, eps: f
     d2 = np.maximum(sq_sum - 2.0 * gram[i, j], 0.0)
     dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * eps)
     for k in np.flatnonzero(d2 < EXACT_RECOMPUTE_FRACTION * sq_sum):
-        dist[k] = projection_distance(getattr(experts[i[k]], proj), getattr(experts[j[k]], proj), eps)
+        dist[k] = projection_distance(flat[i[k]], flat[j[k]], eps)
     return dist
 
 

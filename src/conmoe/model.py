@@ -43,8 +43,8 @@ class ModelSpec:
 
 @dataclass
 class ExpertWeights:
-    """The three projections of one gated FFN expert: the argument type of
-    expert_distance. MoELayer.expert returns views."""
+    """The three projections of one gated FFN expert, as views of its
+    MoELayer block row."""
 
     gate: np.ndarray  # (intermediate, hidden)
     up: np.ndarray    # (intermediate, hidden)
@@ -56,30 +56,40 @@ PROJECTIONS = ("gate", "up", "down")
 
 @dataclass
 class MoELayer:
-    """A layer's experts stacked per projection, float32: gate and up
-    (num_experts, intermediate, hidden), down (num_experts, hidden,
-    intermediate), router (num_experts, hidden)."""
+    """A layer's experts in the checkpoint payload layout, float32: block
+    (num_experts, 3, intermediate * hidden) holds each expert's gate, up and
+    down, row-major, in turn; router is (num_experts, hidden). gate and up
+    (num_experts, intermediate, hidden) and down (num_experts, hidden,
+    intermediate) are views of block."""
 
-    gate: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
+    block: np.ndarray
     router: np.ndarray
+
+    def _view(self, k: int) -> np.ndarray:
+        n, h = self.router.shape
+        return self.block[:, k].reshape((n, h, -1) if k == 2 else (n, -1, h))
+
+    gate = property(lambda self: self._view(0))
+    up = property(lambda self: self._view(1))
+    down = property(lambda self: self._view(2))
 
     def expert(self, i: int) -> ExpertWeights:
         return ExpertWeights(self.gate[i], self.up[i], self.down[i])
 
     def copy(self) -> "MoELayer":
-        return MoELayer(self.gate.copy(), self.up.copy(), self.down.copy(), self.router.copy())
+        return MoELayer(self.block.copy(), self.router.copy())
 
     def validate(self, spec: ModelSpec):
         n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
-        shapes = {"gate": (n, f, h), "up": (n, f, h), "down": (n, h, f), "router": (n, h)}
-        for name, shape in shapes.items():
+        for name, shape in (("block", (n, 3, f * h)), ("router", (n, h))):
             w = getattr(self, name)
             if w.shape != shape:
                 raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"non-finite {name} weights")
+        bad = np.argwhere(~np.isfinite(self.block).all(axis=(0, 2)))
+        if bad.size:
+            raise ValueError(f"non-finite {PROJECTIONS[bad[0, 0]]} weights")
+        if not np.all(np.isfinite(self.router)):
+            raise ValueError("non-finite router weights")
 
 
 @dataclass
@@ -98,6 +108,10 @@ class MoEModel:
     def expert(self, ref: Ref) -> ExpertWeights:
         layer, idx = ref
         return self.layers[layer].expert(idx)
+
+    def row(self, ref: Ref) -> np.ndarray:
+        """The slot's (3, intermediate * hidden) block row, a view."""
+        return self.layers[ref[0]].block[ref[1]]
 
     def copy(self) -> "MoEModel":
         return MoEModel(self.spec, [layer.copy() for layer in self.layers], dict(self.metadata))
@@ -165,10 +179,11 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
         tok, pos = np.nonzero((top == i) & keep)
         if tok.size == 0:
             continue
-        src = model.layers[src_layer]
-        gate, up, down = (w[j].astype(np.float64) for w in (src.gate, src.up, src.down))
+        gate, up, down = model.layers[src_layer].block[j].astype(np.float64)
+        h = model.spec.hidden_dim
         xs = x[tok]
-        yield i, tok, weights[tok, pos], (silu(xs @ gate.T) * (xs @ up.T)) @ down.T
+        y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
+        yield i, tok, weights[tok, pos], y
 
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
@@ -214,22 +229,15 @@ def materialize(model: MoEModel, plan) -> MoEModel:
     out = model.copy()
     zeroed = []
     for ref in model.slots():
-        slot = out.expert(ref)
         if ref in plan.drop_mask:
             zeroed.append(list(ref))
-            for w in (slot.gate, slot.up, slot.down):
-                w[...] = 0.0
+            out.row(ref)[...] = 0.0
         else:
-            _copy_expert(slot, model.expert(plan.assignment[ref]))
+            out.row(ref)[...] = model.row(plan.assignment[ref])
     out.metadata["materialized_from_policy"] = plan.policy
     if zeroed:
         out.metadata["zeroed_slots"] = zeroed
     return out
-
-
-def _copy_expert(dst: ExpertWeights, src: ExpertWeights) -> None:
-    for name in PROJECTIONS:
-        getattr(dst, name)[...] = getattr(src, name)
 
 
 @dataclass(frozen=True)
@@ -256,24 +264,17 @@ class DupConfig:
 def _random_layer(rng: np.random.Generator, spec: ModelSpec, scale: float) -> MoELayer:
     """Each expert's gate, up and down, then the router, drawn in that order."""
     n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
-    layer = MoELayer(
-        gate=np.empty((n, f, h), dtype=np.float32),
-        up=np.empty((n, f, h), dtype=np.float32),
-        down=np.empty((n, h, f), dtype=np.float32),
-        router=np.empty((n, h), dtype=np.float32),
-    )
-    for i in range(n):
-        for w in (layer.gate, layer.up, layer.down):
-            w[i] = rng.standard_normal(w.shape[1:]) * scale
-    layer.router[...] = rng.standard_normal((n, h)) * scale
-    return layer
+    block = np.empty((n, 3, f * h), dtype=np.float32)
+    # one expert row per draw: a whole-layer draw would hold n rows of float64
+    for row in block:
+        row[...] = rng.standard_normal(row.shape) * scale
+    return MoELayer(block, (rng.standard_normal((n, h)) * scale).astype(np.float32))
 
 
-def _plant_copy(rng: np.random.Generator, dst: ExpertWeights, src: ExpertWeights, noise: float) -> None:
-    _copy_expert(dst, src)
+def _plant_copy(rng: np.random.Generator, dst: np.ndarray, src: np.ndarray, noise: float) -> None:
+    dst[...] = src
     if noise > 0:
-        for w in (dst.gate, dst.up, dst.down):
-            w += (rng.standard_normal(w.shape) * noise).astype(np.float32)
+        dst += (rng.standard_normal(dst.shape) * noise).astype(np.float32)
 
 
 def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> tuple[MoEModel, dict[Ref, Ref]]:
@@ -298,12 +299,12 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> t
         half = spec.num_experts // 2
         for l in range(spec.num_layers):
             for j in range(half):
-                _plant_copy(rng, model.expert((l, j + half)), model.expert((l, j)), dup.noise)
+                _plant_copy(rng, model.row((l, j + half)), model.row((l, j)), dup.noise)
                 dup_map[(l, j + half)] = (l, j)
     if dup.mode in ("cross", "both"):
         for l in range(1, spec.num_layers, 2):
             for i in range(spec.num_experts):
-                _plant_copy(rng, model.expert((l, i)), model.expert((l - 1, i)), dup.noise)
+                _plant_copy(rng, model.row((l, i)), model.row((l - 1, i)), dup.noise)
                 dup_map[(l, i)] = (l - 1, i)
 
     model.validate()

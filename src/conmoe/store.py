@@ -111,9 +111,7 @@ def write_checkpoint(model: MoEModel, path) -> None:
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
         for layer in model.layers:
-            for i in range(model.spec.num_experts):
-                for w in (layer.gate[i], layer.up[i], layer.down[i]):
-                    f.write(np.ascontiguousarray(w, dtype="<f4"))
+            f.write(np.ascontiguousarray(layer.block, dtype="<f4"))
             f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
 
 
@@ -155,17 +153,9 @@ def read_checkpoint(path) -> MoEModel:
                 raise ValueError(f"checkpoint tensor_index entry {k} is {got!r}, expected {want!r}")
 
         n, inter, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
-        layers = []
-        for _ in range(spec.num_layers):
-            # the file holds each expert's gate, up and down in turn
-            block = _read_into(f, np.empty((n, 3, inter * h), dtype="<f4"))
-            router = _read_into(f, np.empty((n, h), dtype="<f4"))
-            layers.append(MoELayer(
-                gate=block[:, 0].reshape(n, inter, h),
-                up=block[:, 1].reshape(n, inter, h),
-                down=block[:, 2].reshape(n, h, inter),
-                router=router,
-            ))
+        layers = [MoELayer(_read_into(f, np.empty((n, 3, inter * h), dtype="<f4")),
+                           _read_into(f, np.empty((n, h), dtype="<f4")))
+                  for _ in range(spec.num_layers)]
     metadata = _field("checkpoint header", header, "metadata", _object, {})
     model = MoEModel(spec=spec, layers=layers, metadata=metadata)
     model.validate()

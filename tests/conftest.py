@@ -48,9 +48,9 @@ def run_cli_subprocess(argv, blas_threads):
 
 
 def stack_layer(experts, router):
-    """MoELayer whose stacks hold the given ExpertWeights, in order."""
-    stacks = {p: np.stack([getattr(e, p) for e in experts]) for p in PROJECTIONS}
-    return MoELayer(router=router, **stacks)
+    """MoELayer whose block holds the given ExpertWeights, in order."""
+    block = np.stack([[getattr(e, p).ravel() for p in PROJECTIONS] for e in experts])
+    return MoELayer(block=block, router=router)
 
 
 def experts_equal(a, b):
