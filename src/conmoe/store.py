@@ -43,6 +43,15 @@ def write_json(path, obj) -> None:
     Path(path).write_bytes(canonical_json(obj) + b"\n")
 
 
+def _load_json(data: bytes, artifact: str):
+    """Parse UTF-8 JSON; bytes that do not decode or parse, or nest too
+    deeply to parse, are a ValueError naming the artifact."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {artifact}: {exc}") from None
+
+
 def _field(artifact: str, d, key: str, convert, default=_REQUIRED):
     """convert(d[key]); any missing or malformed field is a ValueError that
     names the artifact and the field."""
@@ -126,10 +135,7 @@ def read_checkpoint(path) -> MoEModel:
         line = f.readline()
         if not line.endswith(b"\n"):
             raise ValueError("malformed header: no newline terminator")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"malformed header: {exc}") from None
+        header = _load_json(line, "header")
         if not isinstance(header, dict) or header.get("magic") != MAGIC:
             raise ValueError("bad magic")
         spec = _field("checkpoint header", header, "spec", _spec_from_dict)
@@ -251,7 +257,7 @@ def write_plan(plan: ConsolidationPlan, path) -> None:
 
 
 def read_plan(path) -> ConsolidationPlan:
-    return plan_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return plan_from_dict(_load_json(Path(path).read_bytes(), "plan"))
 
 
 def stats_to_dict(stats: CalibStats) -> dict:
@@ -310,4 +316,4 @@ def write_stats(stats: CalibStats, path) -> None:
 
 
 def read_stats(path) -> CalibStats:
-    return stats_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return stats_from_dict(_load_json(Path(path).read_bytes(), "stats"))

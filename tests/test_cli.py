@@ -299,6 +299,28 @@ class TestArtifactBoundary:
         self.assert_rejected(capsys, "calibrate", "--model", model_path, "--tokens", 4,
                              "-o", tmp_path / "s.json", message=message)
 
+    @pytest.mark.parametrize("artifact,name", [
+        ("checkpoint", "header"), ("plan", "plan"), ("stats", "stats"),
+    ])
+    def test_deeply_nested_json(self, model_path, stats_path, tmp_path, capsys, artifact, name):
+        plan = tmp_path / "plan.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        # json.dumps cannot write a document this deep, so it is built as bytes
+        deep = b"[" * 100_000 + b"]" * 100_000
+        if artifact == "checkpoint":
+            raw = model_path.read_bytes()
+            model_path.write_bytes(deep + raw[raw.find(b"\n"):])
+        else:
+            (plan if artifact == "plan" else stats_path).write_bytes(deep)
+        argv = {
+            "checkpoint": ("calibrate", "--model", model_path, "--tokens", 4),
+            "plan": ("eval", "--model", model_path, "--plan", plan, "--tokens", 4),
+            "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
+        }[artifact]
+        self.assert_rejected(capsys, *argv, "-o", tmp_path / "out",
+                             message=f"malformed {name}: maximum recursion depth exceeded")
+
     def test_huge_stats_ref_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
         doc = json.loads(stats_path.read_text())
         doc["experts"].append({**doc["experts"][-1], "ref": [0, 10**12]})
