@@ -18,12 +18,11 @@ from .calibration import CalibStats, contribution, run_calibration
 from .geometry import (
     DistanceTable,
     distance_matrix,
-    expert_distance,
     minmax_norm,
     nearest,
     projection_distance,
 )
-from .plan import ConsolidationPlan, Scope, identity_plan
+from .plan import ConsolidationPlan, Scope
 from .planner import (
     ScopeConfig,
     assign,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PROJECTIONS, ExpertWeights, MoEModel, Ref
+from .model import PROJECTIONS, MoEModel, Ref
 
 DEFAULT_EPS = 1e-8
 
@@ -23,14 +23,6 @@ def projection_distance(a: np.ndarray, b: np.ndarray, eps: float = DEFAULT_EPS) 
     num = 2.0 * np.linalg.norm(a64 - b64)
     den = np.linalg.norm(a64) + np.linalg.norm(b64) + 2.0 * eps
     return float(num / den)
-
-
-def expert_distance(e: ExpertWeights, f: ExpertWeights, eps: float = DEFAULT_EPS) -> float:
-    """Mean projection distance over gate, up, down."""
-    total = 0.0
-    for proj in PROJECTIONS:
-        total += projection_distance(getattr(e, proj), getattr(f, proj), eps)
-    return total / len(PROJECTIONS)
 
 
 @dataclass

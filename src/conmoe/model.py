@@ -123,13 +123,6 @@ class MoEModel:
             for i in range(self.spec.num_experts)
         ]
 
-    def equal(self, other: "MoEModel") -> bool:
-        return self.spec == other.spec and all(
-            np.array_equal(getattr(a, name), getattr(b, name))
-            for a, b in zip(self.layers, other.layers)
-            for name in (*PROJECTIONS, "router")
-        )
-
 
 def silu(x: np.ndarray) -> np.ndarray:
     # overflow-safe x * sigmoid(x)

@@ -111,23 +111,3 @@ class ConsolidationPlan:
         for ref in self.drop_mask:
             if ref not in self.assignment:
                 raise ValueError(f"drop mask references unknown slot {ref}")
-
-
-def identity_plan(num_layers: int, num_experts: int, scope_size: int = 1,
-                  rho: float = 0.0, metadata: dict | None = None) -> ConsolidationPlan:
-    """Every slot is its own prototype."""
-    scopes = []
-    assignment: dict[Ref, Ref] = {}
-    for layers in scope_partition(num_layers, scope_size):
-        protos = [(l, i) for l in layers for i in range(num_experts)]
-        scopes.append(Scope(layers=list(layers), prototypes=protos))
-        for ref in protos:
-            assignment[ref] = ref
-    return ConsolidationPlan(
-        rho=rho,
-        scope_size=scope_size,
-        policy="identity",
-        scopes=scopes,
-        assignment=assignment,
-        metadata=dict(metadata or {}),
-    )

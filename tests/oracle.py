@@ -1,6 +1,7 @@
 """Reference implementations the tests compare conmoe against: the
-per-token forward, the geometry queries, and the per-layer pruning and
-merging baselines. Nothing in conmoe imports them.
+per-token forward, the per-pair expert distance and the geometry queries,
+the per-layer pruning and merging baselines, the identity plan, and model
+equality. Nothing in conmoe imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from conmoe.calibration import CalibStats
-from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest
+from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest, projection_distance
 from conmoe.model import PROJECTIONS, silu
-from conmoe.plan import ConsolidationPlan, Scope
+from conmoe.plan import ConsolidationPlan, Scope, scope_partition
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -158,6 +159,14 @@ def aggregate_coefficients(model, layer_idx, plan, h):
     return coeffs
 
 
+def expert_distance(e, f, eps=DEFAULT_EPS):
+    """Mean projection distance over gate, up, down."""
+    total = 0.0
+    for proj in PROJECTIONS:
+        total += projection_distance(getattr(e, proj), getattr(f, proj), eps)
+    return total / len(PROJECTIONS)
+
+
 def nearest_neighbor(ref, table):
     """Closest other expert; ties broken by ascending (layer, index)."""
     i = table.index_of(ref)
@@ -241,3 +250,22 @@ def merge(model, stats, rho, eps=DEFAULT_EPS):
     plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", scopes=scopes,
                              assignment=assignment)
     return (plan, *fuse(model, clusters, stats))
+
+
+def identity_plan(num_layers, num_experts, scope_size=1):
+    """Every slot is its own prototype."""
+    scopes, assignment = [], {}
+    for layers in scope_partition(num_layers, scope_size):
+        protos = [(l, i) for l in layers for i in range(num_experts)]
+        scopes.append(Scope(layers=list(layers), prototypes=protos))
+        assignment.update((ref, ref) for ref in protos)
+    return ConsolidationPlan(rho=0.0, scope_size=scope_size, policy="identity", scopes=scopes,
+                             assignment=assignment)
+
+
+def models_equal(a, b):
+    """Same spec and bitwise-equal weights and routers."""
+    return a.spec == b.spec and all(
+        np.array_equal(x.block, y.block) and np.array_equal(x.router, y.router)
+        for x, y in zip(a.layers, b.layers)
+    )

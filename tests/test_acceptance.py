@@ -19,7 +19,6 @@ from conmoe import (
     evaluate_fidelity,
     gen_synthetic,
     gen_tokens,
-    identity_plan,
     materialize,
     merge_msmoe,
     model_forward,
@@ -35,7 +34,7 @@ from conmoe import (
 )
 from conmoe.cli import main
 from conftest import run_cli_subprocess
-from oracle import aggregate_coefficients
+from oracle import aggregate_coefficients, identity_plan
 from conmoe.planner import importance_weights
 
 

@@ -10,13 +10,13 @@ from conmoe import (
     evaluate_fidelity,
     gen_synthetic,
     gen_tokens,
-    identity_plan,
     prune_frequency,
     reduction_accounting,
     run_calibration,
     scope_sweep,
 )
 from conmoe.analysis import dump_nn_csvs
+from oracle import identity_plan
 
 
 class TestEvaluateFidelity:

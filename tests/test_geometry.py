@@ -11,7 +11,6 @@ from conmoe import (
     ExpertWeights,
     ModelSpec,
     distance_matrix,
-    expert_distance,
     gen_synthetic,
     minmax_norm,
     nearest,
@@ -19,7 +18,7 @@ from conmoe import (
 )
 from conmoe.geometry import DEFAULT_EPS, DistanceTable
 from conmoe.store import plan_to_dict
-from oracle import nearest_neighbor, replaceability
+from oracle import expert_distance, nearest_neighbor, replaceability
 from test_acceptance import random_plan
 
 finite_f = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
