@@ -1,16 +1,25 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conmoe import (
     CalibStats,
+    DupConfig,
+    MoELayer,
     ModelSpec,
+    ScopeConfig,
+    consolidate,
+    fuse_weighted_average,
     gen_synthetic,
+    gen_tokens,
+    materialize,
     read_checkpoint,
     read_plan,
     read_stats,
+    run_calibration,
     write_checkpoint,
     write_plan,
     write_stats,
@@ -176,11 +185,29 @@ class TestTensorIndex:
     def test_reads_one_copy_of_the_payload(self, model, tmp_path):
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
-        layer = read_checkpoint(path).layers[0]
-        # gate, up and down are views of the one block read from the file
-        block = layer.gate.base
-        assert block.nbytes == layer.gate.nbytes * 3
-        assert layer.up.base is block and layer.down.base is block
+        loaded = read_checkpoint(path)
+        # gate, up and down are views of the one block read from the file,
+        # and a copy keeps that layout
+        for layer in (loaded.layers[0], loaded.copy().layers[0]):
+            block = layer.gate.base
+            assert block.nbytes == layer.gate.nbytes * 3
+            assert layer.up.base is block and layer.down.base is block
+
+    def test_layers_hold_the_payload_layout(self, tmp_path):
+        spec = ModelSpec(2, 4, 8, 12, 2)
+        model, _ = gen_synthetic(spec, seed=1, dup=DupConfig("within"))
+        stats = run_calibration(model, gen_tokens(16, spec.hidden_dim, seed=2))
+        plan = consolidate(model, stats, ScopeConfig(rho=0.5))
+        assert [f.name for f in fields(MoELayer)] == ["block", "router"]
+        path = tmp_path / "m.mckpt"
+        for m in (model, materialize(model, plan), fuse_weighted_average(model, plan, stats)):
+            write_checkpoint(m, path)
+            raw = path.read_bytes()
+            payload = raw[raw.find(b"\n") + 9:]
+            size = len(payload) // spec.num_layers
+            for l, layer in enumerate(m.layers):
+                assert layer.block.tobytes() + layer.router.tobytes() == payload[l * size:(l + 1) * size]
+                assert all(w.base is layer.block for w in (layer.gate, layer.up, layer.down))
 
 
 class TestPlanIO:
