@@ -85,9 +85,9 @@ class MoELayer:
             w = getattr(self, name)
             if w.shape != shape:
                 raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
-        bad = np.argwhere(~np.isfinite(self.block).all(axis=(0, 2)))
-        if bad.size:
-            raise ValueError(f"non-finite {PROJECTIONS[bad[0, 0]]} weights")
+        for k, name in enumerate(PROJECTIONS):
+            if not np.all(np.isfinite(self.block[:, k])):
+                raise ValueError(f"non-finite {name} weights")
         if not np.all(np.isfinite(self.router)):
             raise ValueError("non-finite router weights")
 
