@@ -50,7 +50,6 @@ def evaluate_fidelity(
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ValueError("tokens must be a non-empty (count, hidden) array")
-    plan.validate()
     plan.check_covers(model)
     if reference is None:
         reference = model_forward_trace(model, tokens)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .calibration import CalibStats
 from .geometry import DEFAULT_EPS
-from .model import MoEModel, Ref
+from .model import MoEModel, Ref, nest_lineage
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
 
@@ -22,13 +22,11 @@ from .planner import ScopeConfig, consolidate, select_pool
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
     """The scope-1 reduced pool of `selection`; every slot keeps its own
     weights and the unselected are dropped, so no distance table is built."""
-    scopes = [scope for scope, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))]
-    kept = {p for scope in scopes for p in scope.prototypes}
-    plan = ConsolidationPlan(rho=rho, scope_size=1, policy=policy, scopes=scopes,
+    kept = {p for scope, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))
+            for p in scope.prototypes}
+    return ConsolidationPlan(rho=rho, scope_size=1, policy=policy,
                              assignment={ref: ref for ref in model.slots()},
                              drop_mask=set(model.slots()) - kept)
-    plan.validate()
-    return plan
 
 
 def prune_frequency(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationPlan:
@@ -77,6 +75,7 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     if plan.is_pruning:
         raise ValueError("fusion requires a remapping plan, not a pruning plan")
     fused = model.copy()
+    fused.metadata = nest_lineage(model.metadata, ("fusion", "provenance"), "prior_fusion")
     provenance = []
     for proto, members in plan.clusters().items():
         weights = _fusion_weights(stats, members)
@@ -85,9 +84,6 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
             acc += w * model.row(ref).astype(np.float64)
         fused.row(proto)[...] = acc
         provenance.append([list(proto), [[list(src), w] for src, w in zip(members, weights)]])
-    if "fusion" in model.metadata:  # a fused source keeps its lineage
-        lineage = ("fusion", "provenance", "prior_fusion")
-        fused.metadata["prior_fusion"] = {k: model.metadata[k] for k in lineage if k in model.metadata}
     fused.metadata["fusion"] = "weighted_average"
     fused.metadata["provenance"] = sorted(provenance)
     return fused

@@ -23,6 +23,9 @@ class CalibStats:
     sum_weighted_norm: np.ndarray
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.token_total < 0:
             raise ValueError("negative token total")
@@ -74,10 +77,8 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
             out[tok] = out[tok] + g[:, None] * y
         # the residual step reuses the recorded outputs
         h = h + out
-    stats = CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,
-                       routed_count=counts, sum_weighted_norm=sums)
-    stats.validate()
-    return stats
+    return CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,
+                      routed_count=counts, sum_weighted_norm=sums)
 
 
 def contribution(stats: CalibStats) -> np.ndarray:

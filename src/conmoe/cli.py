@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
@@ -149,6 +150,8 @@ def _run(args) -> None:
         store.write_plan(plan, args.output)
 
     elif args.command == "merge":
+        if Path(args.output).resolve() == Path(args.fused_model).resolve():
+            raise ValueError("-o and --fused-model name the same file")
         plan, fused = baselines.merge_msmoe(model, stats, args.rho, eps=args.eps)
         plan.metadata["seed"] = args.seed
         store.write_plan(plan, args.output)

@@ -214,12 +214,27 @@ def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
     return model_forward_trace(model, h0, plan)[0]
 
 
+def nest_lineage(metadata: dict, keys: tuple[str, ...], prior: str) -> dict:
+    """The metadata a derived checkpoint starts from: the source's, less
+    `keys` and `prior`. A source derived the same way (it has keys[0])
+    keeps its lineage: those of its keys it has move under `prior`,
+    nesting one level per earlier derivation."""
+    out = {k: v for k, v in metadata.items() if k not in (*keys, prior)}
+    if keys[0] in metadata:
+        out[prior] = {k: metadata[k] for k in (*keys, prior) if k in metadata}
+    return out
+
+
 def materialize(model: MoEModel, plan) -> MoEModel:
     """Expand a plan into the original architecture by copying each slot's
     assigned prototype weights into the slot. Routers are untouched.
-    Drop-masked slots get zero weights."""
+    Drop-masked slots get zero weights. A materialized source's
+    materialized_from_policy, zeroed_slots and prior_materialization move
+    under metadata["prior_materialization"]."""
     plan.check_covers(model)
     out = model.copy()
+    out.metadata = nest_lineage(model.metadata, ("materialized_from_policy", "zeroed_slots"),
+                                "prior_materialization")
     zeroed = []
     for ref in model.slots():
         if ref in plan.drop_mask:

@@ -1,5 +1,5 @@
-"""Consolidation plans: prototype sets per scope plus the deterministic
-slot-to-prototype reassignment map."""
+"""Consolidation plans: the deterministic slot-to-prototype reassignment
+map, from which each scope's prototype set is derived."""
 
 from __future__ import annotations
 
@@ -32,39 +32,48 @@ class Scope:
 
 @dataclass
 class ConsolidationPlan:
+    """The reuse map: each (layer, expert) slot's prototype, plus the
+    dropped slots. Validated on construction; the retained pool and the
+    scopes are derived from the map."""
+
     rho: float
     scope_size: int
     policy: str
-    scopes: list[Scope]
     assignment: dict[Ref, Ref]
     drop_mask: set[Ref] = field(default_factory=set)
     metadata: dict = field(default_factory=dict)
     version: int = PLAN_VERSION
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def is_pruning(self) -> bool:
         return bool(self.drop_mask)
 
-    def slots(self) -> list[Ref]:
-        return sorted(self.assignment)
+    @property
+    def scopes(self) -> list[Scope]:
+        """scope_partition of the layers, each with the prototypes its
+        non-dropped slots map to."""
+        image = sorted(self.distinct_prototypes())
+        num_layers = max(l for l, _ in self.assignment) + 1
+        return [
+            Scope(layers, [p for p in image if p[0] // self.scope_size == k])
+            for k, layers in enumerate(scope_partition(num_layers, self.scope_size))
+        ]
 
     def clusters(self) -> dict[Ref, list[Ref]]:
-        """Prototype-centered partition of all non-dropped slots."""
+        """Prototype-centered partition of all non-dropped slots, by
+        ascending prototype."""
         out: dict[Ref, list[Ref]] = {}
-        for scope in self.scopes:
-            for p in scope.prototypes:
-                out[p] = []
-        for slot in self.slots():
-            if slot in self.drop_mask:
-                continue
-            out[self.assignment[slot]].append(slot)
-        return out
+        for slot in sorted(self.assignment):
+            if slot not in self.drop_mask:
+                out.setdefault(self.assignment[slot], []).append(slot)
+        return dict(sorted(out.items()))
 
     def distinct_prototypes(self) -> set[Ref]:
-        out: set[Ref] = set()
-        for scope in self.scopes:
-            out.update(scope.prototypes)
-        return out
+        """The retained pool: the image of the non-dropped slots."""
+        return {t for s, t in self.assignment.items() if s not in self.drop_mask}
 
     def check_covers(self, model):
         """A plan built for a different pool shape is rejected on use."""
@@ -82,32 +91,18 @@ class ConsolidationPlan:
             raise ValueError("scope_size must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
-        scope_of_layer: dict[int, Scope] = {}
-        for scope in self.scopes:
-            if len(set(scope.prototypes)) != len(scope.prototypes):
-                raise ValueError("duplicate prototype reference in scope")
-            if sorted(scope.prototypes) != scope.prototypes:
-                raise ValueError("prototypes not in canonical order")
-            for p in scope.prototypes:
-                if p[0] not in scope.layers:
-                    raise ValueError("prototype outside its scope's layers")
-            overlap = scope_of_layer.keys() & set(scope.layers)
-            if overlap:
-                raise ValueError(f"layers {sorted(overlap)} appear in two scopes")
-            scope_of_layer.update(dict.fromkeys(scope.layers, scope))
-        scope_of_proto = {p: scope for scope in self.scopes for p in scope.prototypes}
-        for slot, target in self.assignment.items():
-            if slot[0] not in scope_of_layer:
-                raise ValueError(f"slot {slot} outside all scopes")
-            if slot in self.drop_mask:
-                if target != slot:
-                    raise ValueError("dropped slots must map to themselves")
-                continue
-            if scope_of_proto.get(target) is not scope_of_layer[slot[0]]:
-                raise ValueError(f"dangling assignment: {slot} -> {target}")
-        for p in scope_of_proto:
-            if p not in self.drop_mask and self.assignment.get(p) != p:
-                raise ValueError(f"prototype {p} does not map to itself")
+        slots = self.assignment
+        # distinct non-negative keys, as many as the largest key's grid holds
+        if not slots or min(min(ref) for ref in slots) < 0 or len(slots) != (
+                (max(l for l, _ in slots) + 1) * (max(i for _, i in slots) + 1)):
+            raise ValueError("assignment is not the full (layer, expert) grid")
         for ref in self.drop_mask:
-            if ref not in self.assignment:
-                raise ValueError(f"drop mask references unknown slot {ref}")
+            if slots.get(ref) != ref:
+                raise ValueError(f"dropped slot {ref} is not a slot that maps to itself")
+        for slot, target in slots.items():
+            if slot in self.drop_mask:
+                continue
+            # a retained prototype of the slot's own scope
+            if (slots.get(target) != target or target in self.drop_mask
+                    or target[0] // self.scope_size != slot[0] // self.scope_size):
+                raise ValueError(f"dangling assignment: {slot} -> {target}")

@@ -134,27 +134,22 @@ def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
 def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> ConsolidationPlan:
     """Full planner: select the reduced pool, then assign every slot to its
     nearest prototype, reusing the table the selection ranked by."""
-    scopes: list[Scope] = []
     assignment: dict[Ref, Ref] = {}
     for scope, table in select_pool(model, stats, config):
         refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
         if table is None and len(scope.prototypes) < len(refs):
             table = distance_matrix(model, refs, config.eps)  # the policy read only stats
         assignment.update(zip(refs, refs) if table is None else assign(scope.prototypes, table))
-        scopes.append(scope)
-    plan = ConsolidationPlan(
+    return ConsolidationPlan(
         rho=config.rho,
         scope_size=config.scope_size,
         policy=config.policy,
-        scopes=scopes,
         assignment=assignment,
         metadata={
             "eps": config.eps,
             "reap_score": "aliased to routing-conditioned contribution",
         },
     )
-    plan.validate()
-    return plan
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:

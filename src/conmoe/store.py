@@ -200,13 +200,8 @@ def plan_to_dict(plan: ConsolidationPlan) -> dict:
         "rho": plan.rho,
         "scope_size": plan.scope_size,
         "policy": plan.policy,
-        "scopes": [
-            {
-                "layers": list(scope.layers),
-                "prototypes": [_ref_to_list(p) for p in scope.prototypes],
-            }
-            for scope in plan.scopes
-        ],
+        "scopes": [{"layers": scope.layers, "prototypes": [_ref_to_list(p) for p in scope.prototypes]}
+                   for scope in plan.scopes],
         "assignment": [
             [_ref_to_list(slot), _ref_to_list(plan.assignment[slot])]
             for slot in sorted(plan.assignment)
@@ -237,17 +232,18 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
     version = _field("plan", d, "version", _int)
     if version != PLAN_VERSION:
         raise ValueError(f"unsupported plan version: {version}")
+    scopes = _field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v])
     plan = ConsolidationPlan(
         rho=_field("plan", d, "rho", _float),
         scope_size=_field("plan", d, "scope_size", _int),
         policy=_field("plan", d, "policy", str),
-        scopes=_field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v]),
         assignment=_field("plan", d, "assignment", _assignment_from_list),
         drop_mask=_field("plan", d, "drop_mask", lambda v: {_ref_from_list(r) for r in v}, []),
         metadata=_field("plan", d, "metadata", _object, {}),
         version=version,
     )
-    plan.validate()
+    if scopes != plan.scopes:
+        raise ValueError("plan: field 'scopes' does not match the scopes its assignment derives")
     return plan
 
 
@@ -299,15 +295,13 @@ def stats_from_dict(d: dict) -> CalibStats:
             raise ValueError(f"{artifact}: topk_count differs from routed_count")
         counts.append(routed)
         sums.append(_field(artifact, rec, "sum_weighted_norm", _float))
-    stats = CalibStats(
+    return CalibStats(
         token_total=_field("stats", d, "token_total", _int),
         top_k=_field("stats", d, "top_k", _int),
         routed_count=np.array(counts, dtype=np.int64).reshape(shape),
         sum_weighted_norm=np.array(sums).reshape(shape),
         metadata=_field("stats", d, "metadata", _object, {}),
     )
-    stats.validate()
-    return stats
 
 
 def write_stats(stats: CalibStats, path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from conmoe.calibration import CalibStats
 from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest, projection_distance
 from conmoe.model import PROJECTIONS, silu
-from conmoe.plan import ConsolidationPlan, Scope, scope_partition
+from conmoe.plan import ConsolidationPlan
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -206,13 +206,12 @@ def _layers(model):
 def prune(model, stats, rho, method):
     """prune_frequency (method "frequency") or prune_reap ("reap")."""
     key = {"frequency": frequency, "reap": contribution}[method]
-    scopes, assignment, drop_mask = [], {}, set()
+    assignment, drop_mask = {}, set()
     for refs in _layers(model):
         keep = _keep(refs, lambda r: key(stats, r), rho)
-        scopes.append(Scope(layers=[refs[0][0]], prototypes=keep))
         assignment.update((ref, ref) for ref in refs)
         drop_mask.update(ref for ref in refs if ref not in keep)
-    return ConsolidationPlan(rho=rho, scope_size=1, policy=f"prune_{method}", scopes=scopes,
+    return ConsolidationPlan(rho=rho, scope_size=1, policy=f"prune_{method}",
                              assignment=assignment, drop_mask=drop_mask)
 
 
@@ -237,30 +236,24 @@ def fuse(model, clusters, stats=None):
 
 def merge(model, stats, rho, eps=DEFAULT_EPS):
     """merge_msmoe: (plan, fused model, provenance)."""
-    scopes, assignment, clusters = [], {}, {}
+    assignment, clusters = {}, {}
     for refs in _layers(model):
         table = distance_matrix(model, refs, eps)
         cores = _keep(refs, lambda r: frequency(stats, r), rho)
-        scopes.append(Scope(layers=[refs[0][0]], prototypes=cores))
         clusters.update((c, []) for c in cores)
         for ref in refs:
             core = ref if ref in cores else min(cores, key=lambda c: (table.distance(ref, c), c))
             assignment[ref] = core
             clusters[core].append(ref)
-    plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", scopes=scopes,
-                             assignment=assignment)
+    plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", assignment=assignment)
     return (plan, *fuse(model, clusters, stats))
 
 
 def identity_plan(num_layers, num_experts, scope_size=1):
     """Every slot is its own prototype."""
-    scopes, assignment = [], {}
-    for layers in scope_partition(num_layers, scope_size):
-        protos = [(l, i) for l in layers for i in range(num_experts)]
-        scopes.append(Scope(layers=list(layers), prototypes=protos))
-        assignment.update((ref, ref) for ref in protos)
-    return ConsolidationPlan(rho=0.0, scope_size=scope_size, policy="identity", scopes=scopes,
-                             assignment=assignment)
+    slots = [(l, i) for l in range(num_layers) for i in range(num_experts)]
+    return ConsolidationPlan(rho=0.0, scope_size=scope_size, policy="identity",
+                             assignment=dict(zip(slots, slots)))
 
 
 def models_equal(a, b):

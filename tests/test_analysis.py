@@ -64,7 +64,6 @@ class TestReductionAccounting:
 
     def test_shared_prototype_counts_once(self, small_model):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
-        plan.scopes[0].prototypes = [(0, 0)]
         for i in range(small_model.spec.num_experts):
             plan.assignment[(0, i)] = (0, 0)
         n_slots = len(plan.assignment)

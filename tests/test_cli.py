@@ -13,6 +13,21 @@ from conftest import run_cli_subprocess
 GRID = "stats records are not the full ascending (layer, expert) grid"
 
 
+def share_across_layers(plan):
+    """Scopes 0 and 1 listed as one scope, with a slot of layer 1 sent to a
+    prototype of layer 0, in a plan that says scope_size 1."""
+    first, second = plan["scopes"][:2]
+    plan["scopes"][:2] = [{"layers": [0, 1], "prototypes": first["prototypes"] + second["prototypes"]}]
+    pair = next(pair for pair in plan["assignment"] if pair[0][0] == 1 and pair[0] != pair[1])
+    pair[1] = first["prototypes"][0]
+
+
+def list_an_unused_prototype(plan):
+    """Layer 0's scope also lists a slot that maps elsewhere."""
+    slot = next(s for s, t in plan["assignment"] if s != t)
+    plan["scopes"][0]["prototypes"] = sorted(plan["scopes"][0]["prototypes"] + [slot])
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -143,6 +158,36 @@ class TestPipeline:
                                          "prior_fusion": second["prior_fusion"]}
         assert third["seed"] == first["seed"]
 
+    def test_materializing_a_materialized_checkpoint_keeps_its_lineage(self, model_path, stats_path,
+                                                                      tmp_path):
+        prune, plan = tmp_path / "prune.json", tmp_path / "plan.json"
+        once, twice, thrice = (tmp_path / f"{n}.mckpt" for n in ("once", "twice", "thrice"))
+        assert run("prune", "--model", model_path, "--stats", stats_path, "--method", "reap",
+                   "--rho", "0.5", "-o", prune, "-q") == 0
+        assert run("materialize", "--model", model_path, "--plan", prune, "-o", once, "-q") == 0
+        assert run("consolidate", "--model", once, "--stats", stats_path, "--rho", "0.75",
+                   "-o", plan, "-q") == 0
+        assert run("materialize", "--model", once, "--plan", plan, "-o", twice, "-q") == 0
+        assert run("materialize", "--model", twice, "--plan", prune, "-o", thrice, "-q") == 0
+        first, second, third = (read_checkpoint(p).metadata for p in (once, twice, thrice))
+        assert "prior_materialization" not in first and first["zeroed_slots"]
+        # the slots the prune zeroed now hold prototype weights, so they are not listed
+        assert second["materialized_from_policy"] == "adaptive" and "zeroed_slots" not in second
+        assert second["prior_materialization"] == {"materialized_from_policy": "prune_reap",
+                                                   "zeroed_slots": first["zeroed_slots"]}
+        assert third["zeroed_slots"] == first["zeroed_slots"]
+        assert third["prior_materialization"] == {
+            "materialized_from_policy": "adaptive",
+            "prior_materialization": second["prior_materialization"]}
+        assert third["seed"] == first["seed"]
+
+    def test_merge_outputs_must_differ(self, model_path, stats_path, tmp_path, capsys):
+        out = tmp_path / "merged"
+        assert run("merge", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
+                   "-o", out, "--fused-model", f"{tmp_path}/./merged", "-q") == 1
+        assert "error: -o and --fused-model name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analyze_and_sweep(self, model_path, stats_path, tmp_path):
         prefix = str(tmp_path / "out_")
         assert run("analyze", "nn", "--model", model_path, "--scope", 2, "-o", prefix, "-q") == 0
@@ -266,6 +311,10 @@ class TestArtifactBoundary:
         # each slot is assigned once; a second entry would silently win
         ("plan", lambda d: d["assignment"].append(d["assignment"][1]),
          "slot [0, 1] is assigned twice"),
+        # the assignment is the whole plan: scopes are derived from it
+        ("plan", share_across_layers, "dangling assignment: (1, "),
+        ("plan", list_an_unused_prototype, "plan: field 'scopes' does not match"),
+        ("plan", lambda d: d["assignment"].pop(5), "assignment is not the full (layer, expert) grid"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
                              artifact, mutate, message):
@@ -330,6 +379,25 @@ class TestArtifactBoundary:
         try:
             self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
                                  "--rho", "0.5", "-o", tmp_path / "p.json", message=GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 16 * 2**20
+
+    def test_huge_plan_slot_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        doc = json.loads(plan.read_text())
+        doc["assignment"].append([[10**12, 0], [10**12, 0]])
+        plan.write_text(json.dumps(doc))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            self.assert_rejected(capsys, "eval", "--model", model_path, "--plan", plan, "--tokens", 4,
+                                 "-o", tmp_path / "r.json",
+                                 message="assignment is not the full (layer, expert) grid")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import fields
 
@@ -7,9 +8,11 @@ import pytest
 
 from conmoe import (
     CalibStats,
+    ConsolidationPlan,
     DupConfig,
     MoELayer,
     ModelSpec,
+    Scope,
     ScopeConfig,
     consolidate,
     fuse_weighted_average,
@@ -224,12 +227,26 @@ class TestPlanIO:
         write_plan(plan, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_scopes_derive_from_the_map(self):
+        assert [f.name for f in fields(ConsolidationPlan)] == [
+            "rho", "scope_size", "policy", "assignment", "drop_mask", "metadata", "version"]
+        plan = identity_plan(3, 2, scope_size=2)
+        plan.assignment[(1, 1)] = (0, 1)
+        plan.drop_mask = {(2, 0)}
+        assert plan.scopes == [Scope([0, 1], [(0, 0), (0, 1), (1, 0)]), Scope([2], [(2, 1)])]
+        assert plan.clusters() == {(0, 0): [(0, 0)], (0, 1): [(0, 1), (1, 1)],
+                                   (1, 0): [(1, 0)], (2, 1): [(2, 1)]}
+
     def test_dangling_assignment_rejected(self, tmp_path):
-        plan = identity_plan(1, 4)
-        plan.scopes[0].prototypes = [(0, 0), (0, 1), (0, 2)]
-        plan.assignment[(0, 3)] = (0, 3)  # (0, 3) no longer a prototype
-        with pytest.raises(ValueError, match="dangling assignment"):
-            write_plan(plan, tmp_path / "bad.json")
+        # a target that does not map to itself, one of another scope, one dropped
+        for slot, target, drop in (((0, 1), (0, 3), set()), ((1, 0), (0, 0), set()),
+                                   ((0, 1), (0, 0), {(0, 0)})):
+            plan = identity_plan(2, 4)
+            plan.assignment[(0, 3)] = (0, 2)
+            plan.assignment[slot] = target
+            plan.drop_mask = drop
+            with pytest.raises(ValueError, match=re.escape(f"dangling assignment: {slot} -> {target}")):
+                write_plan(plan, tmp_path / "bad.json")
 
     def test_unknown_version_rejected(self, tmp_path):
         plan = identity_plan(1, 2)
@@ -273,6 +290,11 @@ class TestStatsIO:
         doc["experts"][0]["sum_weighted_norm"] = float("nan")
         with pytest.raises(ValueError, match="negative or NaN weighted norm"):
             stats_from_dict(doc)
+
+    def test_invalid_stats_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=re.escape("negative counts for (0, 1)")):
+            CalibStats(token_total=3, top_k=1, routed_count=np.array([[3, -1]]),
+                       sum_weighted_norm=np.array([[1.5, 0.0]]))
 
     def test_negative_counts_rejected(self, tmp_path):
         stats = self.make_stats()
