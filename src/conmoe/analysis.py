@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import DEFAULT_EPS, distance_matrix, nearest
-from .model import MoEModel, model_forward_trace
+from .geometry import EPS, distance_matrix, nearest
+from .model import MoEModel, model_forward_trace, token_rows
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
 
@@ -31,25 +31,22 @@ class NNReport:
     overall_fraction: float
 
 
-def _relative_errors(got: np.ndarray, want: np.ndarray, eps: float) -> np.ndarray:
+def _relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     """Per-token relative L2 error of (count, hidden) rows."""
-    return np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + eps)
+    return np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
 
 
 def evaluate_fidelity(
     model: MoEModel,
     plan: ConsolidationPlan,
     tokens: np.ndarray,
-    eps: float = DEFAULT_EPS,
     reference: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> FidelityReport:
     """Run the original and consolidated stacks on the same tokens and
     average the relative L2 error of each layer's output and of the final
     state. reference, if given, is the original stack's
     model_forward_trace of the tokens."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] == 0:
-        raise ValueError("tokens must be a non-empty (count, hidden) array")
+    tokens = token_rows(tokens, model.spec.hidden_dim)
     plan.check_covers(model)
     if reference is None:
         reference = model_forward_trace(model, tokens)
@@ -57,9 +54,9 @@ def evaluate_fidelity(
     plan_final, plan_outs = model_forward_trace(model, tokens, plan)
     return FidelityReport(
         per_layer_error=[
-            float(_relative_errors(got, want, eps).mean()) for got, want in zip(plan_outs, orig_outs)
+            float(_relative_errors(got, want).mean()) for got, want in zip(plan_outs, orig_outs)
         ],
-        end_to_end_error=float(_relative_errors(plan_final, orig_final, eps).mean()),
+        end_to_end_error=float(_relative_errors(plan_final, orig_final).mean()),
         token_count=tokens.shape[0],
         achieved_reduction=reduction_accounting(plan),
         metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
@@ -74,16 +71,14 @@ def reduction_accounting(plan: ConsolidationPlan) -> float:
     return 1.0 - distinct / total
 
 
-def cross_layer_nn(model: MoEModel, scope_size: int, eps: float = DEFAULT_EPS) -> NNReport:
+def cross_layer_nn(model: MoEModel, scope_size: int) -> NNReport:
     """For each expert, find its nearest neighbor inside its scope and tally
     whether it sits in the same layer or a different one."""
     num_layers = model.spec.num_layers
     n = model.spec.num_experts
-    if not (1 <= scope_size <= num_layers):
-        raise ValueError("scope_size must be in [1, num_layers]")
     counts = [[0] * num_layers for _ in range(num_layers)]
     for layers in scope_partition(num_layers, scope_size):
-        table = distance_matrix(model, [(l, i) for l in layers for i in range(n)], eps)
+        table = distance_matrix(model, [(l, i) for l in layers for i in range(n)])
         cols, _ = nearest(table)
         for ref, c in zip(table.scope, cols):
             counts[ref[0]][table.scope[c][0]] += 1
@@ -123,11 +118,11 @@ def scope_sweep(
     scope_sizes: list[int],
     tokens: np.ndarray,
 ) -> list[FidelityReport]:
-    """Consolidate and evaluate at each scope size with config's rho, policy
-    and eps, against one reference trace of the original model."""
+    """Consolidate and evaluate at each scope size with config's rho and
+    policy, against one reference trace of the original model."""
     reference = model_forward_trace(model, tokens)
     reports = []
     for size in scope_sizes:
         plan = consolidate(model, stats, replace(config, scope_size=size))
-        reports.append(evaluate_fidelity(model, plan, tokens, config.eps, reference))
+        reports.append(evaluate_fidelity(model, plan, tokens, reference))
     return reports

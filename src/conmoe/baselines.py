@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .geometry import DEFAULT_EPS
 from .model import MoEModel, Ref, nest_lineage
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
@@ -39,15 +38,10 @@ def prune_reap(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationP
     return _prune(model, stats, rho, "reap_topk", "prune_reap")
 
 
-def merge_msmoe(
-    model: MoEModel,
-    stats: CalibStats,
-    rho: float,
-    eps: float = DEFAULT_EPS,
-) -> tuple[ConsolidationPlan, MoEModel]:
+def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
     """Layer-local merging: high-usage cores, nearest-core assignment, and
     usage-weighted averaging of each core's cluster."""
-    plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk", eps))
+    plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk"))
     plan = replace(plan, policy="merge_msmoe", metadata={})
     fused = fuse_weighted_average(model, plan, stats)
     fused.metadata["fusion"] = "msmoe_usage_weighted"

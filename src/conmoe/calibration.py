@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, slot_groups
+from .model import MoEModel, slot_groups, token_rows
 
 
 @dataclass(eq=False)  # array fields make the generated == raise
@@ -58,11 +58,7 @@ class CalibStats:
 def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     """For each token, at the point an expert is selected, record its
     routing weight times the L2 norm of its raw output."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] == 0:
-        raise ValueError("tokens must be a non-empty (count, hidden) array")
-    if tokens.shape[1] != model.spec.hidden_dim:
-        raise ValueError("token dimension mismatch")
+    tokens = token_rows(tokens, model.spec.hidden_dim)
 
     shape = (model.spec.num_layers, model.spec.num_experts)
     counts = np.zeros(shape, dtype=np.int64)

@@ -10,25 +10,16 @@ inputs write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
-from .geometry import DEFAULT_EPS
 from .model import DupConfig, ModelSpec, gen_synthetic, gen_tokens, materialize
 from .planner import SELECTION_POLICIES, ScopeConfig, consolidate
 
 DEFAULT_SEED = 42
-
-
-def _eps(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("eps must be finite and > 0")
-    return value
 
 
 # every option that several subcommands read, declared once
@@ -38,7 +29,6 @@ OPTIONS = {
     "--plan": {"required": True},
     "--rho": {"type": float, "required": True},
     "--tokens": {"type": int, "required": True},
-    "--eps": {"type": _eps, "default": DEFAULT_EPS},
 }
 
 
@@ -73,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate", parents=_options("--model", "--tokens"),
                    help="collect routing statistics")
 
-    p = sub.add_parser("consolidate", parents=_options("--model", "--stats", "--rho", "--eps"),
+    p = sub.add_parser("consolidate", parents=_options("--model", "--stats", "--rho"),
                        help="build a prototype remapping plan")
     p.add_argument("--scope", type=int, default=1)
     p.add_argument("--policy", choices=list(SELECTION_POLICIES), default="adaptive")
@@ -82,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pruning baselines")
     p.add_argument("--method", choices=["frequency", "reap"], required=True)
 
-    p = sub.add_parser("merge", parents=_options("--model", "--stats", "--rho", "--eps"),
+    p = sub.add_parser("merge", parents=_options("--model", "--stats", "--rho"),
                        help="usage-weighted merging baseline")
     p.add_argument("--fused-model", required=True)
 
@@ -91,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help=about, description=about)
     sub.add_parser("materialize", parents=_options("--model", "--plan"),
                    help="expand a plan into a checkpoint")
-    sub.add_parser("eval", parents=_options("--model", "--plan", "--tokens", "--eps"),
+    sub.add_parser("eval", parents=_options("--model", "--plan", "--tokens"),
                    help="fidelity report for a plan")
 
     p = sub.add_parser("analyze", help="model analyses")
     asub = p.add_subparsers(dest="analysis", required=True)
     about = "cross-layer nearest-neighbor study; -o is an output path prefix"
-    pn = asub.add_parser("nn", parents=_options("--model", "--eps"), help=about, description=about)
+    pn = asub.add_parser("nn", parents=_options("--model"), help=about, description=about)
     pn.add_argument("--scope", type=int, required=True)
 
-    p = sub.add_parser("sweep", parents=_options("--model", "--stats", "--rho", "--tokens", "--eps"),
+    p = sub.add_parser("sweep", parents=_options("--model", "--stats", "--rho", "--tokens"),
                        help="fidelity across scope sizes at fixed rho")
     p.add_argument("--scopes", required=True, help="comma-separated scope sizes")
 
@@ -138,7 +128,7 @@ def _run(args) -> None:
         store.write_stats(stats, args.output)
 
     elif args.command == "consolidate":
-        config = ScopeConfig(rho=args.rho, scope_size=args.scope, policy=args.policy, eps=args.eps)
+        config = ScopeConfig(rho=args.rho, scope_size=args.scope, policy=args.policy)
         plan = consolidate(model, stats, config)
         plan.metadata["seed"] = args.seed
         store.write_plan(plan, args.output)
@@ -152,7 +142,7 @@ def _run(args) -> None:
     elif args.command == "merge":
         if Path(args.output).resolve() == Path(args.fused_model).resolve():
             raise ValueError("-o and --fused-model name the same file")
-        plan, fused = baselines.merge_msmoe(model, stats, args.rho, eps=args.eps)
+        plan, fused = baselines.merge_msmoe(model, stats, args.rho)
         plan.metadata["seed"] = args.seed
         store.write_plan(plan, args.output)
         store.write_checkpoint(fused, args.fused_model)
@@ -165,12 +155,12 @@ def _run(args) -> None:
 
     elif args.command == "eval":
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
-        report = analysis.evaluate_fidelity(model, plan, tokens, args.eps)
+        report = analysis.evaluate_fidelity(model, plan, tokens)
         report.metadata["seed"] = args.seed
         store.write_json(args.output, asdict(report))
 
     elif args.command == "analyze":
-        report = analysis.cross_layer_nn(model, args.scope, args.eps)
+        report = analysis.cross_layer_nn(model, args.scope)
         analysis.dump_nn_csvs(
             report, f"{args.output}nn_heatmap.csv", f"{args.output}nn_fractions.csv"
         )
@@ -181,7 +171,7 @@ def _run(args) -> None:
         if not sizes:
             raise ValueError("empty scope list")
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
-        config = ScopeConfig(rho=args.rho, eps=args.eps)
+        config = ScopeConfig(rho=args.rho)
         reports = analysis.scope_sweep(model, stats, config, sizes, tokens)
         store.write_json(
             args.output,

@@ -12,16 +12,17 @@ import numpy as np
 
 from .model import PROJECTIONS, MoEModel, Ref
 
-DEFAULT_EPS = 1e-8
+# Stabiliser of every ratio (distances, min-max scores, relative errors); plans record it as "eps".
+EPS = 1e-8
 
 
-def projection_distance(a: np.ndarray, b: np.ndarray, eps: float = DEFAULT_EPS) -> float:
+def projection_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError("projection shape mismatch")
     a64 = a.astype(np.float64)
     b64 = b.astype(np.float64)
     num = 2.0 * np.linalg.norm(a64 - b64)
-    den = np.linalg.norm(a64) + np.linalg.norm(b64) + 2.0 * eps
+    den = np.linalg.norm(a64) + np.linalg.norm(b64) + 2.0 * EPS
     return float(num / den)
 
 
@@ -44,7 +45,7 @@ class DistanceTable:
         return float(self.values[self.index_of(a), self.index_of(b)])
 
 
-def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS) -> DistanceTable:
+def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
     """Full pairwise table from one Gram matrix per projection; the upper
     triangle is computed and mirrored, so the matrix is symmetric with a
     zero diagonal by construction."""
@@ -54,7 +55,7 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
     upper = np.triu_indices(n, 1)
     total = np.zeros(len(upper[0]))
     for k in range(len(PROJECTIONS)):
-        total += _projection_distances([row[k] for row in rows], upper, eps)
+        total += _projection_distances([row[k] for row in rows], upper)
     values = np.zeros((n, n))
     values[upper] = total / len(PROJECTIONS)
     values[upper[::-1]] = values[upper]
@@ -68,7 +69,7 @@ def distance_matrix(model: MoEModel, scope: list[Ref], eps: float = DEFAULT_EPS)
 EXACT_RECOMPUTE_FRACTION = 1e-6
 
 
-def _projection_distances(flat: list[np.ndarray], pairs, eps: float) -> np.ndarray:
+def _projection_distances(flat: list[np.ndarray], pairs) -> np.ndarray:
     """projection_distance of one projection, given per expert as a flat
     row, for the index pairs (i, j), via ||a - b||^2 = ||a||^2 + ||b||^2 -
     2<a, b> over a float64 stack."""
@@ -82,9 +83,9 @@ def _projection_distances(flat: list[np.ndarray], pairs, eps: float) -> np.ndarr
     i, j = pairs
     sq_sum = sq[i] + sq[j]
     d2 = np.maximum(sq_sum - 2.0 * gram[i, j], 0.0)
-    dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * eps)
+    dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * EPS)
     for k in np.flatnonzero(d2 < EXACT_RECOMPUTE_FRACTION * sq_sum):
-        dist[k] = projection_distance(flat[i[k]], flat[j[k]], eps)
+        dist[k] = projection_distance(flat[i[k]], flat[j[k]])
     return dist
 
 
@@ -110,12 +111,12 @@ def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:
     return cols[pos], values[np.arange(len(pos)), pos]
 
 
-def minmax_norm(values, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(x - min) / (max - min + eps) over the whole scope."""
+def minmax_norm(values) -> np.ndarray:
+    """(x - min) / (max - min + EPS) over the whole scope."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("minmax_norm of empty input")
     lo = values.min()
     hi = values.max()
-    return (values - lo) / (hi - lo + eps)
+    return (values - lo) / (hi - lo + EPS)
 

@@ -138,6 +138,16 @@ def _token_batch(h: np.ndarray, hidden_dim: int) -> np.ndarray:
     return x.reshape(-1, hidden_dim)
 
 
+def token_rows(tokens: np.ndarray, hidden_dim: int) -> np.ndarray:
+    """A non-empty (count, hidden) batch of calibration or eval tokens, as float64."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.ndim != 2 or tokens.shape[0] == 0:
+        raise ValueError("tokens must be a non-empty (count, hidden) array")
+    if tokens.shape[1] != hidden_dim:
+        raise ValueError("token dimension mismatch")
+    return tokens
+
+
 def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     """Route the (count, hidden) batch x through one layer and yield, per
     slot in ascending order, (slot, token rows, routing weights, outputs of

@@ -15,9 +15,9 @@ POLICIES = ("identity", *SELECTION_POLICIES, "prune_frequency", "prune_reap", "m
 
 
 def scope_partition(num_layers: int, scope_size: int) -> list[list[int]]:
-    """Consecutive non-overlapping layer groups; the last may be ragged."""
-    if scope_size < 1:
-        raise ValueError("scope_size must be >= 1")
+    """Consecutive groups of scope_size layers; the last may be ragged."""
+    if not (1 <= scope_size <= num_layers):
+        raise ValueError("scope_size must be in [1, num_layers]")
     return [
         list(range(start, min(start + scope_size, num_layers)))
         for start in range(0, num_layers, scope_size)
@@ -58,8 +58,8 @@ class ConsolidationPlan:
         image = sorted(self.distinct_prototypes())
         num_layers = max(l for l, _ in self.assignment) + 1
         return [
-            Scope(layers, [p for p in image if p[0] // self.scope_size == k])
-            for k, layers in enumerate(scope_partition(num_layers, self.scope_size))
+            Scope(layers, [p for p in image if p[0] in layers])
+            for layers in scope_partition(num_layers, self.scope_size)
         ]
 
     def clusters(self) -> dict[Ref, list[Ref]]:
@@ -87,15 +87,16 @@ class ConsolidationPlan:
     def validate(self):
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must be in [0, 1)")
-        if self.scope_size < 1:
-            raise ValueError("scope_size must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
         slots = self.assignment
+        num_layers = max(l for l, _ in slots) + 1 if slots else 0
         # distinct non-negative keys, as many as the largest key's grid holds
         if not slots or min(min(ref) for ref in slots) < 0 or len(slots) != (
-                (max(l for l, _ in slots) + 1) * (max(i for _, i in slots) + 1)):
+                num_layers * (max(i for _, i in slots) + 1)):
             raise ValueError("assignment is not the full (layer, expert) grid")
+        scope_of = {l: k for k, layers in enumerate(scope_partition(num_layers, self.scope_size))
+                    for l in layers}
         for ref in self.drop_mask:
             if slots.get(ref) != ref:
                 raise ValueError(f"dropped slot {ref} is not a slot that maps to itself")
@@ -104,5 +105,5 @@ class ConsolidationPlan:
                 continue
             # a retained prototype of the slot's own scope
             if (slots.get(target) != target or target in self.drop_mask
-                    or target[0] // self.scope_size != slot[0] // self.scope_size):
+                    or scope_of[target[0]] != scope_of[slot[0]]):
                 raise ValueError(f"dangling assignment: {slot} -> {target}")

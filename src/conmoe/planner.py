@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibStats, contribution
-from .geometry import DEFAULT_EPS, DistanceTable, distance_matrix, minmax_norm, nearest
+from .geometry import EPS, DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
 
@@ -22,15 +22,11 @@ class ScopeConfig:
     rho: float
     scope_size: int = 1
     policy: str = "adaptive"
-    eps: float = DEFAULT_EPS
 
     def validate(self, num_layers: int):
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must be in [0, 1)")
-        if not (1 <= self.scope_size <= num_layers):
-            raise ValueError("scope_size must be in [1, num_layers]")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError("eps must be finite and > 0")
+        scope_partition(num_layers, self.scope_size)  # rejects a scope_size out of range
         if self.policy not in SELECTION_POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
 
@@ -49,18 +45,18 @@ def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
     return contribution(stats)[tuple(zip(*refs))]
 
 
-def score(stats: CalibStats, table: DistanceTable, eps: float = DEFAULT_EPS) -> np.ndarray:
+def score(stats: CalibStats, table: DistanceTable) -> np.ndarray:
     """Per scope row, the product of min-max normalized contribution and
     replaceability, both normalized within the scope."""
     _, replace = nearest(table)
-    return minmax_norm(importance_weights(stats, table.scope), eps) * minmax_norm(replace, eps)
+    return minmax_norm(importance_weights(stats, table.scope)) * minmax_norm(replace)
 
 
 # The policies that rank by the distance table; the others read only stats.
 TABLE_POLICIES = ("adaptive", "fixed_k", "distance_only")
 
 
-def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None, eps: float):
+def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None):
     """The per-ref ranking key of a policy; the largest keys are kept."""
     if policy == "usage_topk":
         return stats.routed_count[tuple(zip(*refs))]
@@ -68,7 +64,7 @@ def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable 
         return importance_weights(stats, refs)
     if policy == "distance_only":
         return nearest(table)[1]
-    return score(stats, table, eps)
+    return score(stats, table)
 
 
 def _top_k(keys: list[float], refs: list[Ref], k: int) -> list[Ref]:
@@ -111,8 +107,8 @@ def select_pool(model: MoEModel, stats: CalibStats,
         if k == len(refs):
             pool.append((Scope(layers=list(layers), prototypes=refs), None))
             continue
-        table = distance_matrix(model, refs, config.eps) if config.policy in TABLE_POLICIES else None
-        keys = _keys(config.policy, stats, refs, table, config.eps)
+        table = distance_matrix(model, refs) if config.policy in TABLE_POLICIES else None
+        keys = _keys(config.policy, stats, refs, table)
         prototypes = select_prototypes(keys, refs, k, per_layer=config.policy == "fixed_k")
         pool.append((Scope(layers=list(layers), prototypes=prototypes), table))
     return pool
@@ -138,7 +134,7 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
     for scope, table in select_pool(model, stats, config):
         refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
         if table is None and len(scope.prototypes) < len(refs):
-            table = distance_matrix(model, refs, config.eps)  # the policy read only stats
+            table = distance_matrix(model, refs)  # the policy read only stats
         assignment.update(zip(refs, refs) if table is None else assign(scope.prototypes, table))
     return ConsolidationPlan(
         rho=config.rho,
@@ -146,7 +142,7 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
         policy=config.policy,
         assignment=assignment,
         metadata={
-            "eps": config.eps,
+            "eps": EPS,
             "reap_score": "aliased to routing-conditioned contribution",
         },
     )

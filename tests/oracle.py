@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conmoe.calibration import CalibStats
-from conmoe.geometry import DEFAULT_EPS, distance_matrix, nearest, projection_distance
+from conmoe.geometry import distance_matrix, nearest, projection_distance
 from conmoe.model import PROJECTIONS, silu
 from conmoe.plan import ConsolidationPlan
 
@@ -159,11 +159,11 @@ def aggregate_coefficients(model, layer_idx, plan, h):
     return coeffs
 
 
-def expert_distance(e, f, eps=DEFAULT_EPS):
+def expert_distance(e, f):
     """Mean projection distance over gate, up, down."""
     total = 0.0
     for proj in PROJECTIONS:
-        total += projection_distance(getattr(e, proj), getattr(f, proj), eps)
+        total += projection_distance(getattr(e, proj), getattr(f, proj))
     return total / len(PROJECTIONS)
 
 
@@ -234,11 +234,11 @@ def fuse(model, clusters, stats=None):
     return fused, sorted(provenance)
 
 
-def merge(model, stats, rho, eps=DEFAULT_EPS):
+def merge(model, stats, rho):
     """merge_msmoe: (plan, fused model, provenance)."""
     assignment, clusters = {}, {}
     for refs in _layers(model):
-        table = distance_matrix(model, refs, eps)
+        table = distance_matrix(model, refs)
         cores = _keep(refs, lambda r: frequency(stats, r), rho)
         clusters.update((c, []) for c in cores)
         for ref in refs:

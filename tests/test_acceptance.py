@@ -185,7 +185,7 @@ def test_criterion_5_assignment_optimality():
         model, stats, config, plan, _ = random_plan(300 + trial)
         for scope in plan.scopes:
             refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
-            table = distance_matrix(model, refs, config.eps)
+            table = distance_matrix(model, refs)
             for ref in refs:
                 if ref in plan.drop_mask:
                     continue

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from conmoe import (
 )
 from conmoe.analysis import dump_nn_csvs
 from oracle import identity_plan
+
+
+NOT_A_BATCH = "tokens must be a non-empty (count, hidden) array"
 
 
 class TestEvaluateFidelity:
@@ -47,8 +52,17 @@ class TestEvaluateFidelity:
 
     def test_empty_tokens_rejected(self, small_model):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(NOT_A_BATCH)):
             evaluate_fidelity(small_model, plan, np.empty((0, small_model.spec.hidden_dim)))
+
+    @pytest.mark.parametrize("shape,message", [
+        (lambda h: (h,), NOT_A_BATCH),
+        (lambda h: (3, h + 1), "token dimension mismatch"),
+    ], ids=["one_token_1d", "wrong_width"])
+    def test_malformed_tokens_rejected(self, small_model, shape, message):
+        plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_fidelity(small_model, plan, np.ones(shape(small_model.spec.hidden_dim)))
 
 
 class TestReductionAccounting:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ def stats_from_pairs(pairs):
     return CalibStats(token_total=max(1, len(pairs)), top_k=1,
                       routed_count=np.array([[len(pairs)]]),
                       sum_weighted_norm=np.array([[sum(g * n for g, n in pairs)]]))
+
+
+NOT_A_BATCH = "tokens must be a non-empty (count, hidden) array"
 
 
 class TestRunCalibration:
@@ -79,8 +84,16 @@ class TestRunCalibration:
             assert total == small_stats.token_total * spec.top_k
 
     def test_empty_tokens_rejected(self, small_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(NOT_A_BATCH)):
             run_calibration(small_model, np.empty((0, small_model.spec.hidden_dim)))
+
+    @pytest.mark.parametrize("shape,message", [
+        (lambda h: (h,), NOT_A_BATCH),
+        (lambda h: (3, h + 1), "token dimension mismatch"),
+    ], ids=["one_token_1d", "wrong_width"])
+    def test_malformed_tokens_rejected(self, small_model, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_calibration(small_model, np.ones(shape(small_model.spec.hidden_dim)))
 
     def test_determinism(self, small_model, small_tokens, small_stats):
         again = run_calibration(small_model, small_tokens)

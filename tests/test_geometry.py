@@ -16,7 +16,7 @@ from conmoe import (
     nearest,
     projection_distance,
 )
-from conmoe.geometry import DEFAULT_EPS, DistanceTable
+from conmoe.geometry import DistanceTable
 from conmoe.store import plan_to_dict
 from oracle import expert_distance, nearest_neighbor, replaceability
 from test_acceptance import random_plan
@@ -106,14 +106,14 @@ class TestDistanceMatrix:
         assert np.array_equal(np.diag(table.values), np.zeros(len(refs)))
 
 
-def reference_table(model, scope, eps=DEFAULT_EPS):
+def reference_table(model, scope):
     """The scalar per-pair loop the Gram kernel replaced."""
     scope = sorted(scope)
     n = len(scope)
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = expert_distance(model.expert(scope[i]), model.expert(scope[j]), eps)
+            d = expert_distance(model.expert(scope[i]), model.expert(scope[j]))
             values[i, j] = d
             values[j, i] = d
     return DistanceTable(scope=scope, values=values)
@@ -126,13 +126,12 @@ def whole_model(spec):
 class TestGramKernel:
     @pytest.mark.parametrize("shape", [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2),
                                        (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)])
-    @pytest.mark.parametrize("eps", [DEFAULT_EPS, 0.5])
-    def test_matches_scalar_loop(self, shape, eps):
+    def test_matches_scalar_loop(self, shape):
         spec = ModelSpec(*shape)
         model, _ = gen_synthetic(spec, seed=sum(shape))
         scope = whole_model(spec)
-        got = distance_matrix(model, scope[::-1], eps)
-        want = reference_table(model, scope, eps)
+        got = distance_matrix(model, scope[::-1])
+        want = reference_table(model, scope)
         assert got.scope == want.scope
         assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
         assert np.array_equal(got.values, got.values.T)

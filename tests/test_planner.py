@@ -22,7 +22,7 @@ from conmoe import (
     score,
 )
 from conmoe import planner
-from conmoe.geometry import DEFAULT_EPS, DistanceTable
+from conmoe.geometry import DistanceTable
 from conmoe.calibration import CalibStats
 from conmoe.plan import SELECTION_POLICIES
 from conmoe.planner import importance_weights
@@ -64,6 +64,10 @@ class TestScopePartition:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             scope_partition(4, 0)
+
+    def test_beyond_layers_rejected(self):
+        with pytest.raises(ValueError, match=r"scope_size must be in \[1, num_layers\]"):
+            scope_partition(4, 5)
 
 
 class TestBudget:
@@ -241,9 +245,9 @@ class TestTablesBuilt:
     def built(self, monkeypatch):
         calls = []
 
-        def counting(model, scope, eps=DEFAULT_EPS):
+        def counting(model, scope):
             calls.append(len(scope))
-            return distance_matrix(model, scope, eps)
+            return distance_matrix(model, scope)
 
         monkeypatch.setattr(planner, "distance_matrix", counting)
         return calls
