@@ -60,6 +60,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="empty model"):
             write_checkpoint(empty, tmp_path / "never.mckpt")
 
+    @pytest.mark.parametrize("fault,message", [
+        (lambda m: setattr(m.layers[1], "block", m.layers[1].block[:, :, :-1]),
+         "block shape (4, 3, 95) does not match spec (4, 3, 96)"),
+        (lambda m: setattr(m.layers[0], "router", m.layers[0].router[:-1]),
+         "router shape (3, 8) does not match spec (4, 8)"),
+        (lambda m: m.layers.pop(), "layer count mismatch"),
+        (lambda m: m.row((1, 2))[0].__setitem__(5, np.nan), "non-finite gate weights"),
+        (lambda m: m.row((0, 3))[1].__setitem__(0, np.nan), "non-finite up weights"),
+    ], ids=["block_shape", "router_shape", "layer_count", "gate_nan", "up_nan"])
+    def test_invalid_model_rejected(self, model, tmp_path, fault, message):
+        fault(model)
+        path = tmp_path / "never.mckpt"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_checkpoint(model, path)
+        assert not path.exists()
+
     def test_truncated_payload(self, model, tmp_path):
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
