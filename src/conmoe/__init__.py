@@ -4,7 +4,6 @@ analysis on synthetic checkpoints."""
 
 from .model import (
     DupConfig,
-    ExpertWeights,
     MoELayer,
     MoEModel,
     ModelSpec,

@@ -41,55 +41,19 @@ class ModelSpec:
             raise ValueError(f"unsupported activation: {self.activation!r}")
 
 
-@dataclass
-class ExpertWeights:
-    """The three projections of one gated FFN expert, as views of its
-    MoELayer block row."""
-
-    gate: np.ndarray  # (intermediate, hidden)
-    up: np.ndarray    # (intermediate, hidden)
-    down: np.ndarray  # (hidden, intermediate)
-
-
 PROJECTIONS = ("gate", "up", "down")
 
 
 @dataclass
 class MoELayer:
     """A layer's experts in the checkpoint payload layout, float32: block
-    (num_experts, 3, intermediate * hidden) holds each expert's gate, up and
-    down, row-major, in turn; router is (num_experts, hidden). gate and up
-    (num_experts, intermediate, hidden) and down (num_experts, hidden,
-    intermediate) are views of block."""
+    (num_experts, 3, intermediate * hidden) holds each expert's gate
+    (intermediate, hidden), up (intermediate, hidden) and down (hidden,
+    intermediate), row-major, in turn; router is (num_experts, hidden).
+    MoEModel.row reads one expert's row."""
 
     block: np.ndarray
     router: np.ndarray
-
-    def _view(self, k: int) -> np.ndarray:
-        n, h = self.router.shape
-        return self.block[:, k].reshape((n, h, -1) if k == 2 else (n, -1, h))
-
-    gate = property(lambda self: self._view(0))
-    up = property(lambda self: self._view(1))
-    down = property(lambda self: self._view(2))
-
-    def expert(self, i: int) -> ExpertWeights:
-        return ExpertWeights(self.gate[i], self.up[i], self.down[i])
-
-    def copy(self) -> "MoELayer":
-        return MoELayer(self.block.copy(), self.router.copy())
-
-    def validate(self, spec: ModelSpec):
-        n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
-        for name, shape in (("block", (n, 3, f * h)), ("router", (n, h))):
-            w = getattr(self, name)
-            if w.shape != shape:
-                raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
-        for k, name in enumerate(PROJECTIONS):
-            if not np.all(np.isfinite(self.block[:, k])):
-                raise ValueError(f"non-finite {name} weights")
-        if not np.all(np.isfinite(self.router)):
-            raise ValueError("non-finite router weights")
 
 
 @dataclass
@@ -102,19 +66,26 @@ class MoEModel:
         self.spec.validate()
         if len(self.layers) != self.spec.num_layers:
             raise ValueError("layer count mismatch")
+        n, f, h = self.spec.num_experts, self.spec.intermediate_dim, self.spec.hidden_dim
         for layer in self.layers:
-            layer.validate(self.spec)
-
-    def expert(self, ref: Ref) -> ExpertWeights:
-        layer, idx = ref
-        return self.layers[layer].expert(idx)
+            for name, shape in (("block", (n, 3, f * h)), ("router", (n, h))):
+                w = getattr(layer, name)
+                if w.shape != shape:
+                    raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
+            for k, name in enumerate(PROJECTIONS):
+                if not np.all(np.isfinite(layer.block[:, k])):
+                    raise ValueError(f"non-finite {name} weights")
+            if not np.all(np.isfinite(layer.router)):
+                raise ValueError("non-finite router weights")
 
     def row(self, ref: Ref) -> np.ndarray:
-        """The slot's (3, intermediate * hidden) block row, a view."""
+        """The slot's (3, intermediate * hidden) block row, a view: its gate,
+        up and down. The one place that maps a slot to its stored row."""
         return self.layers[ref[0]].block[ref[1]]
 
     def copy(self) -> "MoEModel":
-        return MoEModel(self.spec, [layer.copy() for layer in self.layers], dict(self.metadata))
+        layers = [MoELayer(layer.block.copy(), layer.router.copy()) for layer in self.layers]
+        return MoEModel(self.spec, layers, dict(self.metadata))
 
     def slots(self) -> list[Ref]:
         return [
@@ -177,12 +148,12 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     ex = np.exp(sel - peak)
     # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
     weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
-    for i, (src_layer, j) in enumerate(protos):
+    for i, proto in enumerate(protos):
         # a token selects a slot at most once, so its rows come out unique and ascending
         tok, pos = np.nonzero((top == i) & keep)
         if tok.size == 0:
             continue
-        gate, up, down = model.layers[src_layer].block[j].astype(np.float64)
+        gate, up, down = model.row(proto).astype(np.float64)
         h = model.spec.hidden_dim
         xs = x[tok]
         y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare conmoe against: the
 per-token forward, the per-pair expert distance and the geometry queries,
 the per-layer pruning and merging baselines, the identity plan, and model
-equality. Nothing in conmoe imports them.
+equality; and an expert's three projections as named views of its row.
+Nothing in conmoe imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -45,6 +46,23 @@ def assert_stats_close(got, want, rtol=BATCH_RTOL):
     np.testing.assert_array_equal(got.routed_count, want.routed_count)
     err = np.abs(got.sum_weighted_norm - want.sum_weighted_norm)
     assert np.all(err <= rtol * want.sum_weighted_norm), err.max()
+
+
+@dataclass
+class ExpertWeights:
+    """The three projections of one gated FFN expert."""
+
+    gate: np.ndarray  # (intermediate, hidden)
+    up: np.ndarray    # (intermediate, hidden)
+    down: np.ndarray  # (hidden, intermediate)
+
+
+def expert(model, ref):
+    """The slot's projections as views of model.row(ref), so a write
+    through them lands in the model."""
+    gate, up, down = model.row(ref)
+    f, h = model.spec.intermediate_dim, model.spec.hidden_dim
+    return ExpertWeights(gate.reshape(f, h), up.reshape(f, h), down.reshape(h, f))
 
 
 @dataclass(frozen=True)
@@ -107,7 +125,7 @@ def moe_terms(model, layer_idx, h, plan=None):
     terms = []
     for i, w in slot_weights(model, layer_idx, h, plan):
         ref = (layer_idx, i) if plan is None else plan.assignment[(layer_idx, i)]
-        terms.append((i, w, expert_forward(model.expert(ref), h)))
+        terms.append((i, w, expert_forward(expert(model, ref), h)))
     return terms
 
 
@@ -225,11 +243,10 @@ def fuse(model, clusters, stats=None):
         counts = [frequency(stats, r) if stats is not None else 0 for r in members]
         total = sum(counts)
         weights = [c / total for c in counts] if total else [1.0 / len(members)] * len(members)
-        for proj in PROJECTIONS:
-            acc = np.zeros(getattr(model.expert(core), proj).shape)
-            for ref, w in zip(members, weights):
-                acc += w * getattr(model.expert(ref), proj).astype(np.float64)
-            getattr(fused.expert(core), proj)[...] = acc
+        acc = np.zeros(model.row(core).shape)
+        for ref, w in zip(members, weights):
+            acc += w * model.row(ref).astype(np.float64)
+        fused.row(core)[...] = acc
         provenance.append([list(core), [[list(r), w] for r, w in zip(members, weights)]])
     return fused, sorted(provenance)
 

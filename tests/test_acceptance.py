@@ -34,7 +34,7 @@ from conmoe import (
 )
 from conmoe.cli import main
 from conftest import run_cli_subprocess
-from oracle import aggregate_coefficients, identity_plan
+from oracle import aggregate_coefficients, expert, identity_plan
 from conmoe.planner import importance_weights
 
 
@@ -286,9 +286,9 @@ def test_criterion_10_baseline_parity():
             continue
         (a, _), (b, _) = sources
         for proj in ("gate", "up", "down"):
-            lo = np.minimum(getattr(model.expert(a), proj), getattr(model.expert(b), proj))
-            hi = np.maximum(getattr(model.expert(a), proj), getattr(model.expert(b), proj))
-            fusedw = getattr(msmoe_fused.expert(core), proj)
+            lo = np.minimum(getattr(expert(model, a), proj), getattr(expert(model, b), proj))
+            hi = np.maximum(getattr(expert(model, a), proj), getattr(expert(model, b), proj))
+            fusedw = getattr(expert(msmoe_fused, core), proj)
             assert np.all(fusedw >= lo - 1e-6)
             assert np.all(fusedw <= hi + 1e-6)
     _pass(10, "all baselines match the logical budget; pruning never remaps; fusion is convex")

@@ -19,6 +19,7 @@ from conmoe import (
 )
 from conmoe.store import plan_to_dict
 from conftest import experts_equal
+from oracle import expert
 from test_acceptance import random_plan
 
 
@@ -93,9 +94,9 @@ class TestMergeMSMoE:
         plan, fused = merge_msmoe(model, stats, 0.5)
         core = plan.scopes[0].prototypes[0]
         assert core == (0, 0)
-        want_gate = 0.75 * model.expert((0, 0)).gate.astype(np.float64) + \
-            0.25 * model.expert((0, 1)).gate.astype(np.float64)
-        assert fused.expert(core).gate == pytest.approx(want_gate.astype(np.float32))
+        want_gate = 0.75 * expert(model, (0, 0)).gate.astype(np.float64) + \
+            0.25 * expert(model, (0, 1)).gate.astype(np.float64)
+        assert expert(fused, core).gate == pytest.approx(want_gate.astype(np.float32))
 
     def test_duplicate_cores_map_to_themselves(self):
         from conmoe.model import DupConfig, ModelSpec, gen_synthetic
@@ -138,8 +139,8 @@ class TestFuseWeightedAverage:
         for scope in plan.scopes:
             for p in scope.prototypes:
                 cluster = [r for r, t in plan.assignment.items() if t == p]
-                if all(experts_equal(model.expert(r), model.expert(p)) for r in cluster):
-                    assert fused.expert(p).gate == pytest.approx(model.expert(p).gate)
+                if all(experts_equal(expert(model, r), expert(model, p)) for r in cluster):
+                    assert expert(fused, p).gate == pytest.approx(expert(model, p).gate)
 
     def test_convexity_for_pairs(self, small_model, small_stats):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
@@ -149,9 +150,9 @@ class TestFuseWeightedAverage:
                 continue
             (a, wa), (b, wb) = sources
             for proj in ("gate", "up", "down"):
-                lo = np.minimum(getattr(small_model.expert(a), proj), getattr(small_model.expert(b), proj))
-                hi = np.maximum(getattr(small_model.expert(a), proj), getattr(small_model.expert(b), proj))
-                f = getattr(fused.expert(proto), proj)
+                lo = np.minimum(getattr(expert(small_model, a), proj), getattr(expert(small_model, b), proj))
+                hi = np.maximum(getattr(expert(small_model, a), proj), getattr(expert(small_model, b), proj))
+                f = getattr(expert(fused, proto), proj)
                 assert np.all(f >= lo - 1e-6) and np.all(f <= hi + 1e-6)
 
     def test_pruning_plan_rejected(self, small_model, small_stats):

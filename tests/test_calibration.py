@@ -11,11 +11,11 @@ from conmoe import (
     prune_reap,
     run_calibration,
 )
-from conmoe.model import ModelSpec, MoEModel, ExpertWeights
+from conmoe.model import ModelSpec, MoEModel
 from conmoe.store import stats_to_dict
 from conftest import stack_layer
 import oracle
-from oracle import assert_stats_close
+from oracle import ExpertWeights, assert_stats_close
 
 
 def stats_from_pairs(pairs):

@@ -8,7 +8,6 @@ from conmoe import (
     DupConfig,
     consolidate,
     merge_msmoe,
-    ExpertWeights,
     ModelSpec,
     distance_matrix,
     gen_synthetic,
@@ -18,7 +17,7 @@ from conmoe import (
 )
 from conmoe.geometry import DistanceTable
 from conmoe.store import plan_to_dict
-from oracle import expert_distance, nearest_neighbor, replaceability
+from oracle import ExpertWeights, expert, expert_distance, nearest_neighbor, replaceability
 from test_acceptance import random_plan
 
 finite_f = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
@@ -113,7 +112,7 @@ def reference_table(model, scope):
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = expert_distance(model.expert(scope[i]), model.expert(scope[j]))
+            d = expert_distance(expert(model, scope[i]), expert(model, scope[j]))
             values[i, j] = d
             values[j, i] = d
     return DistanceTable(scope=scope, values=values)
@@ -141,9 +140,7 @@ class TestGramKernel:
         spec = ModelSpec(1, 4, 4, 6, 1)
         model, _ = gen_synthetic(spec, seed=1)
         for i in (0, 1):
-            e = model.expert((0, i))
-            for w in (e.gate, e.up, e.down):
-                w[:] = 0.0
+            model.row((0, i))[...] = 0.0
         got = distance_matrix(model, whole_model(spec))
         want = reference_table(model, whole_model(spec))
         assert got.values[0, 1] == 0.0
@@ -156,7 +153,7 @@ class TestGramKernel:
         table = distance_matrix(model, whole_model(spec))
         for copy, src in dup_map.items():
             d = table.distance(copy, src)
-            assert d == expert_distance(model.expert(copy), model.expert(src))
+            assert d == expert_distance(expert(model, copy), expert(model, src))
             assert d == 0.0 or dup.noise > 0
 
     def test_plans_match_reference_table(self, monkeypatch):

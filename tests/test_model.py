@@ -3,7 +3,6 @@ import pytest
 
 from conmoe import (
     DupConfig,
-    ExpertWeights,
     ModelSpec,
     distance_matrix,
     gen_synthetic,
@@ -15,8 +14,10 @@ from conmoe.model import MoEModel, slot_groups
 from conftest import experts_equal, stack_layer
 from oracle import (
     BATCH_RTOL,
+    ExpertWeights,
     aggregate_coefficients,
     assert_rows_close,
+    expert,
     expert_forward,
     identity_plan,
     models_equal,
@@ -35,7 +36,8 @@ def make_expert(inter, hidden, fill=0.0):
 
 
 def one_layer_model(layer, k):
-    n, inter, hidden = layer.gate.shape
+    n, hidden = layer.router.shape
+    inter = layer.block.shape[2] // hidden
     return MoEModel(spec=ModelSpec(1, n, hidden, inter, k), layers=[layer])
 
 
@@ -111,7 +113,7 @@ class TestMoEForward:
         h = np.arange(small_model.spec.hidden_dim, dtype=np.float64) / 7.0
         sel = router_topk(layer.router, h, 1)
         out = moe_forward(one_layer_model(layer, 1), 0, h)
-        assert np.array_equal(out, expert_forward(layer.expert(sel.indices[0]), h))
+        assert np.array_equal(out, expert_forward(expert(small_model, (0, sel.indices[0])), h))
 
     def test_identical_experts_weight_sum(self, rng):
         e = ExpertWeights(
@@ -138,7 +140,7 @@ class TestMoEForward:
         for i, tok, w, y in slot_groups(small_model, 1, x):
             for t, g, out in zip(tok.tolist(), w.tolist(), y):
                 terms[t].append((i, g))
-                assert_rows_close(out, expert_forward(small_model.expert((1, i)), x[t]))
+                assert_rows_close(out, expert_forward(expert(small_model, (1, i)), x[t]))
         for t, h in enumerate(x):
             sel = router_topk(small_model.layers[1].router, h, small_model.spec.top_k)
             want = sorted(zip(sel.indices, sel.weights))
@@ -189,7 +191,7 @@ class TestConsolidatedForward:
         coeffs = aggregate_coefficients(small_model, 0, plan, h)
         assert set(coeffs) == {(0, 0)}
         assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-6)
-        single = expert_forward(small_model.expert((0, 0)), h)
+        single = expert_forward(expert(small_model, (0, 0)), h)
         assert out == pytest.approx(coeffs[(0, 0)] * single, rel=1e-12)
 
     def test_all_selected_dropped_gives_zero(self, small_model):
@@ -218,7 +220,7 @@ class TestConsolidatedForward:
         h = np.array([1.0, 0.0, 0.0, 0.0])
         groups = slot_groups(model, 0, h[None], plan)
         assert [(i, tok.tolist(), w.tolist()) for i, tok, w, _ in groups] == [(1, [0], [1.0])]
-        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(layer.expert(1), h))
+        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(expert(model, (0, 1)), h))
 
     def test_surviving_weights_are_softmax_of_surviving_logits(self):
         layer = stack_layer(
@@ -285,7 +287,7 @@ class TestMaterialize:
             plan.assignment[(1, i)] = (1, 0)
         mat = materialize(small_model, plan)
         for i in range(small_model.spec.num_experts):
-            assert experts_equal(mat.expert((1, i)), small_model.expert((1, 0)))
+            assert experts_equal(expert(mat, (1, i)), expert(small_model, (1, 0)))
 
     def test_forward_equivalence(self, small_model, small_tokens):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)

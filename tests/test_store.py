@@ -30,7 +30,7 @@ from conmoe import (
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import _tensor_index, stats_from_dict, stats_to_dict
-from oracle import identity_plan, models_equal
+from oracle import expert, identity_plan, models_equal
 
 
 @pytest.fixture
@@ -119,12 +119,12 @@ class TestCheckpoint:
     def test_float32_truncation(self, tmp_path):
         model, _ = gen_synthetic(ModelSpec(1, 2, 4, 6, 1), seed=2)
         # values already f32; bump one weight via float64 math and round-trip
-        model.layers[0].expert(0).gate[0, 0] = np.float32(1.0 / 3.0)
+        expert(model, (0, 0)).gate[0, 0] = np.float32(1.0 / 3.0)
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
         loaded = read_checkpoint(path)
-        assert loaded.layers[0].expert(0).gate.dtype == np.float32
-        assert loaded.layers[0].expert(0).gate[0, 0] == np.float32(1.0 / 3.0)
+        assert expert(loaded, (0, 0)).gate.dtype == np.float32
+        assert expert(loaded, (0, 0)).gate[0, 0] == np.float32(1.0 / 3.0)
 
 
 def rewrite_header(path, edit):
@@ -205,12 +205,12 @@ class TestTensorIndex:
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
         loaded = read_checkpoint(path)
-        # gate, up and down are views of the one block read from the file,
+        # each expert's row is a view of the one block read from the file,
         # and a copy keeps that layout
-        for layer in (loaded.layers[0], loaded.copy().layers[0]):
-            block = layer.gate.base
-            assert block.nbytes == layer.gate.nbytes * 3
-            assert layer.up.base is block and layer.down.base is block
+        for m in (loaded, loaded.copy()):
+            layer = m.layers[0]
+            assert m.row((0, 1)).base is layer.block
+            assert layer.block.nbytes == m.row((0, 1)).nbytes * m.spec.num_experts
 
     def test_layers_hold_the_payload_layout(self, tmp_path):
         spec = ModelSpec(2, 4, 8, 12, 2)
@@ -226,7 +226,7 @@ class TestTensorIndex:
             size = len(payload) // spec.num_layers
             for l, layer in enumerate(m.layers):
                 assert layer.block.tobytes() + layer.router.tobytes() == payload[l * size:(l + 1) * size]
-                assert all(w.base is layer.block for w in (layer.gate, layer.up, layer.down))
+                assert all(m.row((l, i)).base is layer.block for i in range(spec.num_experts))
 
 
 class TestPlanIO:
