@@ -35,7 +35,8 @@ _REQUIRED = object()
 
 
 def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Sorted, compact, strict JSON: a NaN or an infinity is a ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def write_json(path, obj) -> None:
@@ -109,14 +110,15 @@ def _tensor_index(spec: ModelSpec) -> list:
 
 def write_checkpoint(model: MoEModel, path) -> None:
     model.validate()
-    header = {
+    # built before the file is opened, so a header that is refused leaves no file
+    header = canonical_json({
         "magic": MAGIC,
         "spec": asdict(model.spec),
         "tensor_index": _tensor_index(model.spec),
         "metadata": model.metadata,
-    }
+    })
     with open(path, "wb") as f:
-        f.write(canonical_json(header))
+        f.write(header)
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
         for layer in model.layers:

@@ -392,6 +392,37 @@ class TestArtifactBoundary:
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out",
                              message=f"malformed {name}: maximum recursion depth exceeded")
 
+    def test_non_finite_report_refused(self, tmp_path):
+        """Ten layers of the unnormalised residual stack overflow the
+        end-to-end error to inf; a report cannot hold it as strict JSON.
+        eval runs in a subprocess, where the overflow's RuntimeWarning is
+        not an error."""
+        model, stats, plan, report = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json", "r.json"))
+        assert run("gen", "--layers", 10, "--experts", 16, "--hidden", 32, "--inter", 48,
+                   "--topk", 2, "-o", model, "-q") == 0
+        assert run("calibrate", "--model", model, "--tokens", 64, "-o", stats, "-q") == 0
+        assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
+                   "-o", plan, "-q") == 0
+        done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
+                                   "-o", report, "-q"], blas_threads=1)
+        assert done.returncode == 1
+        assert "error: Out of range float values are not JSON compliant" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not report.exists()
+
+    def test_non_finite_metadata_refused(self, model_path, stats_path, tmp_path, capsys):
+        plan, out = tmp_path / "p.json", tmp_path / "reduced.mckpt"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path,
+                   "--rho", "0.5", "-o", plan, "-q") == 0
+        raw = model_path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header["metadata"]["note"] = float("nan")
+        model_path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        self.assert_rejected(capsys, "materialize", "--model", model_path, "--plan", plan,
+                             "-o", out, message="Out of range float values are not JSON compliant")
+        assert not out.exists()
+
     def test_huge_stats_ref_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
         doc = json.loads(stats_path.read_text())
         doc["experts"].append({**doc["experts"][-1], "ref": [0, 10**12]})
