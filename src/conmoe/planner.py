@@ -16,6 +16,9 @@ from .geometry import EPS, DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
 
+# the most prototype sets brute_force_optimal enumerates
+ENUMERATION_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class ScopeConfig:
@@ -166,18 +169,14 @@ def _cost(table: DistanceTable, cols, weights) -> float:
     return total
 
 
-def brute_force_optimal(
-    table: DistanceTable,
-    k: int,
-    weights: np.ndarray,
-    cap: int = 10**6,
-) -> tuple[list[Ref], float]:
+def brute_force_optimal(table: DistanceTable, k: int, weights: np.ndarray) -> tuple[list[Ref], float]:
     """Exhaustive search over all size-k prototype sets; ties resolved by
-    lexicographically smallest set. Refuses to enumerate past the cap."""
+    lexicographically smallest set. Refuses to enumerate more than
+    ENUMERATION_CAP sets."""
     n = len(table.scope)
     if not (1 <= k <= n):
         raise ValueError("k must be in [1, scope size]")
-    if math.comb(n, k) > cap:
+    if math.comb(n, k) > ENUMERATION_CAP:
         raise ValueError("enumeration cap exceeded")
     weights = np.asarray(weights, dtype=np.float64)
     best_set = None

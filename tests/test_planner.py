@@ -336,6 +336,7 @@ class TestBruteForceOptimal:
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_cap(self):
+        # C(30, 15) = 155,117,520 sets, past ENUMERATION_CAP
         table = table_from(np.zeros((30, 30)))
         with pytest.raises(ValueError, match="cap"):
-            brute_force_optimal(table, 15, np.ones(30), cap=1000)
+            brute_force_optimal(table, 15, np.ones(30))
