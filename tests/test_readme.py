@@ -1,0 +1,38 @@
+"""The README's code runs as written: each `conmoe` command of its `sh`
+blocks exits 0 through the CLI, in order, and its Python snippet runs."""
+
+import re
+import shlex
+from pathlib import Path
+
+from conmoe.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def conmoe_commands():
+    """argv of every `conmoe` line, continuations joined, comments dropped."""
+    commands = []
+    for block in blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["conmoe"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_cli_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = conmoe_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
+def test_python_snippet_runs():
+    (snippet,) = blocks("python")
+    exec(compile(snippet, "README.md", "exec"), {})
