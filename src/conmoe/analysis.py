@@ -76,23 +76,18 @@ def cross_layer_nn(model: MoEModel, scope_size: int) -> NNReport:
     whether it sits in the same layer or a different one."""
     num_layers = model.spec.num_layers
     n = model.spec.num_experts
-    counts = [[0] * num_layers for _ in range(num_layers)]
+    counts = np.zeros((num_layers, num_layers), dtype=np.int64)
     for layers in scope_partition(num_layers, scope_size):
         table = distance_matrix(model, [(l, i) for l in layers for i in range(n)])
         cols, _ = nearest(table)
-        for ref, c in zip(table.scope, cols):
-            counts[ref[0]][table.scope[c][0]] += 1
-    per_layer = [
-        (sum(row) - row[l]) / sum(row)
-        for l, row in enumerate(counts)
-    ]
-    cross_total = sum(
-        sum(row) - row[l] for l, row in enumerate(counts)
-    )
+        layer = np.array([l for l, _ in table.scope])
+        np.add.at(counts, (layer, layer[cols]), 1)
+    # each row tallies its layer's n experts
+    cross = n - np.diag(counts)
     return NNReport(
-        counts=counts,
-        per_layer_fraction=per_layer,
-        overall_fraction=cross_total / (num_layers * n),
+        counts=counts.tolist(),
+        per_layer_fraction=(cross / n).tolist(),
+        overall_fraction=float(cross.sum() / (num_layers * n)),
     )
 
 

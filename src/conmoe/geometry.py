@@ -46,20 +46,12 @@ class DistanceTable:
 
 
 def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
-    """Full pairwise table from one Gram matrix per projection; the upper
-    triangle is computed and mirrored, so the matrix is symmetric with a
-    zero diagonal by construction."""
+    """Full pairwise table: the mean over the projections of each one's
+    (n, n) distances. Symmetric with a zero diagonal by construction."""
     scope = sorted(scope)
     rows = [model.row(ref) for ref in scope]
-    n = len(scope)
-    upper = np.triu_indices(n, 1)
-    total = np.zeros(len(upper[0]))
-    for k in range(len(PROJECTIONS)):
-        total += _projection_distances([row[k] for row in rows], upper)
-    values = np.zeros((n, n))
-    values[upper] = total / len(PROJECTIONS)
-    values[upper[::-1]] = values[upper]
-    return DistanceTable(scope=scope, values=values)
+    total = sum(_projection_distances([row[k] for row in rows]) for k in range(len(PROJECTIONS)))
+    return DistanceTable(scope=scope, values=total / len(PROJECTIONS))
 
 
 # A pair whose Gram-expanded squared distance falls below this fraction of
@@ -69,23 +61,25 @@ def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
 EXACT_RECOMPUTE_FRACTION = 1e-6
 
 
-def _projection_distances(flat: list[np.ndarray], pairs) -> np.ndarray:
+def _projection_distances(flat: list[np.ndarray]) -> np.ndarray:
     """projection_distance of one projection, given per expert as a flat
-    row, for the index pairs (i, j), via ||a - b||^2 = ||a||^2 + ||b||^2 -
-    2<a, b> over a float64 stack."""
+    row, between every two experts: one (n, n) expression over the Gram of
+    a float64 stack, via ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b>. The Gram
+    of a stack with itself is exactly symmetric (one SYRK call), so each
+    entry equals its mirror and a diagonal d2 is 2||a||^2 - 2||a||^2 = 0."""
     stack = np.empty((len(flat), flat[0].size if flat else 0))
     for row, w in zip(stack, flat):
         row[:] = w
     gram = stack @ stack.T
     del stack
-    sq = np.diag(gram)
+    sq = np.diag(gram).copy()
     norms = np.sqrt(sq)
-    i, j = pairs
-    sq_sum = sq[i] + sq[j]
-    d2 = np.maximum(sq_sum - 2.0 * gram[i, j], 0.0)
-    dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * EPS)
-    for k in np.flatnonzero(d2 < EXACT_RECOMPUTE_FRACTION * sq_sum):
-        dist[k] = projection_distance(flat[i[k]], flat[j[k]])
+    d2 = np.maximum(sq[:, None] + sq - 2.0 * gram, 0.0)
+    del gram
+    close = np.triu(d2 < EXACT_RECOMPUTE_FRACTION * (sq[:, None] + sq), 1)
+    dist = 2.0 * np.sqrt(d2) / (norms[:, None] + norms + 2.0 * EPS)
+    for i, j in zip(*np.nonzero(close)):
+        dist[i, j] = dist[j, i] = projection_distance(flat[i], flat[j])
     return dist
 
 

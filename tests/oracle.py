@@ -1,5 +1,6 @@
 """Reference implementations the tests compare conmoe against: the
-per-token forward, the per-pair expert distance and the geometry queries,
+per-token forward, the per-pair expert distance, the index-pair distance
+table and the geometry queries, the nested-list nearest-neighbor tally,
 the per-layer pruning and merging baselines, the identity plan, and model
 equality; and an expert's three projections as named views of its row.
 Nothing in conmoe imports them.
@@ -17,10 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conmoe.analysis import NNReport
 from conmoe.calibration import CalibStats
-from conmoe.geometry import distance_matrix, nearest, projection_distance
+from conmoe.geometry import (
+    EPS,
+    EXACT_RECOMPUTE_FRACTION,
+    DistanceTable,
+    distance_matrix,
+    nearest,
+    projection_distance,
+)
 from conmoe.model import PROJECTIONS, silu
-from conmoe.plan import ConsolidationPlan
+from conmoe.plan import ConsolidationPlan, scope_partition
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -183,6 +192,57 @@ def expert_distance(e, f):
     for proj in PROJECTIONS:
         total += projection_distance(getattr(e, proj), getattr(f, proj))
     return total / len(PROJECTIONS)
+
+
+def pair_distance_matrix(model, scope):
+    """distance_matrix over the upper triangle's index pairs: each pair
+    reads its Gram entries by fancy indexing, and the pair values are
+    mirrored into a zero matrix."""
+    scope = sorted(scope)
+    rows = [model.row(ref) for ref in scope]
+    n = len(scope)
+    upper = np.triu_indices(n, 1)
+    total = np.zeros(len(upper[0]))
+    for k in range(len(PROJECTIONS)):
+        total += _pair_projection_distances([row[k] for row in rows], upper)
+    values = np.zeros((n, n))
+    values[upper] = total / len(PROJECTIONS)
+    values[upper[::-1]] = values[upper]
+    return DistanceTable(scope=scope, values=values)
+
+
+def _pair_projection_distances(flat, pairs):
+    """One projection's distances for the index pairs (i, j), with the same
+    per-entry operations as geometry._projection_distances."""
+    stack = np.empty((len(flat), flat[0].size if flat else 0))
+    for row, w in zip(stack, flat):
+        row[:] = w
+    gram = stack @ stack.T
+    sq = np.diag(gram)
+    norms = np.sqrt(sq)
+    i, j = pairs
+    sq_sum = sq[i] + sq[j]
+    d2 = np.maximum(sq_sum - 2.0 * gram[i, j], 0.0)
+    dist = 2.0 * np.sqrt(d2) / (norms[i] + norms[j] + 2.0 * EPS)
+    for k in np.flatnonzero(d2 < EXACT_RECOMPUTE_FRACTION * sq_sum):
+        dist[k] = projection_distance(flat[i[k]], flat[j[k]])
+    return dist
+
+
+def cross_layer_nn(model, scope_size):
+    """analysis.cross_layer_nn, tallied into nested lists of Python ints."""
+    num_layers = model.spec.num_layers
+    n = model.spec.num_experts
+    counts = [[0] * num_layers for _ in range(num_layers)]
+    for layers in scope_partition(num_layers, scope_size):
+        table = distance_matrix(model, [(l, i) for l in layers for i in range(n)])
+        cols, _ = nearest(table)
+        for ref, c in zip(table.scope, cols):
+            counts[ref[0]][table.scope[c][0]] += 1
+    per_layer = [(sum(row) - row[l]) / sum(row) for l, row in enumerate(counts)]
+    cross_total = sum(sum(row) - row[l] for l, row in enumerate(counts))
+    return NNReport(counts=counts, per_layer_fraction=per_layer,
+                    overall_fraction=cross_total / (num_layers * n))
 
 
 def nearest_neighbor(ref, table):

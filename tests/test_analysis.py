@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from conmoe import (
     scope_sweep,
 )
 from conmoe.analysis import dump_nn_csvs
+from conmoe.store import canonical_json
+import oracle
 from oracle import identity_plan
 
 
@@ -100,6 +103,41 @@ class TestCrossLayerNN:
         report = cross_layer_nn(small_model, 2)
         for row in report.counts:
             assert sum(row) == small_model.spec.num_experts
+
+    @staticmethod
+    def assert_matches_nested_tally(model, scope_size):
+        got = cross_layer_nn(model, scope_size)
+        want = oracle.cross_layer_nn(model, scope_size)
+        assert got.counts == want.counts
+        assert got.per_layer_fraction == want.per_layer_fraction
+        assert got.overall_fraction == want.overall_fraction
+        assert canonical_json(asdict(got)) == canonical_json(asdict(want))
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_matches_nested_tally_every_scope_size(self, seed):
+        # 5 layers: scope sizes 2, 3 and 4 leave a ragged last scope
+        spec = ModelSpec(5, 6, 8, 12, 2)
+        model, _ = gen_synthetic(spec, seed=seed)
+        for scope_size in range(1, spec.num_layers + 1):
+            self.assert_matches_nested_tally(model, scope_size)
+
+    @pytest.mark.parametrize("dup", [DupConfig("cross"), DupConfig("both")])
+    def test_matches_nested_tally_planted_copies(self, dup):
+        spec = ModelSpec(4, 6, 8, 12, 2)
+        model, _ = gen_synthetic(spec, seed=21, dup=dup)
+        for scope_size in range(1, spec.num_layers + 1):
+            self.assert_matches_nested_tally(model, scope_size)
+
+    @pytest.mark.parametrize("scope_size", [2, 4])
+    def test_matches_nested_tally_one_expert_per_layer(self, scope_size):
+        model, _ = gen_synthetic(ModelSpec(4, 1, 4, 6, 1), seed=22)
+        self.assert_matches_nested_tally(model, scope_size)
+
+    def test_one_expert_ragged_singleton_scope_rejected(self):
+        model, _ = gen_synthetic(ModelSpec(4, 1, 4, 6, 1), seed=22)
+        for tally in (cross_layer_nn, oracle.cross_layer_nn):
+            with pytest.raises(ValueError, match="singleton scope"):
+                tally(model, 3)
 
     def test_csv_dump(self, small_model, tmp_path):
         report = cross_layer_nn(small_model, 2)

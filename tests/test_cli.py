@@ -2,11 +2,13 @@ import json
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conmoe.cli import main
-from conmoe import read_checkpoint, read_plan
+from conmoe import distance_matrix, read_checkpoint, read_plan
 from conftest import run_cli_subprocess
 
 
@@ -223,6 +225,32 @@ class TestDeterminism:
                 assert done.returncode == 0, done.stderr
             outs.append((stats.read_bytes(), plan.read_bytes()))
         assert outs[0] == outs[1]
+
+
+    def test_pool_scope_byte_identical_across_threads(self, tmp_path):
+        """One 256-expert scope: the table's symmetry comes from the BLAS
+        Gram, so analyze nn and a whole-model consolidate must not move
+        with the thread count."""
+        model, stats = tmp_path / "pool.mckpt", tmp_path / "pool.json"
+        assert run("gen", "--layers", 4, "--experts", 64, "--hidden", 16, "--inter", 24,
+                   "--topk", 2, "--dup", "within", "--seed", 11, "-o", model, "-q") == 0
+        assert run("calibrate", "--model", model, "--tokens", 32, "-o", stats, "-q") == 0
+        outs = []
+        for threads in (1, 2):
+            prefix, plan = f"{tmp_path}/t{threads}_", tmp_path / f"t{threads}.plan.json"
+            for argv in (
+                ["analyze", "nn", "--model", model, "--scope", 4, "-o", prefix, "-q"],
+                ["consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
+                 "--scope", 4, "-o", plan, "-q"],
+            ):
+                done = run_cli_subprocess(argv, threads)
+                assert done.returncode == 0, done.stderr
+            names = ("nn_report.json", "nn_heatmap.csv", "nn_fractions.csv")
+            outs.append([Path(prefix + name).read_bytes() for name in names] + [plan.read_bytes()])
+        assert outs[0] == outs[1]
+        values = distance_matrix(read_checkpoint(model), [(l, i) for l in range(4) for i in range(64)]).values
+        assert values.tobytes() == np.ascontiguousarray(values.T).tobytes()
+        assert np.diag(values).tobytes() == bytes(8 * 256)
 
 
 class TestReadmeShapeRegressions:

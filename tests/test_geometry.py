@@ -17,7 +17,14 @@ from conmoe import (
 )
 from conmoe.geometry import DistanceTable
 from conmoe.store import plan_to_dict
-from oracle import ExpertWeights, expert, expert_distance, nearest_neighbor, replaceability
+from oracle import (
+    ExpertWeights,
+    expert,
+    expert_distance,
+    nearest_neighbor,
+    pair_distance_matrix,
+    replaceability,
+)
 from test_acceptance import random_plan
 
 finite_f = st.floats(min_value=-10, max_value=10, allow_nan=False, width=32)
@@ -122,9 +129,22 @@ def whole_model(spec):
     return [(l, i) for l in range(spec.num_layers) for i in range(spec.num_experts)]
 
 
+GRAM_SHAPES = [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2), (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)]
+
+
+def assert_pair_kernel_bytes(model, scope):
+    """The (n, n) table is the index-pair kernel's, bit for bit, and is
+    bitwise symmetric with an all-zero diagonal."""
+    got = distance_matrix(model, scope)
+    want = pair_distance_matrix(model, scope)
+    assert got.scope == want.scope
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.tobytes() == np.ascontiguousarray(got.values.T).tobytes()
+    assert np.diag(got.values).tobytes() == bytes(8 * len(scope))
+
+
 class TestGramKernel:
-    @pytest.mark.parametrize("shape", [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2),
-                                       (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)])
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
     def test_matches_scalar_loop(self, shape):
         spec = ModelSpec(*shape)
         model, _ = gen_synthetic(spec, seed=sum(shape))
@@ -155,6 +175,31 @@ class TestGramKernel:
             d = table.distance(copy, src)
             assert d == expert_distance(expert(model, copy), expert(model, src))
             assert d == 0.0 or dup.noise > 0
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_bytes_match_pair_kernel(self, shape):
+        spec = ModelSpec(*shape)
+        model, _ = gen_synthetic(spec, seed=sum(shape))
+        assert_pair_kernel_bytes(model, whole_model(spec)[::-1])
+
+    @pytest.mark.parametrize("dup", [DupConfig("within"), DupConfig("both", 1e-7)])
+    def test_planted_pairs_bytes_match_pair_kernel(self, dup):
+        spec = ModelSpec(4, 8, 16, 24, 2)
+        model, _ = gen_synthetic(spec, seed=5, dup=dup)
+        assert_pair_kernel_bytes(model, whole_model(spec))
+
+    def test_zero_experts_bytes_match_pair_kernel(self):
+        spec = ModelSpec(1, 4, 4, 6, 1)
+        model, _ = gen_synthetic(spec, seed=1)
+        for i in (0, 1):
+            model.row((0, i))[...] = 0.0
+        assert_pair_kernel_bytes(model, whole_model(spec))
+
+    @pytest.mark.parametrize("dup", [DupConfig(), DupConfig("within")])
+    def test_pool_scope_bytes_match_pair_kernel(self, dup):
+        spec = ModelSpec(4, 72, 8, 12, 2)  # one 288-expert scope
+        model, _ = gen_synthetic(spec, seed=9, dup=dup)
+        assert_pair_kernel_bytes(model, whole_model(spec))
 
     def test_plans_match_reference_table(self, monkeypatch):
         built = []
