@@ -144,8 +144,9 @@ def _run(args) -> None:
             raise ValueError("-o and --fused-model name the same file")
         plan, fused = baselines.merge_msmoe(model, stats, args.rho)
         plan.metadata["seed"] = args.seed
-        store.write_plan(plan, args.output)
+        # the checkpoint is the output that can be refused, before its file opens
         store.write_checkpoint(fused, args.fused_model)
+        store.write_plan(plan, args.output)
 
     elif args.command == "fuse":
         store.write_checkpoint(baselines.fuse_weighted_average(model, plan, stats), args.output)

@@ -237,7 +237,8 @@ class DupConfig:
     second half (expert j duplicates expert j + N/2); "cross" copies each
     even layer's experts into the following layer; "both" does both (cross
     copies propagate the within-layer pairing). noise adds zero-mean
-    gaussian perturbation of the given scale to every planted copy.
+    gaussian perturbation of the given scale to every planted copy, so it
+    must be 0 with mode "none".
     """
 
     mode: str = "none"  # none | within | cross | both
@@ -248,6 +249,8 @@ class DupConfig:
             raise ValueError(f"unknown dup mode: {self.mode!r}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ValueError("dup noise must be finite and >= 0")
+        if self.mode == "none" and self.noise > 0:
+            raise ValueError("dup noise > 0 needs a dup mode: mode 'none' plants no copy")
 
 
 def _random_layer(rng: np.random.Generator, spec: ModelSpec, scale: float) -> MoELayer:

@@ -510,6 +510,31 @@ class TestArtifactBoundary:
                              "-o", path, message="dup noise must be finite and >= 0")
         assert not path.exists()
 
+    @pytest.mark.parametrize("dup", [(), ("--dup", "none")], ids=["default", "none"])
+    def test_dup_noise_without_dup_mode(self, tmp_path, capsys, dup):
+        path = tmp_path / "model.mckpt"
+        self.assert_rejected(capsys, "gen", "--layers", 2, "--experts", 4, "--hidden", 4,
+                             "--inter", 4, "--topk", 2, *dup, "--dup-noise", "0.5", "-o", path,
+                             message="dup noise > 0 needs a dup mode: mode 'none' plants no copy")
+        assert not path.exists()
+
+    def test_merge_with_refused_checkpoint_writes_nothing(self, tmp_path, capsys):
+        model, stats = tmp_path / "m.mckpt", tmp_path / "s.json"
+        plan, fused = tmp_path / "merge.json", tmp_path / "f.mckpt"
+        assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 4, "--inter", 6,
+                   "--topk", 2, "-o", model, "-q") == 0
+        assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats, "-q") == 0
+        raw = model.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header["metadata"]["note"] = float("nan")
+        model.write_bytes(json.dumps(header).encode() + raw[nl:])
+        self.assert_rejected(capsys, "merge", "--model", model, "--stats", stats, "--rho", "0.5",
+                             "-o", plan, "--fused-model", fused,
+                             message="Out of range float values are not JSON compliant")
+        assert not plan.exists()
+        assert not fused.exists()
+
     def test_analyze_scope_beyond_layers(self, model_path, tmp_path, capsys):
         self.assert_rejected(capsys, "analyze", "nn", "--model", model_path, "--scope", 5,
                              "-o", tmp_path / "out_", message="scope_size must be in [1, num_layers]")
