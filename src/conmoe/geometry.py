@@ -72,7 +72,7 @@ def _projection_distances(flat: list[np.ndarray]) -> np.ndarray:
         row[:] = w
     gram = stack @ stack.T
     del stack
-    sq = np.diag(gram).copy()
+    sq = np.diag(gram).copy()  # not a view, so that del gram frees the Gram
     norms = np.sqrt(sq)
     d2 = np.maximum(sq[:, None] + sq - 2.0 * gram, 0.0)
     del gram

@@ -30,6 +30,16 @@ def list_an_unused_prototype(plan):
     plan["scopes"][0]["prototypes"] = sorted(plan["scopes"][0]["prototypes"] + [slot])
 
 
+def put_nan_in_header(checkpoint):
+    """A NaN in the checkpoint header's metadata, which a derived
+    checkpoint would carry."""
+    raw = checkpoint.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    header["metadata"]["note"] = float("nan")
+    checkpoint.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -442,11 +452,7 @@ class TestArtifactBoundary:
         plan, out = tmp_path / "p.json", tmp_path / "reduced.mckpt"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
                    "--rho", "0.5", "-o", plan, "-q") == 0
-        raw = model_path.read_bytes()
-        nl = raw.find(b"\n")
-        header = json.loads(raw[:nl])
-        header["metadata"]["note"] = float("nan")
-        model_path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        put_nan_in_header(model_path)
         self.assert_rejected(capsys, "materialize", "--model", model_path, "--plan", plan,
                              "-o", out, message="Out of range float values are not JSON compliant")
         assert not out.exists()
@@ -524,11 +530,7 @@ class TestArtifactBoundary:
         assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 4, "--inter", 6,
                    "--topk", 2, "-o", model, "-q") == 0
         assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats, "-q") == 0
-        raw = model.read_bytes()
-        nl = raw.find(b"\n")
-        header = json.loads(raw[:nl])
-        header["metadata"]["note"] = float("nan")
-        model.write_bytes(json.dumps(header).encode() + raw[nl:])
+        put_nan_in_header(model)
         self.assert_rejected(capsys, "merge", "--model", model, "--stats", stats, "--rho", "0.5",
                              "-o", plan, "--fused-model", fused,
                              message="Out of range float values are not JSON compliant")

@@ -129,9 +129,6 @@ def whole_model(spec):
     return [(l, i) for l in range(spec.num_layers) for i in range(spec.num_experts)]
 
 
-GRAM_SHAPES = [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2), (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)]
-
-
 def assert_pair_kernel_bytes(model, scope):
     """The (n, n) table is the index-pair kernel's, bit for bit, and is
     bitwise symmetric with an all-zero diagonal."""
@@ -144,7 +141,8 @@ def assert_pair_kernel_bytes(model, scope):
 
 
 class TestGramKernel:
-    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 3, 1), (1, 2, 1, 1, 1), (2, 5, 3, 7, 2),
+                                       (3, 8, 16, 24, 2), (2, 12, 32, 8, 3)])
     def test_matches_scalar_loop(self, shape):
         spec = ModelSpec(*shape)
         model, _ = gen_synthetic(spec, seed=sum(shape))
@@ -155,6 +153,7 @@ class TestGramKernel:
         assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-12
         assert np.array_equal(got.values, got.values.T)
         assert not np.diag(got.values).any()
+        assert_pair_kernel_bytes(model, scope[::-1])
 
     def test_zero_experts(self):
         spec = ModelSpec(1, 4, 4, 6, 1)
@@ -165,6 +164,7 @@ class TestGramKernel:
         want = reference_table(model, whole_model(spec))
         assert got.values[0, 1] == 0.0
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        assert_pair_kernel_bytes(model, whole_model(spec))
 
     @pytest.mark.parametrize("dup", [DupConfig("within"), DupConfig("both", 1e-7)])
     def test_planted_pairs_exact(self, dup):
@@ -175,24 +175,6 @@ class TestGramKernel:
             d = table.distance(copy, src)
             assert d == expert_distance(expert(model, copy), expert(model, src))
             assert d == 0.0 or dup.noise > 0
-
-    @pytest.mark.parametrize("shape", GRAM_SHAPES)
-    def test_bytes_match_pair_kernel(self, shape):
-        spec = ModelSpec(*shape)
-        model, _ = gen_synthetic(spec, seed=sum(shape))
-        assert_pair_kernel_bytes(model, whole_model(spec)[::-1])
-
-    @pytest.mark.parametrize("dup", [DupConfig("within"), DupConfig("both", 1e-7)])
-    def test_planted_pairs_bytes_match_pair_kernel(self, dup):
-        spec = ModelSpec(4, 8, 16, 24, 2)
-        model, _ = gen_synthetic(spec, seed=5, dup=dup)
-        assert_pair_kernel_bytes(model, whole_model(spec))
-
-    def test_zero_experts_bytes_match_pair_kernel(self):
-        spec = ModelSpec(1, 4, 4, 6, 1)
-        model, _ = gen_synthetic(spec, seed=1)
-        for i in (0, 1):
-            model.row((0, i))[...] = 0.0
         assert_pair_kernel_bytes(model, whole_model(spec))
 
     @pytest.mark.parametrize("dup", [DupConfig(), DupConfig("within")])
