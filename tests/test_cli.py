@@ -4,12 +4,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conmoe.cli import main
-from conmoe import distance_matrix, read_checkpoint, read_plan
+from conmoe import read_checkpoint, read_plan
 from conftest import run_cli_subprocess
+from test_geometry import assert_pair_kernel_bytes
 
 
 GRID = "stats records are not the full ascending (layer, expert) grid"
@@ -236,7 +236,6 @@ class TestDeterminism:
             outs.append((stats.read_bytes(), plan.read_bytes()))
         assert outs[0] == outs[1]
 
-
     def test_pool_scope_byte_identical_across_threads(self, tmp_path):
         """One 256-expert scope: the table's symmetry comes from the BLAS
         Gram, so analyze nn and a whole-model consolidate must not move
@@ -258,9 +257,7 @@ class TestDeterminism:
             names = ("nn_report.json", "nn_heatmap.csv", "nn_fractions.csv")
             outs.append([Path(prefix + name).read_bytes() for name in names] + [plan.read_bytes()])
         assert outs[0] == outs[1]
-        values = distance_matrix(read_checkpoint(model), [(l, i) for l in range(4) for i in range(64)]).values
-        assert values.tobytes() == np.ascontiguousarray(values.T).tobytes()
-        assert np.diag(values).tobytes() == bytes(8 * 256)
+        assert_pair_kernel_bytes(read_checkpoint(model), [(l, i) for l in range(4) for i in range(64)])
 
 
 class TestReadmeShapeRegressions:
