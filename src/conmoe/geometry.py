@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import PROJECTIONS, MoEModel, Ref
 
-# Stabiliser of every ratio (distances, min-max scores, relative errors); plans record it as "eps".
+# Stabiliser of every ratio (distances, min-max scores, relative errors).
 EPS = 1e-8
 
 

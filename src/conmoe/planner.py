@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibStats, contribution
-from .geometry import EPS, DistanceTable, distance_matrix, minmax_norm, nearest
+from .geometry import DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
 
@@ -144,10 +144,6 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
         scope_size=config.scope_size,
         policy=config.policy,
         assignment=assignment,
-        metadata={
-            "eps": EPS,
-            "reap_score": "aliased to routing-conditioned contribution",
-        },
     )
 
 

@@ -1,13 +1,14 @@
 """Bit-exact file formats: `.mckpt` checkpoints, `.plan.json` plans, and
-`.stats.json` calibration statistics, one record per slot in the full
-ascending (layer, expert) grid.
+`.stats.json` calibration statistics. Each holds only what it cannot derive.
 
-A checkpoint is a single file: canonical UTF-8 JSON header, one newline,
-an 8-byte little-endian payload length, then the raw float32
-little-endian tensor payload: per layer, each expert's gate, up and down,
-then the router. The header's tensor_index must be exactly the canonical
-index of its spec. Everything JSON is serialized canonically (sorted keys,
-compact separators) so identical values produce identical bytes.
+A checkpoint is a single file: a canonical UTF-8 JSON header (magic, spec,
+metadata), one newline, an 8-byte little-endian payload length, then the
+raw float32 little-endian tensor payload: per layer, each expert's gate, up
+and down, then the router, so every offset follows from the spec. A plan is
+its assignment pairs, drop mask and scalar fields; stats are two (layers,
+experts) grids. JSON is canonical (sorted keys, compact separators), so
+identical values produce identical bytes. Each file is written to a sibling
+`<name>.tmp` and then renamed over its path.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ import json
 import os
 import struct
 from dataclasses import asdict
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import CalibStats
-from .model import PROJECTIONS, MoELayer, MoEModel, ModelSpec
-from .plan import PLAN_VERSION, ConsolidationPlan, Scope
+from .model import MoELayer, MoEModel, ModelSpec
+from .plan import PLAN_VERSION, ConsolidationPlan
 
 MAGIC = "MCKPT1"
-STATS_VERSION = 1
+STATS_VERSION = 2
 
 
 # what a missing, mistyped or malformed JSON value raises on conversion
@@ -39,9 +39,23 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
+def _write_atomic(path, write) -> None:
+    """write(f) into a sibling `<name>.tmp`, then rename it over path; on
+    any failure the temp file is removed and path is left untouched."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, obj) -> None:
     """A JSON artifact: its canonical bytes and one newline."""
-    Path(path).write_bytes(canonical_json(obj) + b"\n")
+    data = canonical_json(obj) + b"\n"
+    _write_atomic(path, lambda f: f.write(data))
 
 
 def _load_json(data: bytes, artifact: str):
@@ -91,39 +105,20 @@ def _payload_length(spec: ModelSpec) -> int:
     return spec.num_layers * spec.num_experts * (3 * spec.intermediate_dim + 1) * spec.hidden_dim * 4
 
 
-def _tensor_index(spec: ModelSpec) -> list:
-    """The header's tensor_index, [name, shape, byte offset] per tensor:
-    per layer, each expert's gate, up and down, then the router, packed."""
-    f, h = spec.intermediate_dim, spec.hidden_dim
-    shapes = {"gate": [f, h], "up": [f, h], "down": [h, f]}
-    index = []
-    offset = 0
-    for l in range(spec.num_layers):
-        for i in range(spec.num_experts):
-            for proj in PROJECTIONS:
-                index.append([f"layers.{l}.experts.{i}.{proj}", shapes[proj], offset])
-                offset += f * h * 4
-        index.append([f"layers.{l}.router", [spec.num_experts, h], offset])
-        offset += spec.num_experts * h * 4
-    return index
-
-
 def write_checkpoint(model: MoEModel, path) -> None:
     model.validate()
     # built before the file is opened, so a header that is refused leaves no file
-    header = canonical_json({
-        "magic": MAGIC,
-        "spec": asdict(model.spec),
-        "tensor_index": _tensor_index(model.spec),
-        "metadata": model.metadata,
-    })
-    with open(path, "wb") as f:
+    header = canonical_json({"magic": MAGIC, "spec": asdict(model.spec), "metadata": model.metadata})
+
+    def write(f):
         f.write(header)
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
         for layer in model.layers:
             f.write(np.ascontiguousarray(layer.block, dtype="<f4"))
             f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
+
+    _write_atomic(path, write)
 
 
 def _read_into(f, arr: np.ndarray) -> np.ndarray:
@@ -148,17 +143,6 @@ def read_checkpoint(path) -> MoEModel:
         # checked in O(1) before anything is sized from the untrusted spec
         if not declared_len == _payload_length(spec) == os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError("payload length mismatch")
-
-        index = _field("checkpoint header", header, "tensor_index", list)
-        for entry in index:
-            try:
-                for number in (*entry[1], entry[2]):
-                    _int(number)
-            except _MALFORMED as exc:
-                raise ValueError(f"checkpoint tensor_index entry {entry!r}: {exc}") from None
-        for k, (got, want) in enumerate(zip_longest(index, _tensor_index(spec))):
-            if got != want:
-                raise ValueError(f"checkpoint tensor_index entry {k} is {got!r}, expected {want!r}")
 
         n, inter, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
         layers = [MoELayer(_read_into(f, np.empty((n, 3, inter * h), dtype="<f4")),
@@ -202,8 +186,6 @@ def plan_to_dict(plan: ConsolidationPlan) -> dict:
         "rho": plan.rho,
         "scope_size": plan.scope_size,
         "policy": plan.policy,
-        "scopes": [{"layers": scope.layers, "prototypes": [_ref_to_list(p) for p in scope.prototypes]}
-                   for scope in plan.scopes],
         "assignment": [
             [_ref_to_list(slot), _ref_to_list(plan.assignment[slot])]
             for slot in sorted(plan.assignment)
@@ -211,13 +193,6 @@ def plan_to_dict(plan: ConsolidationPlan) -> dict:
         "drop_mask": [_ref_to_list(r) for r in sorted(plan.drop_mask)],
         "metadata": plan.metadata,
     }
-
-
-def _scope_from_dict(s) -> Scope:
-    return Scope(
-        layers=_field("plan scope", s, "layers", lambda v: [_int(l) for l in v]),
-        prototypes=_field("plan scope", s, "prototypes", lambda v: [_ref_from_list(p) for p in v]),
-    )
 
 
 def _assignment_from_list(v) -> dict:
@@ -234,8 +209,7 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
     version = _field("plan", d, "version", _int)
     if version != PLAN_VERSION:
         raise ValueError(f"unsupported plan version: {version}")
-    scopes = _field("plan", d, "scopes", lambda v: [_scope_from_dict(s) for s in v])
-    plan = ConsolidationPlan(
+    return ConsolidationPlan(
         rho=_field("plan", d, "rho", _float),
         scope_size=_field("plan", d, "scope_size", _int),
         policy=_field("plan", d, "policy", str),
@@ -244,9 +218,6 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
         metadata=_field("plan", d, "metadata", _object, {}),
         version=version,
     )
-    if scopes != plan.scopes:
-        raise ValueError("plan: field 'scopes' does not match the scopes its assignment derives")
-    return plan
 
 
 def write_plan(plan: ConsolidationPlan, path) -> None:
@@ -259,49 +230,40 @@ def read_plan(path) -> ConsolidationPlan:
 
 
 def stats_to_dict(stats: CalibStats) -> dict:
-    counts, sums = stats.routed_count.tolist(), stats.sum_weighted_norm.tolist()
     return {
         "version": STATS_VERSION,
         "token_total": stats.token_total,
         "top_k": stats.top_k,
-        "experts": [
-            {
-                "ref": [l, i],
-                "routed_count": counts[l][i],
-                "sum_weighted_norm": sums[l][i],
-                # always equal to routed_count; kept so stats files keep their bytes
-                "topk_count": counts[l][i],
-            }
-            for l, i in np.ndindex(stats.routed_count.shape)
-        ],
+        "routed_count": stats.routed_count.tolist(),
+        "sum_weighted_norm": stats.sum_weighted_norm.tolist(),
         "metadata": stats.metadata,
     }
+
+
+def _grid(convert, dtype):
+    """A non-empty list of equal-length, non-empty rows as a 2-D array,
+    each element checked by convert."""
+    def read(v):
+        if not (type(v) is list and v and all(type(r) is list and len(r) == len(v[0]) > 0 for r in v)):
+            raise ValueError("expected a non-empty grid of equal-length rows")
+        return np.array([[convert(x) for x in row] for row in v], dtype=dtype)
+    return read
 
 
 def stats_from_dict(d: dict) -> CalibStats:
     version = _field("stats", d, "version", _int)
     if version != STATS_VERSION:
         raise ValueError(f"unsupported stats version: {version}")
-    records = _field("stats", d, "experts", list)
-    refs = [_field("stats record", rec, "ref", _ref_from_list) for rec in records]
-    # the shape comes from the last ref; the record count is checked
-    # against it before anything is sized from it
-    shape = (refs[-1][0] + 1, refs[-1][1] + 1) if refs else (0, 0)
-    if not (min(shape) > 0 and len(refs) == shape[0] * shape[1] and refs == list(np.ndindex(shape))):
-        raise ValueError("stats records are not the full ascending (layer, expert) grid")
-    counts, sums = [], []
-    for ref, rec in zip(refs, records):
-        artifact = f"stats record {list(ref)}"
-        routed = _field(artifact, rec, "routed_count", lambda v: np.int64(_int(v)))
-        if _field(artifact, rec, "topk_count", _int) != routed:
-            raise ValueError(f"{artifact}: topk_count differs from routed_count")
-        counts.append(routed)
-        sums.append(_field(artifact, rec, "sum_weighted_norm", _float))
+    counts = _field("stats", d, "routed_count", _grid(_int, np.int64))
+    sums = _field("stats", d, "sum_weighted_norm", _grid(_float, np.float64))
+    if counts.shape != sums.shape:
+        raise ValueError(f"stats: grids differ in shape: routed_count {counts.shape}, "
+                         f"sum_weighted_norm {sums.shape}")
     return CalibStats(
         token_total=_field("stats", d, "token_total", _int),
         top_k=_field("stats", d, "top_k", _int),
-        routed_count=np.array(counts, dtype=np.int64).reshape(shape),
-        sum_weighted_norm=np.array(sums).reshape(shape),
+        routed_count=counts,
+        sum_weighted_norm=sums,
         metadata=_field("stats", d, "metadata", _object, {}),
     )
 

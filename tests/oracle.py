@@ -1,9 +1,9 @@
 """Reference implementations the tests compare conmoe against: the
 per-token forward, the per-pair expert distance, the index-pair distance
 table and the geometry queries, the nested-list nearest-neighbor tally,
-the per-layer pruning and merging baselines, the identity plan, and model
-equality; and an expert's three projections as named views of its row.
-Nothing in conmoe imports them.
+the per-layer pruning and merging baselines, the identity plan, model
+equality and a checkpoint payload's tensor index; and an expert's three
+projections as named views of its row. Nothing in conmoe imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -339,3 +339,21 @@ def models_equal(a, b):
         np.array_equal(x.block, y.block) and np.array_equal(x.router, y.router)
         for x, y in zip(a.layers, b.layers)
     )
+
+
+def tensor_index(spec):
+    """[name, shape, byte offset] of each tensor in a checkpoint payload:
+    per layer, each expert's gate, up and down, then the router, packed.
+    Older checkpoint headers carry exactly this list as `tensor_index`;
+    the reader ignores it, since the spec fixes it."""
+    f, h = spec.intermediate_dim, spec.hidden_dim
+    shapes = {"gate": [f, h], "up": [f, h], "down": [h, f]}
+    index, offset = [], 0
+    for l in range(spec.num_layers):
+        for i in range(spec.num_experts):
+            for proj in PROJECTIONS:
+                index.append([f"layers.{l}.experts.{i}.{proj}", shapes[proj], offset])
+                offset += f * h * 4
+        index.append([f"layers.{l}.router", [spec.num_experts, h], offset])
+        offset += spec.num_experts * h * 4
+    return index

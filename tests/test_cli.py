@@ -9,25 +9,24 @@ import pytest
 from conmoe.cli import main
 from conmoe import read_checkpoint, read_plan
 from conftest import run_cli_subprocess
+from oracle import tensor_index
 from test_geometry import assert_pair_kernel_bytes
 
 
-GRID = "stats records are not the full ascending (layer, expert) grid"
+GRID = "expected a non-empty grid of equal-length rows"
 
 
 def share_across_layers(plan):
-    """Scopes 0 and 1 listed as one scope, with a slot of layer 1 sent to a
-    prototype of layer 0, in a plan that says scope_size 1."""
-    first, second = plan["scopes"][:2]
-    plan["scopes"][:2] = [{"layers": [0, 1], "prototypes": first["prototypes"] + second["prototypes"]}]
+    """A slot of layer 1 sent to a prototype of layer 0, in a plan that
+    says scope_size 1."""
+    prototype = next(target for slot, target in plan["assignment"] if slot == target and slot[0] == 0)
     pair = next(pair for pair in plan["assignment"] if pair[0][0] == 1 and pair[0] != pair[1])
-    pair[1] = first["prototypes"][0]
+    pair[1] = prototype
 
 
-def list_an_unused_prototype(plan):
-    """Layer 0's scope also lists a slot that maps elsewhere."""
-    slot = next(s for s, t in plan["assignment"] if s != t)
-    plan["scopes"][0]["prototypes"] = sorted(plan["scopes"][0]["prototypes"] + [slot])
+def set_cell(grid, value):
+    """A mutation that sets cell (0, 3) of a stats grid."""
+    return lambda d: d[grid][0].__setitem__(3, value)
 
 
 def put_nan_in_header(checkpoint):
@@ -197,8 +196,9 @@ class TestPipeline:
         plan = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
                    "--rho", "0.5", "-o", plan, "-q") == 0
-        assert json.loads(plan.read_text())["metadata"] == {
-            "eps": 1e-08, "reap_score": "aliased to routing-conditioned contribution", "seed": 42}
+        doc = json.loads(plan.read_text())
+        assert sorted(doc) == ["assignment", "drop_mask", "metadata", "policy", "rho", "scope_size", "version"]
+        assert doc["metadata"] == {"seed": 42}
 
     def test_merge_outputs_must_differ(self, model_path, stats_path, tmp_path, capsys):
         out = tmp_path / "merged"
@@ -320,17 +320,20 @@ class TestArtifactBoundary:
     @pytest.mark.parametrize("artifact,mutate,message", [
         ("plan", lambda d: d.pop("rho"), "plan: missing field 'rho'"),
         ("plan", lambda d: d.update(assignment=5), "plan: malformed field 'assignment'"),
-        ("stats", lambda d: d["experts"][3].pop("sum_weighted_norm"),
-         "stats record [0, 3]: missing field 'sum_weighted_norm'"),
+        ("stats", lambda d: d.pop("sum_weighted_norm"), "stats: missing field 'sum_weighted_norm'"),
         ("checkpoint", lambda h: h.pop("spec"), "checkpoint header: missing field 'spec'"),
-        ("checkpoint", lambda h: h["tensor_index"][2].__delitem__(slice(1, None)),
-         "checkpoint tensor_index entry"),
         # numbers of the wrong JSON type are rejected, not coerced
-        ("stats", lambda d: d["experts"][3].update(routed_count=2.7, topk_count="2"),
-         "stats record [0, 3]: malformed field 'routed_count': expected a JSON integer, got 2.7"),
+        ("stats", set_cell("routed_count", 2.7),
+         "stats: malformed field 'routed_count': expected a JSON integer, got 2.7"),
+        ("stats", set_cell("routed_count", True),
+         "stats: malformed field 'routed_count': expected a JSON integer, got True"),
+        ("stats", set_cell("routed_count", "2"),
+         "stats: malformed field 'routed_count': expected a JSON integer, got '2'"),
+        ("stats", set_cell("sum_weighted_norm", "0.5"),
+         "stats: malformed field 'sum_weighted_norm': expected a JSON number, got '0.5'"),
         ("plan", lambda d: d.update(scope_size="2"),
          "plan: malformed field 'scope_size': expected a JSON integer, got '2'"),
-        ("checkpoint", lambda h: h["tensor_index"][1].__setitem__(2, 0.5),
+        ("checkpoint", lambda h: h["spec"].update(hidden_dim=0.5),
          "expected a JSON integer, got 0.5"),
         ("checkpoint", lambda h: h["spec"].update(top_k=True),
          "checkpoint spec: malformed field 'top_k': expected a JSON integer, got True"),
@@ -339,23 +342,28 @@ class TestArtifactBoundary:
         # versions must match, older ones included
         ("plan", lambda d: d.update(version=-7), "unsupported plan version: -7"),
         ("stats", lambda d: d.update(version=0), "unsupported stats version: 0"),
-        # stats records must be the full ascending (layer, expert) grid
-        ("stats", lambda d: d["experts"].insert(0, d["experts"].pop(1)), GRID),
-        ("stats", lambda d: d["experts"].pop(5), GRID),
-        ("stats", lambda d: d["experts"].insert(5, d["experts"][5]), GRID),
-        ("stats", lambda d: d["experts"][-1].update(ref=[-2, -2]), GRID),
+        # each stats field is one non-empty (layers, experts) grid, both of one shape
+        ("stats", lambda d: d["routed_count"][1].pop(), f"stats: malformed field 'routed_count': {GRID}"),
+        ("stats", lambda d: d["sum_weighted_norm"][0].append(0.0),
+         f"stats: malformed field 'sum_weighted_norm': {GRID}"),
+        ("stats", lambda d: d.update(routed_count=[]), GRID),
+        ("stats", lambda d: d.update(routed_count=[[]] * 4), GRID),
+        ("stats", lambda d: d.update(routed_count=d["routed_count"][0]), GRID),
+        ("stats", lambda d: d["sum_weighted_norm"].pop(),
+         "stats: grids differ in shape: routed_count (4, 8), sum_weighted_norm (3, 8)"),
         # a count no int64 holds is malformed, not a traceback
-        ("stats", lambda d: d["experts"][3].update(routed_count=2**64, topk_count=2**64),
-         "stats record [0, 3]: malformed field 'routed_count'"),
+        ("stats", set_cell("routed_count", 2**64), "stats: malformed field 'routed_count'"),
         # an infinite norm would turn every score into NaN
-        ("stats", lambda d: d["experts"][3].update(sum_weighted_norm=float("inf")),
-         "infinite weighted norm for (0, 3)"),
+        ("stats", set_cell("sum_weighted_norm", float("inf")), "infinite weighted norm for (0, 3)"),
+        ("stats", set_cell("sum_weighted_norm", float("-inf")), "negative or NaN weighted norm for (0, 3)"),
+        ("stats", set_cell("sum_weighted_norm", float("nan")), "negative or NaN weighted norm for (0, 3)"),
+        # a slot no token selected has no weighted norm
+        ("stats", set_cell("routed_count", 0), "inconsistent stats for (0, 3)"),
         # each slot is assigned once; a second entry would silently win
         ("plan", lambda d: d["assignment"].append(d["assignment"][1]),
          "slot [0, 1] is assigned twice"),
-        # the assignment is the whole plan: scopes are derived from it
+        # the assignment is the whole plan: its scopes are derived from it
         ("plan", share_across_layers, "dangling assignment: (1, "),
-        ("plan", list_an_unused_prototype, "plan: field 'scopes' does not match"),
         ("plan", lambda d: d["assignment"].pop(5), "assignment is not the full (layer, expert) grid"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
@@ -396,9 +404,9 @@ class TestArtifactBoundary:
         ("layers.2.router", "inf", "non-finite router weights"),
     ])
     def test_non_finite_payload(self, model_path, tmp_path, capsys, tensor, value, message):
+        offsets = {name: offset for name, _, offset in tensor_index(read_checkpoint(model_path).spec)}
         raw = bytearray(model_path.read_bytes())
         nl = raw.find(b"\n")
-        offsets = {name: offset for name, _, offset in json.loads(raw[:nl])["tensor_index"]}
         pos = nl + 1 + 8 + offsets[tensor] + 4 * 7  # the tensor's eighth float32
         raw[pos:pos + 4] = struct.pack("<f", float(value))
         model_path.write_bytes(bytes(raw))
@@ -454,20 +462,18 @@ class TestArtifactBoundary:
                              "-o", out, message="Out of range float values are not JSON compliant")
         assert not out.exists()
 
-    def test_huge_stats_ref_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
+    def test_version_1_stats_refused(self, model_path, stats_path, tmp_path, capsys):
+        """Stats of the per-record layout, version 1, exit 1 with a message."""
         doc = json.loads(stats_path.read_text())
-        doc["experts"].append({**doc["experts"][-1], "ref": [0, 10**12]})
+        counts, sums = doc.pop("routed_count"), doc.pop("sum_weighted_norm")
+        doc.update(version=1, experts=[
+            {"ref": [l, i], "routed_count": c, "sum_weighted_norm": sums[l][i], "topk_count": c}
+            for l, row in enumerate(counts) for i, c in enumerate(row)])
         stats_path.write_text(json.dumps(doc))
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
-                                 "--rho", "0.5", "-o", tmp_path / "p.json", message=GRID)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 5.0
-        assert peak < 16 * 2**20
+        self.assert_rejected(capsys, "consolidate", "--model", model_path, "--stats", stats_path,
+                             "--rho", "0.5", "-o", tmp_path / "p.json",
+                             message="unsupported stats version: 1")
+        assert not (tmp_path / "p.json").exists()
 
     def test_huge_plan_slot_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
         plan = tmp_path / "plan.json"

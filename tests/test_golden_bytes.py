@@ -4,6 +4,8 @@ Each output here is built without BLAS (random draws, copies, sorts and
 elementwise sums only), so its sha256 is the same on every machine. A
 change to the `.mckpt` layout, the tensor order, the header, the
 generator's draw order, or how stats are read and ranked changes a hash.
+Each checkpoint's payload, the bytes after the header line, is pinned on
+its own too, so a change to the header alone shows as such.
 """
 
 import hashlib
@@ -11,31 +13,51 @@ import json
 
 import pytest
 
+from conmoe import read_checkpoint, write_checkpoint
 from conmoe.cli import main
+from conmoe.store import canonical_json
+from oracle import tensor_index
 
 README_SHAPE = ["--layers", "8", "--experts", "16", "--hidden", "32", "--inter", "48", "--topk", "2"]
 
+# flags, file sha256, payload sha256
 GEN = {
     "none": (["--dup", "none"],
-             "8b5ed5cd8685d2d55fe55019f9cb09a60b49f0a35a1981cf7339b15c7fad42b8"),
+             "04c1ba514bb58ebe00daeb748bbc03a692dfaaeefe59ac6ce5c9ff540a70e334",
+             "34461b19f08c84fb0d5b6eb50cd31ff87d35f25d763b6b42a577836fa5916797"),
     "within": (["--dup", "within"],
-               "a81f9570598c61858b15bfa979db17481e383d4778df990f58348615294885fe"),
+               "8d8dfb423a1c50948c8618fef3c2883e3367dc1cd473e346d386890b59a476fa",
+               "4f77dbbaaee4ac192fb2854787dbd1a46d8cd34f73a0d9ea697a1b3b8ccdcc7b"),
     "both": (["--dup", "both", "--dup-noise", "1e-7"],
-             "8c839c11c4eed2c71d4838b53d26bda971ec67e7dd10b33c7d6dc5a18aaf08e2"),
+             "7603ddba8f5b1d137e4249d7e695c4ee4e67dda94f330c5dc6c04890826b39e7",
+             "8836352fefc50b2d452fab01d377d02f3ee27e2afb7ddfb91be48d9dd0964d64"),
 }
-MATERIALIZED = "bfa448bd2bdacd6b4a5e57e39e936cee8bb2ed3c5f3b07d5af192e3e3e9ba8cf"
-FUSED = "e5835af8ae8ee988e4e978a9823e2acaeb3ba6e76b14c48a3771100d4088d60b"
+# the same checkpoints with the header's older `tensor_index` entry, as
+# earlier versions wrote them; they still read to the same model
+WITH_TENSOR_INDEX = {
+    "none": "8b5ed5cd8685d2d55fe55019f9cb09a60b49f0a35a1981cf7339b15c7fad42b8",
+    "within": "a81f9570598c61858b15bfa979db17481e383d4778df990f58348615294885fe",
+    "both": "8c839c11c4eed2c71d4838b53d26bda971ec67e7dd10b33c7d6dc5a18aaf08e2",
+}
+MATERIALIZED = "77e3f83c4c5081a02b003c9c5109040452db5cb0e1495887add76422ec6b0813"
+FUSED = "9eb6d55657f101d3deca376665f32e672f98b30d89c1d0ea3e6f6aaa8e26198d"
 # from the hand-written stats of hand_stats: the stats reader, contribution,
 # the selection and the fusion weights, none of which uses BLAS
 PRUNED = {
-    "frequency": "f9754725d8cacd5d7a8c975a5afd9ce2d2ac1460cd7b36768d0062f31a6e4239",
-    "reap": "4fa091e5e3bfb429d50ac90fc566d252d7d2cc6359bd4cbca0d63aa01ea2d657",
+    "frequency": "26967bd5faf6b2fe023bb00bc9e7e938a17261abdb82a89c03eec56630842dcc",
+    "reap": "5eee00db7dda28b0ed2be7a4ce794f9a0eadfc32bafd2c5b3a74e30bd6def1b9",
 }
-FUSED_STATS = "4d66b7ff2a2d9da92f0fbf873bd686cfb87e5f670981504625a9b116bc893536"
+FUSED_STATS = "7f34b17bee1e93aeff1d2412e95a23d813e81052fd55cbd5e1521855d5c2cfbf"
 
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def split_header(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's parsed header and the bytes after its line."""
+    nl = raw.find(b"\n")
+    return json.loads(raw[:nl]), raw[nl + 1:]
 
 
 def run(*argv):
@@ -57,16 +79,13 @@ def base_model(workdir):
 def hand_plan(path, dropped):
     """Scope 1; every slot of layer 0 maps to expert 0, the other layers
     keep their own experts; `dropped` slots of layer 0 map to themselves."""
-    assignment, scopes = [], []
+    assignment = []
     for l in range(8):
-        protos = [[0, 0]] if l == 0 else [[l, i] for i in range(16)]
-        scopes.append({"layers": [l], "prototypes": protos})
         for i in range(16):
             target = [l, i] if l > 0 or i in dropped else [0, 0]
             assignment.append([[l, i], target])
     plan = {
-        "version": 1, "rho": 0.5, "scope_size": 1, "policy": "identity",
-        "scopes": scopes, "assignment": assignment,
+        "version": 1, "rho": 0.5, "scope_size": 1, "policy": "identity", "assignment": assignment,
         "drop_mask": [[0, i] for i in dropped], "metadata": {},
     }
     path.write_text(json.dumps(plan))
@@ -75,10 +94,25 @@ def hand_plan(path, dropped):
 
 @pytest.mark.parametrize("dup", sorted(GEN))
 def test_gen(workdir, dup):
-    flags, digest = GEN[dup]
+    flags, digest, payload = GEN[dup]
     path = workdir / f"gen-{dup}.mckpt"
     run("gen", *README_SHAPE, *flags, "--seed", 42, "-o", path, "-q")
     assert sha256(path) == digest
+    assert hashlib.sha256(split_header(path.read_bytes())[1]).hexdigest() == payload
+
+
+@pytest.mark.parametrize("dup", sorted(GEN))
+def test_header_with_tensor_index_reads_the_same(workdir, dup):
+    path = workdir / f"gen-{dup}.mckpt"
+    run("gen", *README_SHAPE, *GEN[dup][0], "--seed", 42, "-o", path, "-q")
+    header, rest = split_header(path.read_bytes())
+    header["tensor_index"] = tensor_index(read_checkpoint(path).spec)
+    older = workdir / f"older-{dup}.mckpt"
+    older.write_bytes(canonical_json(header) + b"\n" + rest)
+    assert sha256(older) == WITH_TENSOR_INDEX[dup]
+    again = workdir / f"again-{dup}.mckpt"
+    write_checkpoint(read_checkpoint(older), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_materialize(workdir, base_model):
@@ -98,13 +132,10 @@ def test_fuse_uniform(workdir, base_model):
 def hand_stats(path):
     """README-shape stats from a fixed formula: some slots never routed,
     and contribution ranks the slots differently from the counts."""
-    experts = []
-    for l in range(8):
-        for i in range(16):
-            count = (5 * l + 7 * i) % 11 * 3
-            experts.append({"ref": [l, i], "routed_count": count, "topk_count": count,
-                            "sum_weighted_norm": count * 0.25 * (1 + (3 * l + i) % 7)})
-    stats = {"version": 1, "token_total": 256, "top_k": 2, "experts": experts, "metadata": {}}
+    counts = [[(5 * l + 7 * i) % 11 * 3 for i in range(16)] for l in range(8)]
+    sums = [[c * 0.25 * (1 + (3 * l + i) % 7) for i, c in enumerate(row)] for l, row in enumerate(counts)]
+    stats = {"version": 2, "token_total": 256, "top_k": 2, "routed_count": counts,
+             "sum_weighted_norm": sums, "metadata": {}}
     path.write_text(json.dumps(stats))
     return path
 
