@@ -5,6 +5,7 @@ scope-size sweep."""
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from .geometry import EPS, distance_matrix, nearest
 from .model import MoEModel, model_forward_trace, token_rows
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
+from .store import write_bytes
 
 
 @dataclass
@@ -91,19 +93,18 @@ def cross_layer_nn(model: MoEModel, scope_size: int) -> NNReport:
     )
 
 
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_bytes(path, buf.getvalue().encode())
+
+
 def dump_nn_csvs(report: NNReport, heatmap_path, fractions_path) -> None:
-    with open(heatmap_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["source_layer", "target_layer", "count"])
-        for src, row in enumerate(report.counts):
-            for tgt, c in enumerate(row):
-                writer.writerow([src, tgt, c])
-    with open(fractions_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["layer", "cross_layer_fraction"])
-        for l, frac in enumerate(report.per_layer_fraction):
-            writer.writerow([l, repr(frac)])
-        writer.writerow(["overall", repr(report.overall_fraction)])
+    _write_csv(heatmap_path, ["source_layer", "target_layer", "count"],
+               ([src, tgt, c] for src, row in enumerate(report.counts) for tgt, c in enumerate(row)))
+    fractions = [[l, repr(frac)] for l, frac in enumerate(report.per_layer_fraction)]
+    _write_csv(fractions_path, ["layer", "cross_layer_fraction"],
+               [*fractions, ["overall", repr(report.overall_fraction)]])
 
 
 def scope_sweep(

@@ -28,7 +28,7 @@ class ModelSpec:
     top_k: int
     activation: str = "silu"
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("empty model")
         if self.num_experts < 1:
@@ -63,7 +63,6 @@ class MoEModel:
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
-        self.spec.validate()
         if len(self.layers) != self.spec.num_layers:
             raise ValueError("layer count mismatch")
         n, f, h = self.spec.num_experts, self.spec.intermediate_dim, self.spec.hidden_dim
@@ -244,7 +243,7 @@ class DupConfig:
     mode: str = "none"  # none | within | cross | both
     noise: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in ("none", "within", "cross", "both"):
             raise ValueError(f"unknown dup mode: {self.mode!r}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
@@ -275,8 +274,6 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> t
     The duplicate map sends each planted copy to its source slot; with
     noise=0 the mapped pair is bit-identical.
     """
-    spec.validate()
-    dup.validate()
     if dup.mode in ("within", "both") and spec.num_experts < 2:
         raise ValueError("within-layer duplicates need at least 2 experts")
     if dup.mode in ("cross", "both") and spec.num_layers < 2:

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 Ref = tuple[int, int]
 
-PLAN_VERSION = 1
-
 SELECTION_POLICIES = ("adaptive", "fixed_k", "usage_topk", "reap_topk", "distance_only")
 
 POLICIES = ("identity", *SELECTION_POLICIES, "prune_frequency", "prune_reap", "merge_msmoe")
@@ -42,7 +40,6 @@ class ConsolidationPlan:
     assignment: dict[Ref, Ref]
     drop_mask: set[Ref] = field(default_factory=set)
     metadata: dict = field(default_factory=dict)
-    version: int = PLAN_VERSION
 
     def __post_init__(self):
         self.validate()
@@ -76,13 +73,12 @@ class ConsolidationPlan:
         return {t for s, t in self.assignment.items() if s not in self.drop_mask}
 
     def check_covers(self, model):
-        """A plan built for a different pool shape is rejected on use."""
-        expected = set(model.slots())
-        if set(self.assignment) != expected:
-            raise ValueError(
-                "plan does not cover this model "
-                f"({len(self.assignment)} slots, model has {len(expected)})"
-            )
+        """A plan built for a different pool shape is rejected on use. Its keys
+        are a full grid (validate), so their count and far corner fix its shape."""
+        shape = (model.spec.num_layers, model.spec.num_experts)
+        if len(self.assignment) != shape[0] * shape[1] or (shape[0] - 1, shape[1] - 1) not in self.assignment:
+            grid = tuple(max(ref[k] for ref in self.assignment) + 1 for k in (0, 1))
+            raise ValueError(f"plan does not cover this model (plan grid {grid}, model grid {shape})")
 
     def validate(self):
         if not (0.0 <= self.rho < 1.0):

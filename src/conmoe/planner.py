@@ -26,10 +26,9 @@ class ScopeConfig:
     scope_size: int = 1
     policy: str = "adaptive"
 
-    def validate(self, num_layers: int):
+    def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must be in [0, 1)")
-        scope_partition(num_layers, self.scope_size)  # rejects a scope_size out of range
         if self.policy not in SELECTION_POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
 
@@ -101,7 +100,6 @@ def select_pool(model: MoEModel, stats: CalibStats,
     """The reduced expert pool: per scope, the Scope holding its retained
     prototypes and the distance table they were ranked by. The table is None
     when the policy reads only stats or the scope keeps every expert."""
-    config.validate(model.spec.num_layers)
     stats.check_covers(model)
     pool = []
     for layers in scope_partition(model.spec.num_layers, config.scope_size):

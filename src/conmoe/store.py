@@ -23,9 +23,10 @@ import numpy as np
 
 from .calibration import CalibStats
 from .model import MoELayer, MoEModel, ModelSpec
-from .plan import PLAN_VERSION, ConsolidationPlan
+from .plan import ConsolidationPlan
 
 MAGIC = "MCKPT1"
+PLAN_VERSION = 1
 STATS_VERSION = 2
 
 
@@ -52,10 +53,13 @@ def _write_atomic(path, write) -> None:
         raise
 
 
+def write_bytes(path, data: bytes) -> None:
+    _write_atomic(path, lambda f: f.write(data))
+
+
 def write_json(path, obj) -> None:
     """A JSON artifact: its canonical bytes and one newline."""
-    data = canonical_json(obj) + b"\n"
-    _write_atomic(path, lambda f: f.write(data))
+    write_bytes(path, canonical_json(obj) + b"\n")
 
 
 def _load_json(data: bytes, artifact: str):
@@ -158,7 +162,7 @@ def _spec_from_dict(d) -> ModelSpec:
     def count(key):
         return _field("checkpoint spec", d, key, _int)
 
-    spec = ModelSpec(
+    return ModelSpec(
         num_layers=count("num_layers"),
         num_experts=count("num_experts"),
         hidden_dim=count("hidden_dim"),
@@ -166,8 +170,6 @@ def _spec_from_dict(d) -> ModelSpec:
         top_k=count("top_k"),
         activation=_field("checkpoint spec", d, "activation", str),
     )
-    spec.validate()
-    return spec
 
 
 def _ref_to_list(ref) -> list[int]:
@@ -182,7 +184,7 @@ def _ref_from_list(v) -> tuple[int, int]:
 
 def plan_to_dict(plan: ConsolidationPlan) -> dict:
     return {
-        "version": plan.version,
+        "version": PLAN_VERSION,
         "rho": plan.rho,
         "scope_size": plan.scope_size,
         "policy": plan.policy,
@@ -216,7 +218,6 @@ def plan_from_dict(d: dict) -> ConsolidationPlan:
         assignment=_field("plan", d, "assignment", _assignment_from_list),
         drop_mask=_field("plan", d, "drop_mask", lambda v: {_ref_from_list(r) for r in v}, []),
         metadata=_field("plan", d, "metadata", _object, {}),
-        version=version,
     )
 
 

@@ -502,6 +502,14 @@ class TestArtifactBoundary:
                              "--rho", "0.5", "-o", tmp_path / "p.json",
                              message="calibration stats top_k 3 does not match model top_k 2")
 
+    def test_sweep_bad_rho_fails_before_any_forward(self, model_path, stats_path, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("conmoe.analysis.model_forward_trace",
+                            lambda *a, **k: pytest.fail("a forward ran before rho was checked"))
+        self.assert_rejected(capsys, "sweep", "--model", model_path, "--stats", stats_path,
+                             "--rho", "1.5", "--scopes", "1,2", "--tokens", 8,
+                             "-o", tmp_path / "sweep.json", message="rho must be in [0, 1)")
+
     def test_out_of_memory_is_an_error(self, model_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("cannot allocate the tokens")

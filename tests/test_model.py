@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -234,14 +236,16 @@ class TestConsolidatedForward:
         assert [i for i, _, _, _ in groups] == [1, 2]
         assert [w[0] for _, _, w, _ in groups] == pytest.approx([0.75, 0.25], abs=1e-12)
 
-    # fewer experts, fewer layers, and a superset of the model's slots
-    @pytest.mark.parametrize("shape", [(4, 4), (3, 8), (5, 8)])
+    # fewer experts, fewer layers, a superset of the model's slots, and as
+    # many slots as the model's (4, 8) grid in another shape
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 8), (5, 8), (8, 4), (2, 16)])
     def test_plan_from_another_shape_rejected(self, small_model, small_tokens, shape):
         plan = identity_plan(*shape)
+        message = re.escape(f"plan does not cover this model (plan grid {shape}, model grid (4, 8))")
         for h in (small_tokens[0], small_tokens[:4]):
-            with pytest.raises(ValueError, match="plan does not cover this model"):
+            with pytest.raises(ValueError, match=message):
                 moe_forward(small_model, 0, h, plan)
-            with pytest.raises(ValueError, match="plan does not cover this model"):
+            with pytest.raises(ValueError, match=message):
                 model_forward(small_model, h, plan)
 
 

@@ -29,6 +29,7 @@ from conmoe import (
     write_stats,
 )
 from conmoe import store
+from conmoe.analysis import cross_layer_nn, dump_nn_csvs
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import stats_from_dict, stats_to_dict
@@ -61,12 +62,10 @@ class TestCheckpoint:
         write_checkpoint(model, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_model_rejected(self, model, tmp_path):
-        from conmoe.model import MoEModel
-
-        empty = MoEModel(spec=ModelSpec(0, 4, 8, 12, 2), layers=[])
+    def test_empty_model_rejected(self):
+        # a spec is frozen and checked when it is built, so no empty model exists to write
         with pytest.raises(ValueError, match="empty model"):
-            write_checkpoint(empty, tmp_path / "never.mckpt")
+            ModelSpec(0, 4, 8, 12, 2)
 
     @pytest.mark.parametrize("fault,message", [
         (lambda m: setattr(m.layers[1], "block", m.layers[1].block[:, :, :-1]),
@@ -229,10 +228,16 @@ class TestTensorIndex:
 
 class TestPlanIO:
     def test_identity_round_trip(self, tmp_path):
-        plan = identity_plan(2, 4)
-        path = tmp_path / "p.plan.json"
-        write_plan(plan, path)
-        assert read_plan(path) == plan
+        # an identity plan, and one built in memory with a shared prototype and
+        # a dropped slot: the writer sets the format version, so both read back
+        shared = ConsolidationPlan(rho=0.5, scope_size=2, policy="adaptive",
+                                   assignment={(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (1, 1)},
+                                   drop_mask={(1, 1)})
+        for plan in (identity_plan(2, 4), shared):
+            path = tmp_path / "p.plan.json"
+            write_plan(plan, path)
+            assert read_plan(path) == plan
+            assert json.loads(path.read_text())["version"] == store.PLAN_VERSION
 
     def test_canonical_bytes(self, tmp_path):
         plan = identity_plan(3, 4, scope_size=2)
@@ -257,7 +262,7 @@ class TestPlanIO:
 
     def test_scopes_derive_from_the_map(self):
         assert [f.name for f in fields(ConsolidationPlan)] == [
-            "rho", "scope_size", "policy", "assignment", "drop_mask", "metadata", "version"]
+            "rho", "scope_size", "policy", "assignment", "drop_mask", "metadata"]
         plan = identity_plan(3, 2, scope_size=2)
         plan.assignment[(1, 1)] = (0, 1)
         plan.drop_mask = {(2, 0)}
@@ -389,6 +394,29 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["artifact"]
         second(path)
         assert path.read_bytes() != before and os.listdir(tmp_path) == ["artifact"]
+
+    @pytest.mark.parametrize("failing", ["heatmap", "fractions"])
+    def test_failed_csv_write_keeps_previous_file(self, model, tmp_path, monkeypatch, failing):
+        """analyze nn's CSVs, rendered by csv.writer with its \\r\\n line ends,
+        go through the same writer, one file at a time."""
+        paths = {"heatmap": tmp_path / "h.csv", "fractions": tmp_path / "f.csv"}
+        dump_nn_csvs(cross_layer_nn(model, 1), *paths.values())
+        before = {name: path.read_bytes() for name, path in paths.items()}
+        assert before["heatmap"].startswith(b"source_layer,target_layer,count\r\n0,0,4\r\n")
+        opened = []
+
+        def fail_on(path, mode):
+            opened.append(path)
+            return DiskFull(path, mode, 0 if len(opened) == list(paths).index(failing) + 1 else 1 << 20)
+
+        with monkeypatch.context() as m:
+            m.setattr(store, "open", fail_on, raising=False)
+            with pytest.raises(OSError, match="No space left on device"):
+                dump_nn_csvs(cross_layer_nn(model, 2), *paths.values())
+        assert paths[failing].read_bytes() == before[failing]
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "h.csv"]
+        dump_nn_csvs(cross_layer_nn(model, 2), *paths.values())
+        assert paths["fractions"].read_bytes() != before["fractions"]
 
     def test_refused_header_opens_no_file(self, model, tmp_path, monkeypatch):
         model.metadata["note"] = float("nan")
