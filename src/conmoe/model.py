@@ -95,9 +95,10 @@ class MoEModel:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    # overflow-safe x * sigmoid(x)
-    z = np.exp(-np.abs(x))
-    return x * np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # Overflow-safe x * sigmoid(x), bit for bit the two-branch form
+    # x * where(x >= 0, 1 / (1 + z), z / (1 + z)) with z = exp(-|x|):
+    # exp(min(x, 0)) is exactly 1.0 where x >= 0 and exactly z elsewhere.
+    return x * (np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def _token_batch(h: np.ndarray, hidden_dim: int) -> np.ndarray:
@@ -147,16 +148,22 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     ex = np.exp(sel - peak)
     # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
     weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
-    for i, proto in enumerate(protos):
-        # a token selects a slot at most once, so its rows come out unique and ascending
-        tok, pos = np.nonzero((top == i) & keep)
-        if tok.size == 0:
+    # One stable sort groups the kept flat (token, position) selections by
+    # slot, each group in flat order; a token selects a slot at most once,
+    # so each group's tokens come out unique and ascending.
+    flat = np.flatnonzero(keep)
+    chosen = top.ravel()[flat]
+    groups = np.split(flat[np.argsort(chosen, kind="stable")],
+                      np.cumsum(np.bincount(chosen, minlength=len(slots)))[:-1])
+    h = model.spec.hidden_dim
+    for i, (proto, g) in enumerate(zip(protos, groups)):
+        if g.size == 0:
             continue
+        tok = g // model.spec.top_k
         gate, up, down = model.row(proto).astype(np.float64)
-        h = model.spec.hidden_dim
         xs = x[tok]
         y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
-        yield i, tok, weights[tok, pos], y
+        yield i, tok, weights.ravel()[g], y
 
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
@@ -265,7 +272,8 @@ def _random_layer(rng: np.random.Generator, spec: ModelSpec, scale: float) -> Mo
 def _plant_copy(rng: np.random.Generator, dst: np.ndarray, src: np.ndarray, noise: float) -> None:
     dst[...] = src
     if noise > 0:
-        dst += (rng.standard_normal(dst.shape) * noise).astype(np.float32)
+        with np.errstate(over="ignore"):  # an overflow is refused by gen_synthetic's validate
+            dst += (rng.standard_normal(dst.shape) * noise).astype(np.float32)
 
 
 def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> tuple[MoEModel, dict[Ref, Ref]]:

@@ -2,8 +2,10 @@
 per-token forward, the per-pair expert distance, the index-pair distance
 table and the geometry queries, the nested-list nearest-neighbor tally,
 the per-layer pruning and merging baselines, the identity plan, model
-equality and a checkpoint payload's tensor index; and an expert's three
-projections as named views of its row. Nothing in conmoe imports them.
+equality and a checkpoint payload's tensor index; an expert's three
+projections as named views of its row; the two-branch SiLU; and the
+batched layer's slot grouping by one scan per slot. Nothing in conmoe
+imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -28,7 +30,7 @@ from conmoe.geometry import (
     nearest,
     projection_distance,
 )
-from conmoe.model import PROJECTIONS, silu
+from conmoe.model import PROJECTIONS
 from conmoe.plan import ConsolidationPlan, scope_partition
 
 # The batched forward groups its GEMMs and sums differently from these
@@ -78,6 +80,12 @@ def expert(model, ref):
 class TopKSelection:
     indices: tuple[int, ...]
     weights: tuple[float, ...]
+
+
+def silu(x):
+    """Overflow-safe x * sigmoid(x) by branch, with z = exp(-|x|)."""
+    z = np.exp(-np.abs(x))
+    return x * np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def expert_forward(e, h):
@@ -174,6 +182,31 @@ def calibrate(model, tokens):
             h = h + moe_out
     return CalibStats(token_total=len(tokens), top_k=model.spec.top_k,
                       routed_count=counts, sum_weighted_norm=sums)
+
+
+def scan_slot_groups(model, layer_idx, x, plan=None):
+    """model.slot_groups with one np.nonzero scan of the (token, position)
+    selections per slot, and this module's silu: the same routing, group
+    order, GEMMs and yields."""
+    slots = [(layer_idx, i) for i in range(model.spec.num_experts)]
+    protos = slots if plan is None else [plan.assignment[s] for s in slots]
+    dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
+    logits = x @ model.layers[layer_idx].router.astype(np.float64).T
+    top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k]
+    keep = ~dropped[top]
+    sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
+    peak = sel.max(axis=1, keepdims=True)
+    peak[~keep.any(axis=1)] = 0.0
+    ex = np.exp(sel - peak)
+    weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
+    h = model.spec.hidden_dim
+    for i, proto in enumerate(protos):
+        tok, pos = np.nonzero((top == i) & keep)
+        if tok.size:
+            gate, up, down = model.row(proto).astype(np.float64)
+            xs = x[tok]
+            y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
+            yield i, tok, weights[tok, pos], y
 
 
 def aggregate_coefficients(model, layer_idx, plan, h):

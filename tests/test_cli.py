@@ -527,6 +527,14 @@ class TestArtifactBoundary:
                              "-o", path, message="dup noise must be finite and >= 0")
         assert not path.exists()
 
+    def test_dup_noise_overflow_prints_only_the_error(self, tmp_path):
+        path = tmp_path / "model.mckpt"
+        done = run_cli_subprocess(["gen", "--layers", 2, "--experts", 4, "--hidden", 4,
+                                   "--inter", 4, "--topk", 2, "--dup", "within",
+                                   "--dup-noise", "1e39", "-o", path], blas_threads=1)
+        assert (done.returncode, done.stderr) == (1, "error: non-finite gate weights\n")
+        assert not path.exists()
+
     @pytest.mark.parametrize("dup", [(), ("--dup", "none")], ids=["default", "none"])
     def test_dup_noise_without_dup_mode(self, tmp_path, capsys, dup):
         path = tmp_path / "model.mckpt"
