@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .model import MoEModel, Ref, nest_lineage
+from .model import MoELayer, MoEModel, Ref, nest_lineage
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
 
@@ -38,14 +38,20 @@ def prune_reap(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationP
     return _prune(model, stats, rho, "reap_topk", "prune_reap")
 
 
-def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
+def merge_msmoe_stream(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
     """Layer-local merging: high-usage cores, nearest-core assignment, and
-    usage-weighted averaging of each core's cluster."""
+    usage-weighted averaging of each core's cluster, fused by fuse_stream."""
     plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk"))
     plan = replace(plan, policy="merge_msmoe", metadata={})
-    fused = fuse_weighted_average(model, plan, stats)
+    fused = fuse_stream(model, plan, stats)
     fused.metadata["fusion"] = "msmoe_usage_weighted"
     return plan, fused
+
+
+def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
+    """merge_msmoe_stream, the fused layers held in a list."""
+    plan, fused = merge_msmoe_stream(model, stats, rho)
+    return plan, replace(fused, layers=list(fused.layers))
 
 
 def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]:
@@ -56,28 +62,37 @@ def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]
     return [c / total for c in counts]
 
 
-def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
+def fuse_stream(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
     """A copy of `model` whose prototypes hold the usage-weighted average of
     their clusters (uniform weights without stats), accumulated in float64
     in cluster order; the reassignment map is left unchanged.
     metadata["provenance"] lists each fused slot's (source, weight) pairs;
     a fused source's fusion, provenance and prior_fusion move under
-    metadata["prior_fusion"]."""
+    metadata["prior_fusion"]. Its layers are a one-pass generator over the
+    unchanged source, so store.write_checkpoint writes them a layer at a time."""
     plan.check_covers(model)
     if stats is not None:
         stats.check_covers(model)
     if plan.is_pruning:
         raise ValueError("fusion requires a remapping plan, not a pruning plan")
-    fused = model.copy()
-    fused.metadata = nest_lineage(model.metadata, ("fusion", "provenance"), "prior_fusion")
-    provenance = []
-    for proto, members in plan.clusters().items():
-        weights = _fusion_weights(stats, members)
-        acc = np.zeros(model.row(proto).shape)
-        for ref, w in zip(members, weights):
-            acc += w * model.row(ref).astype(np.float64)
-        fused.row(proto)[...] = acc
-        provenance.append([list(proto), [[list(src), w] for src, w in zip(members, weights)]])
-    fused.metadata["fusion"] = "weighted_average"
-    fused.metadata["provenance"] = sorted(provenance)
-    return fused
+    metadata = nest_lineage(model.metadata, ("fusion", "provenance"), "prior_fusion")
+    metadata["fusion"] = "weighted_average"
+    metadata["provenance"] = sorted(
+        [list(proto), [[list(src), w] for src, w in zip(members, _fusion_weights(stats, members))]]
+        for proto, members in plan.clusters().items())
+
+    def layers():
+        for l, layer in enumerate(model.layers):
+            block = layer.block.copy()
+            for (pl, pi), sources in metadata["provenance"]:
+                if pl == l:
+                    block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
+            yield MoELayer(block, layer.router.copy())
+
+    return MoEModel(model.spec, layers(), metadata)
+
+
+def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
+    """fuse_stream, its layers held in a list."""
+    fused = fuse_stream(model, plan, stats)
+    return replace(fused, layers=list(fused.layers))

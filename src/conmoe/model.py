@@ -9,7 +9,7 @@ consolidated and materialized forwards can be compared bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,32 +59,30 @@ class MoELayer:
 @dataclass
 class MoEModel:
     spec: ModelSpec
-    layers: list[MoELayer]
+    layers: list[MoELayer]  # or, from a *_stream derivation, a one-pass generator
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
         if len(self.layers) != self.spec.num_layers:
             raise ValueError("layer count mismatch")
-        n, f, h = self.spec.num_experts, self.spec.intermediate_dim, self.spec.hidden_dim
         for layer in self.layers:
-            for name, shape in (("block", (n, 3, f * h)), ("router", (n, h))):
-                w = getattr(layer, name)
-                if w.shape != shape:
-                    raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
-            for k, name in enumerate(PROJECTIONS):
-                if not np.all(np.isfinite(layer.block[:, k])):
-                    raise ValueError(f"non-finite {name} weights")
-            if not np.all(np.isfinite(layer.router)):
-                raise ValueError("non-finite router weights")
+            self.check_layer(layer)
+
+    def check_layer(self, layer: MoELayer) -> None:
+        """Shapes, then finiteness: NaN propagates through min() and max()."""
+        n, f, h = self.spec.num_experts, self.spec.intermediate_dim, self.spec.hidden_dim
+        for name, shape in (("block", (n, 3, f * h)), ("router", (n, h))):
+            w = getattr(layer, name)
+            if w.shape != shape:
+                raise ValueError(f"{name} shape {w.shape} does not match spec {shape}")
+        for name, w in (*zip(PROJECTIONS, layer.block.transpose(1, 0, 2)), ("router", layer.router)):
+            if not (np.isfinite(w.min()) and np.isfinite(w.max())):
+                raise ValueError(f"non-finite {name} weights")
 
     def row(self, ref: Ref) -> np.ndarray:
         """The slot's (3, intermediate * hidden) block row, a view: its gate,
         up and down. The one place that maps a slot to its stored row."""
         return self.layers[ref[0]].block[ref[1]]
-
-    def copy(self) -> "MoEModel":
-        layers = [MoELayer(layer.block.copy(), layer.router.copy()) for layer in self.layers]
-        return MoEModel(self.spec, layers, dict(self.metadata))
 
     def slots(self) -> list[Ref]:
         return [
@@ -129,7 +127,7 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     are a softmax over the surviving selected logits; a token whose every
     selected slot is dropped is in no group. Tokens are grouped by slot, not
     by prototype, so a plan forward issues the same GEMMs as a plain forward
-    through the materialized model.
+    through the materialized model; each prototype is cast once per call.
     """
     if plan is not None:
         plan.check_covers(model)
@@ -156,11 +154,15 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     groups = np.split(flat[np.argsort(chosen, kind="stable")],
                       np.cumsum(np.bincount(chosen, minlength=len(slots)))[:-1])
     h = model.spec.hidden_dim
+    last = {proto: i for i, (proto, g) in enumerate(zip(protos, groups)) if g.size}
+    cast = {}
     for i, (proto, g) in enumerate(zip(protos, groups)):
         if g.size == 0:
             continue
         tok = g // model.spec.top_k
-        gate, up, down = model.row(proto).astype(np.float64)
+        if proto not in cast:
+            cast[proto] = model.row(proto).astype(np.float64)
+        gate, up, down = cast.pop(proto) if last[proto] == i else cast[proto]
         xs = x[tok]
         y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
         yield i, tok, weights.ravel()[g], y
@@ -212,27 +214,37 @@ def nest_lineage(metadata: dict, keys: tuple[str, ...], prior: str) -> dict:
     return out
 
 
-def materialize(model: MoEModel, plan) -> MoEModel:
+def materialize_stream(model: MoEModel, plan) -> MoEModel:
     """Expand a plan into the original architecture by copying each slot's
     assigned prototype weights into the slot. Routers are untouched.
     Drop-masked slots get zero weights. A materialized source's
     materialized_from_policy, zeroed_slots and prior_materialization move
-    under metadata["prior_materialization"]."""
+    under metadata["prior_materialization"]. Its layers are a one-pass
+    generator over the unchanged source, so store.write_checkpoint writes
+    them a layer at a time."""
     plan.check_covers(model)
-    out = model.copy()
-    out.metadata = nest_lineage(model.metadata, ("materialized_from_policy", "zeroed_slots"),
-                                "prior_materialization")
-    zeroed = []
-    for ref in model.slots():
-        if ref in plan.drop_mask:
-            zeroed.append(list(ref))
-            out.row(ref)[...] = 0.0
-        else:
-            out.row(ref)[...] = model.row(plan.assignment[ref])
-    out.metadata["materialized_from_policy"] = plan.policy
+    metadata = nest_lineage(model.metadata, ("materialized_from_policy", "zeroed_slots"),
+                            "prior_materialization")
+    metadata["materialized_from_policy"] = plan.policy
+    zeroed = [list(ref) for ref in model.slots() if ref in plan.drop_mask]
     if zeroed:
-        out.metadata["zeroed_slots"] = zeroed
-    return out
+        metadata["zeroed_slots"] = zeroed
+
+    def layers():
+        for l, layer in enumerate(model.layers):
+            block = np.zeros_like(layer.block)
+            for i, row in enumerate(block):
+                if (l, i) not in plan.drop_mask:
+                    row[...] = model.row(plan.assignment[(l, i)])
+            yield MoELayer(block, layer.router.copy())
+
+    return MoEModel(model.spec, layers(), metadata)
+
+
+def materialize(model: MoEModel, plan) -> MoEModel:
+    """materialize_stream, its layers held in a list."""
+    out = materialize_stream(model, plan)
+    return replace(out, layers=list(out.layers))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ and down, then the router, so every offset follows from the spec. A plan is
 its assignment pairs, drop mask and scalar fields; stats are two (layers,
 experts) grids. JSON is canonical (sorted keys, compact separators), so
 identical values produce identical bytes. Each file is written to a sibling
-`<name>.tmp` and then renamed over its path.
+`<name>.tmp` and then renamed over its path. A checkpoint is written a layer
+at a time, each checked first, and read by mapping its file copy-on-write.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import struct
 from dataclasses import asdict
@@ -110,7 +112,6 @@ def _payload_length(spec: ModelSpec) -> int:
 
 
 def write_checkpoint(model: MoEModel, path) -> None:
-    model.validate()
     # built before the file is opened, so a header that is refused leaves no file
     header = canonical_json({"magic": MAGIC, "spec": asdict(model.spec), "metadata": model.metadata})
 
@@ -118,17 +119,15 @@ def write_checkpoint(model: MoEModel, path) -> None:
         f.write(header)
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
-        for layer in model.layers:
+        count = 0
+        for count, layer in enumerate(model.layers, 1):
+            model.check_layer(layer)
             f.write(np.ascontiguousarray(layer.block, dtype="<f4"))
             f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
+        if count != model.spec.num_layers:
+            raise ValueError("layer count mismatch")
 
     _write_atomic(path, write)
-
-
-def _read_into(f, arr: np.ndarray) -> np.ndarray:
-    if f.readinto(arr) != arr.nbytes:
-        raise ValueError("payload length mismatch")
-    return arr
 
 
 def read_checkpoint(path) -> MoEModel:
@@ -144,14 +143,18 @@ def read_checkpoint(path) -> MoEModel:
         if len(length) < 8:
             raise ValueError("payload length mismatch")
         (declared_len,) = struct.unpack("<Q", length)
+        offset = f.tell()
         # checked in O(1) before anything is sized from the untrusted spec
-        if not declared_len == _payload_length(spec) == os.fstat(f.fileno()).st_size - f.tell():
+        if not declared_len == _payload_length(spec) == os.fstat(f.fileno()).st_size - offset:
             raise ValueError("payload length mismatch")
+        mapping = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
 
-        n, inter, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
-        layers = [MoELayer(_read_into(f, np.empty((n, 3, inter * h), dtype="<f4")),
-                           _read_into(f, np.empty((n, h), dtype="<f4")))
-                  for _ in range(spec.num_layers)]
+    # one np.ndarray(buffer=...) per array, so each block is the base of its rows
+    n, inter, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
+    step, block_bytes = declared_len // spec.num_layers, n * 3 * inter * h * 4
+    layers = [MoELayer(np.ndarray((n, 3, inter * h), "<f4", mapping, offset + l * step),
+                       np.ndarray((n, h), "<f4", mapping, offset + l * step + block_bytes))
+              for l in range(spec.num_layers)]
     metadata = _field("checkpoint header", header, "metadata", _object, {})
     model = MoEModel(spec=spec, layers=layers, metadata=metadata)
     model.validate()

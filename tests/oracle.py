@@ -2,7 +2,7 @@
 per-token forward, the per-pair expert distance, the index-pair distance
 table and the geometry queries, the nested-list nearest-neighbor tally,
 the per-layer pruning and merging baselines, the identity plan, model
-equality and a checkpoint payload's tensor index; an expert's three
+copies and equality and a checkpoint payload's tensor index; an expert's three
 projections as named views of its row; the two-branch SiLU; and the
 batched layer's slot grouping by one scan per slot. Nothing in conmoe
 imports them.
@@ -30,7 +30,7 @@ from conmoe.geometry import (
     nearest,
     projection_distance,
 )
-from conmoe.model import PROJECTIONS
+from conmoe.model import PROJECTIONS, MoELayer, MoEModel
 from conmoe.plan import ConsolidationPlan, scope_partition
 
 # The batched forward groups its GEMMs and sums differently from these
@@ -330,7 +330,7 @@ def fuse(model, clusters, stats=None):
     """(fused model, provenance): each core's weights become the usage-
     weighted average of its cluster (uniform if the cluster was never
     routed or stats is None), accumulated in float64 in cluster order."""
-    fused = model.copy()
+    fused = copy_model(model)
     provenance = []
     for core, members in clusters.items():
         counts = [frequency(stats, r) if stats is not None else 0 for r in members]
@@ -364,6 +364,12 @@ def identity_plan(num_layers, num_experts, scope_size=1):
     slots = [(l, i) for l in range(num_layers) for i in range(num_experts)]
     return ConsolidationPlan(rho=0.0, scope_size=scope_size, policy="identity",
                              assignment=dict(zip(slots, slots)))
+
+
+def copy_model(model):
+    """A model holding its own copy of every array and of the metadata."""
+    layers = [MoELayer(layer.block.copy(), layer.router.copy()) for layer in model.layers]
+    return MoEModel(model.spec, layers, dict(model.metadata))
 
 
 def models_equal(a, b):

@@ -93,8 +93,18 @@ def single_token_dropped():
     return model, x[:1], plan
 
 
+def shared_prototypes():
+    """(0, 3) serves slots 0, 3 and 5, and (0, 1) serves slots 1, 4 and 6:
+    each prototype is shared by non-adjacent slots, one before its own."""
+    model = one_layer(8, 5, 5)
+    plan = identity_plan(1, 8)
+    plan.assignment.update({(0, 0): (0, 3), (0, 5): (0, 3), (0, 4): (0, 1), (0, 6): (0, 1)})
+    return model, gen_tokens(64, 8, seed=8), plan
+
+
 GROUPING_CASES = {
     "plain": lambda: (one_layer(8, 2, 5), gen_tokens(64, 8, seed=6), None),
+    "shared_prototypes": shared_prototypes,
     "drops": sparse_batch_with_drops,
     "top_k_is_num_experts": all_slots_selected,
     "single_token": lambda: (one_layer(8, 2, 5), gen_tokens(1, 8, seed=7), None),
@@ -118,3 +128,15 @@ def test_slot_groups_match_scan_grouping_bit_for_bit(case):
         assert [g[0] for g in got] == [0, 1, 3, 4]
     if case == "single_token_dropped":
         assert got == []
+
+
+def test_each_prototype_is_read_once_per_layer_call(monkeypatch):
+    """A prototype shared by several slots is read and cast to float64 once
+    per call, not once per slot."""
+    model, x, plan = shared_prototypes()
+    reads = []
+    row = type(model).row
+    monkeypatch.setattr(type(model), "row", lambda self, ref: reads.append(ref) or row(self, ref))
+    got = [g[0] for g in slot_groups(model, 0, x, plan)]
+    assert got == list(range(8))
+    assert sorted(reads) == [(0, 1), (0, 2), (0, 3), (0, 7)]

@@ -1,7 +1,9 @@
 import json
+import mmap
 import os
 import re
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -33,7 +35,7 @@ from conmoe.analysis import cross_layer_nn, dump_nn_csvs
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import stats_from_dict, stats_to_dict
-from oracle import expert, identity_plan, models_equal, tensor_index
+from oracle import copy_model, expert, identity_plan, models_equal, tensor_index
 
 
 @pytest.fixture
@@ -134,6 +136,107 @@ class TestCheckpoint:
         assert expert(loaded, (0, 0)).gate[0, 0] == np.float32(1.0 / 3.0)
 
 
+def tensor_offset(spec, name):
+    """Byte offset of a named tensor's eighth float32 in a checkpoint file's
+    payload (the header's length not included)."""
+    return {n: offset for n, _, offset in tensor_index(spec)}[name] + 4 * 7
+
+
+FINITENESS_CASES = [
+    pytest.param(tensor, value, f"non-finite {tensor.rsplit('.', 1)[1]} weights", id=f"{tensor}={value}")
+    for tensor in ("layers.1.experts.2.gate", "layers.0.experts.3.up", "layers.1.experts.0.down",
+                   "layers.1.router")
+    for value in (-np.inf, np.inf, np.nan)
+]
+
+
+class TestFiniteness:
+    """A NaN, +inf or -inf anywhere in a projection or a router is refused
+    with that tensor's message, by the writer and by the reader."""
+
+    @staticmethod
+    def poke(model, tensor, value):
+        parts = tensor.split(".")
+        layer = model.layers[int(parts[1])]
+        if parts[2] == "router":
+            layer.router[1, 3] = value
+        else:
+            layer.block[int(parts[3]), PROJECTIONS.index(parts[4]), 7] = value
+
+    @pytest.mark.parametrize("tensor,value,message", FINITENESS_CASES)
+    def test_write_refuses(self, model, tmp_path, tensor, value, message):
+        self.poke(model, tensor, value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_checkpoint(model, tmp_path / "m.mckpt")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("tensor,value,message", FINITENESS_CASES)
+    def test_read_refuses(self, model, tmp_path, tensor, value, message):
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        pos = raw.find(b"\n") + 9 + tensor_offset(model.spec, tensor)
+        raw[pos:pos + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_checkpoint(path)
+
+    def test_first_fault_in_payload_order_is_named(self, model, tmp_path):
+        """Layer by layer, gate, up, down, then the router."""
+        for faults, message in ((("layers.1.router", "layers.1.experts.3.down", "layers.1.experts.0.up"), "up"),
+                                (("layers.1.experts.0.gate", "layers.0.router"), "router")):
+            m = copy_model(model)
+            for tensor in faults:
+                self.poke(m, tensor, np.nan)
+            with pytest.raises(ValueError, match=f"non-finite {message} weights"):
+                m.validate()
+
+
+class TestMapping:
+    """A read checkpoint's arrays are mapped copy-on-write from its file."""
+
+    def test_rows_view_the_mapped_payload(self, tmp_path):
+        model, _ = gen_synthetic(ModelSpec(2, 16, 64, 128, 2), seed=1)
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        tracemalloc.start()
+        try:
+            loaded = read_checkpoint(path)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = path.stat().st_size - path.read_bytes().find(b"\n") - 9
+        assert traced < payload // 10
+        mappings = {id(layer.block.base) for layer in loaded.layers}
+        assert len(mappings) == 1 and isinstance(loaded.layers[0].block.base, mmap.mmap)
+        for layer in loaded.layers:
+            assert not layer.block.flags.owndata and layer.router.base is layer.block.base
+            assert np.shares_memory(loaded.row((0, 1)), loaded.layers[0].block)
+
+    def test_writes_into_a_loaded_model_stay_private(self, model, tmp_path):
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        before = path.read_bytes()
+        loaded = read_checkpoint(path)
+        loaded.row((1, 2))[...] = 0.5
+        loaded.layers[0].router[...] = -1.0
+        assert path.read_bytes() == before
+        assert models_equal(read_checkpoint(path), model)
+
+    @pytest.mark.parametrize("command", ["materialize", "fuse"])
+    def test_derived_checkpoint_written_over_its_source(self, model, tmp_path, command):
+        source = tmp_path / "m.mckpt"
+        write_checkpoint(model, source)
+        stats = run_calibration(model, gen_tokens(16, model.spec.hidden_dim, seed=2))
+        plan = tmp_path / "p.json"
+        write_plan(consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=2)), plan)
+        argv = [command, "--plan", str(plan), "-q"]
+        assert main([*argv, "--model", str(source), "-o", str(tmp_path / "other.mckpt")]) == 0
+        assert main([*argv, "--model", str(source), "-o", str(source)]) == 0
+        assert source.read_bytes() == (tmp_path / "other.mckpt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["m.mckpt", "other.mckpt", "p.json"]
+
+
 def rewrite_header(path, edit):
     """Apply edit(header) to a checkpoint's JSON header, payload untouched."""
     raw = path.read_bytes()
@@ -204,7 +307,7 @@ class TestTensorIndex:
         loaded = read_checkpoint(path)
         # each expert's row is a view of the one block read from the file,
         # and a copy keeps that layout
-        for m in (loaded, loaded.copy()):
+        for m in (loaded, copy_model(loaded)):
             layer = m.layers[0]
             assert m.row((0, 1)).base is layer.block
             assert layer.block.nbytes == m.row((0, 1)).nbytes * m.spec.num_experts
@@ -433,3 +536,48 @@ class TestAtomicWrites:
         write_checkpoint(model, tmp_path / "m.mckpt")
         (tmp_path / "plain").write_bytes(b"")
         assert (tmp_path / "m.mckpt").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+class TestDerivedCheckpointMemory:
+    """materialize, fuse and merge map their source and write the derived
+    checkpoint one layer at a time, so neither checkpoint is held whole."""
+
+    @pytest.fixture(scope="class")
+    def pool(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pool")
+        model, _ = gen_synthetic(ModelSpec(4, 64, 64, 128, 4), seed=3)
+        stats = run_calibration(model, gen_tokens(16, 64, seed=4))
+        write_checkpoint(model, tmp / "m.mckpt")
+        write_stats(stats, tmp / "s.json")
+        write_plan(consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=4)), tmp / "p.json")
+        return tmp
+
+    @pytest.mark.parametrize("command", ["materialize", "fuse", "merge"])
+    def test_traced_peak_below_payload_plus_two_layers(self, pool, command):
+        spec = ModelSpec(4, 64, 64, 128, 4)
+        layer_bytes = spec.num_experts * (3 * spec.intermediate_dim + 1) * spec.hidden_dim * 4
+        argv = {
+            "materialize": ["--plan", f"{pool}/p.json"],
+            "fuse": ["--plan", f"{pool}/p.json", "--stats", f"{pool}/s.json"],
+            "merge": ["--stats", f"{pool}/s.json", "--rho", "0.5", "--fused-model", f"{pool}/merged.mckpt"],
+        }[command]
+        tracemalloc.start()
+        try:
+            assert main([command, "--model", f"{pool}/m.mckpt", *argv, "-o", f"{pool}/{command}.out", "-q"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.num_layers * layer_bytes + 2 * layer_bytes
+
+    @pytest.mark.parametrize("layers", [list, iter], ids=["list", "stream"])
+    def test_refused_last_layer_keeps_previous_file(self, model, tmp_path, layers):
+        path = tmp_path / "m.mckpt"
+        write_checkpoint(model, path)
+        before = path.read_bytes()
+        bad = copy_model(model)
+        bad.row((1, 3))[2, 5] = np.nan
+        bad.layers = layers(bad.layers)
+        with pytest.raises(ValueError, match="non-finite down weights"):
+            write_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.mckpt"]
