@@ -553,7 +553,10 @@ class TestDerivedCheckpointMemory:
         return tmp
 
     @pytest.mark.parametrize("command", ["materialize", "fuse", "merge"])
-    def test_traced_peak_below_payload_plus_two_layers(self, pool, command):
+    def test_traced_peak_below_three_layers(self, pool, command):
+        """The mapped source is not traced, and the writer holds the layer it
+        writes and the one being built: below three layers' bytes, where a
+        source read into memory and a whole derived model would trace eight."""
         spec = ModelSpec(4, 64, 64, 128, 4)
         layer_bytes = spec.num_experts * (3 * spec.intermediate_dim + 1) * spec.hidden_dim * 4
         argv = {
@@ -567,7 +570,7 @@ class TestDerivedCheckpointMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < spec.num_layers * layer_bytes + 2 * layer_bytes
+        assert peak < 3 * layer_bytes
 
     @pytest.mark.parametrize("layers", [list, iter], ids=["list", "stream"])
     def test_refused_last_layer_keeps_previous_file(self, model, tmp_path, layers):
