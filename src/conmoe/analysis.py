@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import EPS, distance_matrix, nearest
-from .model import MoEModel, model_forward_trace, token_rows
+from .model import MoEModel, residual_step, token_rows
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
 from .store import write_bytes
@@ -38,31 +38,38 @@ def _relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     return np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
 
 
-def evaluate_fidelity(
-    model: MoEModel,
-    plan: ConsolidationPlan,
-    tokens: np.ndarray,
-    reference: tuple[np.ndarray, list[np.ndarray]] | None = None,
-) -> FidelityReport:
+def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.ndarray) -> list[FidelityReport]:
+    """Step the original stack and every plan's stack together, one layer at
+    a time, on the same tokens. Each layer's per-token relative L2 errors
+    are averaged as soon as both outputs exist, so only the current states
+    are held (plans + 1 of them), never a trace."""
+    tokens = token_rows(tokens, model.spec.hidden_dim)
+    for plan in plans:
+        plan.check_covers(model)
+    reference, states = tokens, [tokens] * len(plans)
+    per_layer = [[] for _ in plans]
+    for l in range(model.spec.num_layers):
+        want, reference = residual_step(model, l, reference)
+        for k, plan in enumerate(plans):
+            got, states[k] = residual_step(model, l, states[k], plan)
+            per_layer[k].append(float(_relative_errors(got, want).mean()))
+    return [
+        FidelityReport(
+            per_layer_error=errors,
+            end_to_end_error=float(_relative_errors(state, reference).mean()),
+            token_count=tokens.shape[0],
+            achieved_reduction=reduction_accounting(plan),
+            metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
+        )
+        for plan, errors, state in zip(plans, per_layer, states)
+    ]
+
+
+def evaluate_fidelity(model: MoEModel, plan: ConsolidationPlan, tokens: np.ndarray) -> FidelityReport:
     """Run the original and consolidated stacks on the same tokens and
     average the relative L2 error of each layer's output and of the final
-    state. reference, if given, is the original stack's
-    model_forward_trace of the tokens."""
-    tokens = token_rows(tokens, model.spec.hidden_dim)
-    plan.check_covers(model)
-    if reference is None:
-        reference = model_forward_trace(model, tokens)
-    orig_final, orig_outs = reference
-    plan_final, plan_outs = model_forward_trace(model, tokens, plan)
-    return FidelityReport(
-        per_layer_error=[
-            float(_relative_errors(got, want).mean()) for got, want in zip(plan_outs, orig_outs)
-        ],
-        end_to_end_error=float(_relative_errors(plan_final, orig_final).mean()),
-        token_count=tokens.shape[0],
-        achieved_reduction=reduction_accounting(plan),
-        metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
-    )
+    state."""
+    return _fidelity_pass(model, [plan], tokens)[0]
 
 
 def reduction_accounting(plan: ConsolidationPlan) -> float:
@@ -114,11 +121,7 @@ def scope_sweep(
     scope_sizes: list[int],
     tokens: np.ndarray,
 ) -> list[FidelityReport]:
-    """Consolidate and evaluate at each scope size with config's rho and
-    policy, against one reference trace of the original model."""
-    reference = model_forward_trace(model, tokens)
-    reports = []
-    for size in scope_sizes:
-        plan = consolidate(model, stats, replace(config, scope_size=size))
-        reports.append(evaluate_fidelity(model, plan, tokens, reference))
-    return reports
+    """Consolidate at every scope size with config's rho and policy, then
+    evaluate all the plans in one pass against one reference forward."""
+    plans = [consolidate(model, stats, replace(config, scope_size=size)) for size in scope_sizes]
+    return _fidelity_pass(model, plans, tokens)

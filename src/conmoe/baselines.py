@@ -81,15 +81,15 @@ def fuse_stream(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | No
         [list(proto), [[list(src), w] for src, w in zip(members, _fusion_weights(stats, members))]]
         for proto, members in plan.clusters().items())
 
-    def layers():
-        for l, layer in enumerate(model.layers):
-            block = layer.block.copy()
-            for (pl, pi), sources in metadata["provenance"]:
-                if pl == l:
-                    block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
-            yield MoELayer(block, layer.router.copy())
+    def layer(l: int) -> MoELayer:
+        block = model.layers[l].block.copy()
+        for (pl, pi), sources in metadata["provenance"]:
+            if pl == l:
+                block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
+        return MoELayer(block, model.layers[l].router.copy())
 
-    return MoEModel(model.spec, layers(), metadata)
+    # the generator holds no layer it has yielded
+    return MoEModel(model.spec, (layer(l) for l in range(model.spec.num_layers)), metadata)
 
 
 def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:

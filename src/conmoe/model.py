@@ -186,21 +186,31 @@ def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np
     return out.reshape(np.shape(h))
 
 
+def residual_step(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the residual stack h <- h + MoE(h) on a (count, hidden)
+    batch: (the layer's MoE output, the state after it). Every stack forward
+    steps through it and keeps only the states it needs."""
+    out = moe_forward(model, layer_idx, x, plan)
+    return out, x + out
+
+
 def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Residual stack h <- h + MoE(h) per layer on a token or a batch: the
     final state and each layer's MoE output, in the shape of h0."""
     x = _token_batch(h0, model.spec.hidden_dim)
     outputs = []
     for l in range(model.spec.num_layers):
-        out = moe_forward(model, l, x, plan)
+        out, x = residual_step(model, l, x, plan)
         outputs.append(out.reshape(np.shape(h0)))
-        x = x + out
     return x.reshape(np.shape(h0)), outputs
 
 
 def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
-    """Final state of the residual stack (see model_forward_trace)."""
-    return model_forward_trace(model, h0, plan)[0]
+    """Final state of the residual stack, holding only the running state."""
+    x = _token_batch(h0, model.spec.hidden_dim)
+    for l in range(model.spec.num_layers):
+        _, x = residual_step(model, l, x, plan)
+    return x.reshape(np.shape(h0))
 
 
 def nest_lineage(metadata: dict, keys: tuple[str, ...], prior: str) -> dict:
@@ -230,15 +240,15 @@ def materialize_stream(model: MoEModel, plan) -> MoEModel:
     if zeroed:
         metadata["zeroed_slots"] = zeroed
 
-    def layers():
-        for l, layer in enumerate(model.layers):
-            block = np.zeros_like(layer.block)
-            for i, row in enumerate(block):
-                if (l, i) not in plan.drop_mask:
-                    row[...] = model.row(plan.assignment[(l, i)])
-            yield MoELayer(block, layer.router.copy())
+    def layer(l: int) -> MoELayer:
+        block = np.zeros_like(model.layers[l].block)
+        for i, row in enumerate(block):
+            if (l, i) not in plan.drop_mask:
+                row[...] = model.row(plan.assignment[(l, i)])
+        return MoELayer(block, model.layers[l].router.copy())
 
-    return MoEModel(model.spec, layers(), metadata)
+    # the generator holds no layer it has yielded
+    return MoEModel(model.spec, (layer(l) for l in range(model.spec.num_layers)), metadata)
 
 
 def materialize(model: MoEModel, plan) -> MoEModel:

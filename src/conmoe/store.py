@@ -120,10 +120,12 @@ def write_checkpoint(model: MoEModel, path) -> None:
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
         count = 0
-        for count, layer in enumerate(model.layers, 1):
+        for layer in model.layers:
             model.check_layer(layer)
             f.write(np.ascontiguousarray(layer.block, dtype="<f4"))
             f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
+            count += 1
+            del layer  # a derived layer is released before the next one is built
         if count != model.spec.num_layers:
             raise ValueError("layer count mismatch")
 

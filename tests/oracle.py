@@ -4,8 +4,8 @@ table and the geometry queries, the nested-list nearest-neighbor tally,
 the per-layer pruning and merging baselines, the identity plan, model
 copies and equality and a checkpoint payload's tensor index; an expert's three
 projections as named views of its row; the two-branch SiLU; and the
-batched layer's slot grouping by one scan per slot. Nothing in conmoe
-imports them.
+batched layer's slot grouping by one scan per slot; and the two-trace
+fidelity evaluation and scope sweep. Nothing in conmoe imports them.
 
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
@@ -16,11 +16,11 @@ is summed in ascending slot order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from conmoe.analysis import NNReport
+from conmoe.analysis import FidelityReport, NNReport, reduction_accounting
 from conmoe.calibration import CalibStats
 from conmoe.geometry import (
     EPS,
@@ -30,8 +30,10 @@ from conmoe.geometry import (
     nearest,
     projection_distance,
 )
-from conmoe.model import PROJECTIONS, MoELayer, MoEModel
+from conmoe import model as batched
+from conmoe.model import PROJECTIONS, MoELayer, MoEModel, token_rows
 from conmoe.plan import ConsolidationPlan, scope_partition
+from conmoe.planner import consolidate
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -357,6 +359,47 @@ def merge(model, stats, rho):
             clusters[core].append(ref)
     plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", assignment=assignment)
     return (plan, *fuse(model, clusters, stats))
+
+
+def batched_trace(model, tokens, plan=None):
+    """The batched forward's whole trace: (final state, every layer's MoE
+    output), each (count, hidden)."""
+    x = tokens
+    outputs = []
+    for l in range(model.spec.num_layers):
+        out = batched.moe_forward(model, l, x, plan)
+        outputs.append(out)
+        x = x + out
+    return x, outputs
+
+
+def _mean_relative_error(got, want):
+    return float((np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)).mean())
+
+
+def evaluate_fidelity(model, plan, tokens, reference=None):
+    """The two-trace fidelity evaluation: the original stack's whole trace
+    (or reference, one computed earlier) and the plan stack's, then each
+    layer's and the final state's mean per-token relative L2 error."""
+    tokens = token_rows(tokens, model.spec.hidden_dim)
+    plan.check_covers(model)
+    want_final, want_outs = reference or batched_trace(model, tokens)
+    got_final, got_outs = batched_trace(model, tokens, plan)
+    return FidelityReport(
+        per_layer_error=[_mean_relative_error(got, want) for got, want in zip(got_outs, want_outs)],
+        end_to_end_error=_mean_relative_error(got_final, want_final),
+        token_count=tokens.shape[0],
+        achieved_reduction=reduction_accounting(plan),
+        metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
+    )
+
+
+def scope_sweep(model, stats, config, scope_sizes, tokens):
+    """One reference trace, then each scope's plan evaluated against it."""
+    reference = batched_trace(model, token_rows(tokens, model.spec.hidden_dim))
+    return [evaluate_fidelity(model, consolidate(model, stats, replace(config, scope_size=size)),
+                              tokens, reference)
+            for size in scope_sizes]
 
 
 def identity_plan(num_layers, num_experts, scope_size=1):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,6 +10,7 @@ from conmoe import (
     ModelSpec,
     ScopeConfig,
     consolidate,
+    ConsolidationPlan,
     cross_layer_nn,
     evaluate_fidelity,
     gen_synthetic,
@@ -165,3 +167,74 @@ class TestScopeSweep:
         stats = run_calibration(model, tokens)
         reports = scope_sweep(model, stats, ScopeConfig(rho=0.5), [1], tokens)
         assert reports[0].end_to_end_error == 0.0
+
+
+def error_bits(report):
+    return np.array([*report.per_layer_error, report.end_to_end_error]).tobytes()
+
+
+class TestOnePassMatchesTwoTraces:
+    """evaluate_fidelity and scope_sweep step the original stack and every
+    plan's stack together and keep no trace; each report must equal the
+    two-trace evaluation kept in oracle.py bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert error_bits(got) == error_bits(want)
+        assert canonical_json(asdict(got)) == canonical_json(asdict(want))
+
+    def test_identity_plan(self, small_model, small_tokens):
+        plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
+        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
+                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+
+    @pytest.mark.parametrize("scope_size", [1, 2])
+    def test_consolidation_plan(self, small_model, small_stats, small_tokens, scope_size):
+        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=scope_size))
+        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
+                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+
+    def test_pruning_plan_that_empties_some_tokens(self, small_model, small_tokens):
+        spec = small_model.spec
+        dropped = set(range(6))
+        identity = identity_plan(spec.num_layers, spec.num_experts)
+        plan = ConsolidationPlan(rho=0.75, scope_size=1, policy="prune_frequency",
+                                 assignment=identity.assignment,
+                                 drop_mask={(l, i) for l in range(spec.num_layers) for i in dropped})
+        logits = small_tokens @ small_model.layers[0].router.astype(np.float64).T
+        top = np.argsort(-logits, axis=1, kind="stable")[:, :spec.top_k]
+        emptied = np.isin(top, list(dropped)).all(axis=1)
+        assert emptied.any() and not emptied.all()
+        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
+                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+
+    def test_four_scope_sweep(self, small_model, small_stats, small_tokens):
+        config = ScopeConfig(rho=0.5)
+        got = scope_sweep(small_model, small_stats, config, [1, 2, 3, 4], small_tokens)
+        want = oracle.scope_sweep(small_model, small_stats, config, [1, 2, 3, 4], small_tokens)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            self.assert_same(g, w)
+
+    def test_single_token(self, small_model, small_stats, small_tokens):
+        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens[:1]),
+                         oracle.evaluate_fidelity(small_model, plan, small_tokens[:1]))
+
+    def test_traced_peak_below_one_trace(self):
+        """A trace is (L + 1) * T * H float64; the two-trace evaluation held
+        two. One layer-by-layer pass holds the two stacks' states and a few
+        (T, H) temporaries of the layer in flight."""
+        spec = ModelSpec(16, 8, 32, 32, 2)
+        model, _ = gen_synthetic(spec, seed=5)
+        # scaled so that 16 residual layers with no norm stay finite
+        tokens = 0.25 * gen_tokens(256, spec.hidden_dim, seed=6)
+        plan = consolidate(model, run_calibration(model, tokens), ScopeConfig(rho=0.5, scope_size=2))
+        trace_bytes = (spec.num_layers + 1) * tokens.size * 8
+        tracemalloc.start()
+        try:
+            evaluate_fidelity(model, plan, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace_bytes

@@ -504,11 +504,21 @@ class TestArtifactBoundary:
 
     def test_sweep_bad_rho_fails_before_any_forward(self, model_path, stats_path, tmp_path, capsys,
                                                    monkeypatch):
-        monkeypatch.setattr("conmoe.analysis.model_forward_trace",
+        monkeypatch.setattr("conmoe.analysis.residual_step",
                             lambda *a, **k: pytest.fail("a forward ran before rho was checked"))
         self.assert_rejected(capsys, "sweep", "--model", model_path, "--stats", stats_path,
                              "--rho", "1.5", "--scopes", "1,2", "--tokens", 8,
                              "-o", tmp_path / "sweep.json", message="rho must be in [0, 1)")
+
+    def test_sweep_bad_scope_fails_before_any_forward(self, model_path, stats_path, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("conmoe.analysis.residual_step",
+                            lambda *a, **k: pytest.fail("a forward ran before every scope was checked"))
+        self.assert_rejected(capsys, "sweep", "--model", model_path, "--stats", stats_path,
+                             "--rho", "0.5", "--scopes", "1,99", "--tokens", 8,
+                             "-o", tmp_path / "sweep.json",
+                             message="scope_size must be in [1, num_layers]")
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_out_of_memory_is_an_error(self, model_path, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
