@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conmoe import (
+    ConsolidationPlan,
     DupConfig,
     ModelSpec,
     ScopeConfig,
     consolidate,
-    ConsolidationPlan,
     cross_layer_nn,
     evaluate_fidelity,
     gen_synthetic,
@@ -183,16 +183,17 @@ class TestOnePassMatchesTwoTraces:
         assert error_bits(got) == error_bits(want)
         assert canonical_json(asdict(got)) == canonical_json(asdict(want))
 
+    def assert_matches_oracle(self, model, plan, tokens):
+        self.assert_same(evaluate_fidelity(model, plan, tokens), oracle.evaluate_fidelity(model, plan, tokens))
+
     def test_identity_plan(self, small_model, small_tokens):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
-        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
-                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+        self.assert_matches_oracle(small_model, plan, small_tokens)
 
     @pytest.mark.parametrize("scope_size", [1, 2])
     def test_consolidation_plan(self, small_model, small_stats, small_tokens, scope_size):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=scope_size))
-        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
-                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+        self.assert_matches_oracle(small_model, plan, small_tokens)
 
     def test_pruning_plan_that_empties_some_tokens(self, small_model, small_tokens):
         spec = small_model.spec
@@ -205,8 +206,7 @@ class TestOnePassMatchesTwoTraces:
         top = np.argsort(-logits, axis=1, kind="stable")[:, :spec.top_k]
         emptied = np.isin(top, list(dropped)).all(axis=1)
         assert emptied.any() and not emptied.all()
-        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens),
-                         oracle.evaluate_fidelity(small_model, plan, small_tokens))
+        self.assert_matches_oracle(small_model, plan, small_tokens)
 
     def test_four_scope_sweep(self, small_model, small_stats, small_tokens):
         config = ScopeConfig(rho=0.5)
@@ -218,8 +218,7 @@ class TestOnePassMatchesTwoTraces:
 
     def test_single_token(self, small_model, small_stats, small_tokens):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
-        self.assert_same(evaluate_fidelity(small_model, plan, small_tokens[:1]),
-                         oracle.evaluate_fidelity(small_model, plan, small_tokens[:1]))
+        self.assert_matches_oracle(small_model, plan, small_tokens[:1])
 
     def test_traced_peak_below_one_trace(self):
         """A trace is (L + 1) * T * H float64; the two-trace evaluation held
