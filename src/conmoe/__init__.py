@@ -25,7 +25,6 @@ from .plan import ConsolidationPlan, Scope
 from .planner import (
     ScopeConfig,
     assign,
-    brute_force_optimal,
     budget,
     consolidate,
     objective,

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .model import MoELayer, MoEModel, Ref, nest_lineage
+from .model import DerivedLayers, MoELayer, MoEModel, Ref, nest_lineage
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
 
@@ -38,20 +38,15 @@ def prune_reap(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationP
     return _prune(model, stats, rho, "reap_topk", "prune_reap")
 
 
-def merge_msmoe_stream(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
+def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
     """Layer-local merging: high-usage cores, nearest-core assignment, and
-    usage-weighted averaging of each core's cluster, fused by fuse_stream."""
+    usage-weighted averaging of each core's cluster, fused by
+    fuse_weighted_average."""
     plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk"))
     plan = replace(plan, policy="merge_msmoe", metadata={})
-    fused = fuse_stream(model, plan, stats)
+    fused = fuse_weighted_average(model, plan, stats)
     fused.metadata["fusion"] = "msmoe_usage_weighted"
     return plan, fused
-
-
-def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[ConsolidationPlan, MoEModel]:
-    """merge_msmoe_stream, the fused layers held in a list."""
-    plan, fused = merge_msmoe_stream(model, stats, rho)
-    return plan, replace(fused, layers=list(fused.layers))
 
 
 def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]:
@@ -62,14 +57,14 @@ def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]
     return [c / total for c in counts]
 
 
-def fuse_stream(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
+def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
     """A copy of `model` whose prototypes hold the usage-weighted average of
     their clusters (uniform weights without stats), accumulated in float64
     in cluster order; the reassignment map is left unchanged.
     metadata["provenance"] lists each fused slot's (source, weight) pairs;
     a fused source's fusion, provenance and prior_fusion move under
-    metadata["prior_fusion"]. Its layers are a one-pass generator over the
-    unchanged source, so store.write_checkpoint writes them a layer at a time."""
+    metadata["prior_fusion"]. Its layers are DerivedLayers over the
+    unchanged source."""
     plan.check_covers(model)
     if stats is not None:
         stats.check_covers(model)
@@ -88,11 +83,4 @@ def fuse_stream(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | No
                 block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
         return MoELayer(block, model.layers[l].router.copy())
 
-    # the generator holds no layer it has yielded
-    return MoEModel(model.spec, (layer(l) for l in range(model.spec.num_layers)), metadata)
-
-
-def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
-    """fuse_stream, its layers held in a list."""
-    fused = fuse_stream(model, plan, stats)
-    return replace(fused, layers=list(fused.layers))
+    return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, layer), metadata)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
-from .model import DupConfig, ModelSpec, gen_synthetic, gen_tokens, materialize_stream
+from .model import DupConfig, ModelSpec, gen_synthetic, gen_tokens, materialize
 from .planner import SELECTION_POLICIES, ScopeConfig, consolidate
 
 DEFAULT_SEED = 42
@@ -142,17 +142,17 @@ def _run(args) -> None:
     elif args.command == "merge":
         if Path(args.output).resolve() == Path(args.fused_model).resolve():
             raise ValueError("-o and --fused-model name the same file")
-        plan, fused = baselines.merge_msmoe_stream(model, stats, args.rho)
+        plan, fused = baselines.merge_msmoe(model, stats, args.rho)
         plan.metadata["seed"] = args.seed
         # the checkpoint is the output that can be refused, and a refused one leaves no file
         store.write_checkpoint(fused, args.fused_model)
         store.write_plan(plan, args.output)
 
     elif args.command == "fuse":
-        store.write_checkpoint(baselines.fuse_stream(model, plan, stats), args.output)
+        store.write_checkpoint(baselines.fuse_weighted_average(model, plan, stats), args.output)
 
     elif args.command == "materialize":
-        store.write_checkpoint(materialize_stream(model, plan), args.output)
+        store.write_checkpoint(materialize(model, plan), args.output)
 
     elif args.command == "eval":
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)

@@ -41,9 +41,6 @@ class DistanceTable:
         except KeyError:
             raise ValueError(f"expert {ref} not in scope") from None
 
-    def distance(self, a: Ref, b: Ref) -> float:
-        return float(self.values[self.index_of(a), self.index_of(b)])
-
 
 def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
     """Full pairwise table: the mean over the projections of each one's

@@ -9,7 +9,8 @@ consolidated and materialized forwards can be compared bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class MoELayer:
 @dataclass
 class MoEModel:
     spec: ModelSpec
-    layers: list[MoELayer]  # or, from a *_stream derivation, a one-pass generator
+    layers: Sequence[MoELayer]  # a list, or a derived model's DerivedLayers
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
@@ -138,9 +139,10 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     logits = x @ layer.router.astype(np.float64).T
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
-    top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k]
+    top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k].copy()
     keep = ~dropped[top]
     sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
+    del logits  # with the top-k copied, neither this nor the full sort outlives the routing
     peak = sel.max(axis=1, keepdims=True)
     peak[~keep.any(axis=1)] = 0.0  # nothing survives: every exp below is 0
     ex = np.exp(sel - peak)
@@ -194,17 +196,6 @@ def residual_step(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None) -> 
     return out, x + out
 
 
-def model_forward_trace(model: MoEModel, h0: np.ndarray, plan=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Residual stack h <- h + MoE(h) per layer on a token or a batch: the
-    final state and each layer's MoE output, in the shape of h0."""
-    x = _token_batch(h0, model.spec.hidden_dim)
-    outputs = []
-    for l in range(model.spec.num_layers):
-        out, x = residual_step(model, l, x, plan)
-        outputs.append(out.reshape(np.shape(h0)))
-    return x.reshape(np.shape(h0)), outputs
-
-
 def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
     """Final state of the residual stack, holding only the running state."""
     x = _token_batch(h0, model.spec.hidden_dim)
@@ -224,14 +215,32 @@ def nest_lineage(metadata: dict, keys: tuple[str, ...], prior: str) -> dict:
     return out
 
 
-def materialize_stream(model: MoEModel, plan) -> MoEModel:
+class DerivedLayers(Sequence):
+    """A derived model's layers, layer l built on access as build(l) from the
+    unchanged source. Only the last layer built is held, dropped before the
+    next is built, so writing them in turn never holds two."""
+
+    def __init__(self, count: int, build):
+        self._count, self._build, self._held = count, build, (None, None)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, l: int) -> MoELayer:
+        l = range(self._count)[l]  # an index out of range is an IndexError
+        if self._held[0] != l:
+            self._held = (None, None)
+            self._held = (l, self._build(l))
+        return self._held[1]
+
+
+def materialize(model: MoEModel, plan) -> MoEModel:
     """Expand a plan into the original architecture by copying each slot's
     assigned prototype weights into the slot. Routers are untouched.
     Drop-masked slots get zero weights. A materialized source's
     materialized_from_policy, zeroed_slots and prior_materialization move
-    under metadata["prior_materialization"]. Its layers are a one-pass
-    generator over the unchanged source, so store.write_checkpoint writes
-    them a layer at a time."""
+    under metadata["prior_materialization"]. Its layers are DerivedLayers
+    over the unchanged source."""
     plan.check_covers(model)
     metadata = nest_lineage(model.metadata, ("materialized_from_policy", "zeroed_slots"),
                             "prior_materialization")
@@ -247,14 +256,7 @@ def materialize_stream(model: MoEModel, plan) -> MoEModel:
                 row[...] = model.row(plan.assignment[(l, i)])
         return MoELayer(block, model.layers[l].router.copy())
 
-    # the generator holds no layer it has yielded
-    return MoEModel(model.spec, (layer(l) for l in range(model.spec.num_layers)), metadata)
-
-
-def materialize(model: MoEModel, plan) -> MoEModel:
-    """materialize_stream, its layers held in a list."""
-    out = materialize_stream(model, plan)
-    return replace(out, layers=list(out.layers))
+    return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, layer), metadata)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Consolidation plans: the deterministic slot-to-prototype reassignment
-map, from which each scope's prototype set is derived."""
+map, from which the retained pool and its clusters are derived."""
 
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ class Scope:
 @dataclass
 class ConsolidationPlan:
     """The reuse map: each (layer, expert) slot's prototype, plus the
-    dropped slots. Validated on construction; the retained pool and the
-    scopes are derived from the map."""
+    dropped slots. Validated on construction; the retained pool and its
+    clusters are derived from the map."""
 
     rho: float
     scope_size: int
@@ -47,17 +47,6 @@ class ConsolidationPlan:
     @property
     def is_pruning(self) -> bool:
         return bool(self.drop_mask)
-
-    @property
-    def scopes(self) -> list[Scope]:
-        """scope_partition of the layers, each with the prototypes its
-        non-dropped slots map to."""
-        image = sorted(self.distinct_prototypes())
-        num_layers = max(l for l, _ in self.assignment) + 1
-        return [
-            Scope(layers, [p for p in image if p[0] in layers])
-            for layers in scope_partition(num_layers, self.scope_size)
-        ]
 
     def clusters(self) -> dict[Ref, list[Ref]]:
         """Prototype-centered partition of all non-dropped slots, by

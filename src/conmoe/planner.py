@@ -1,11 +1,10 @@
 """Consolidation planner, in the paper's two steps: select the reduced
 expert pool per scope (budgets, scoring, selection policies), then choose
 the reuse structure (nearest-prototype assignment); plus the consolidation
-objective with a brute-force oracle."""
+objective."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,10 +14,6 @@ from .calibration import CalibStats, contribution
 from .geometry import DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
-
-# the most prototype sets brute_force_optimal enumerates
-ENUMERATION_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class ScopeConfig:
@@ -162,22 +157,3 @@ def _cost(table: DistanceTable, cols, weights) -> float:
         total += w * d
     return total
 
-
-def brute_force_optimal(table: DistanceTable, k: int, weights: np.ndarray) -> tuple[list[Ref], float]:
-    """Exhaustive search over all size-k prototype sets; ties resolved by
-    lexicographically smallest set. Refuses to enumerate more than
-    ENUMERATION_CAP sets."""
-    n = len(table.scope)
-    if not (1 <= k <= n):
-        raise ValueError("k must be in [1, scope size]")
-    if math.comb(n, k) > ENUMERATION_CAP:
-        raise ValueError("enumeration cap exceeded")
-    weights = np.asarray(weights, dtype=np.float64)
-    best_set = None
-    best_val = None
-    for combo in itertools.combinations(range(n), k):
-        val = _cost(table, combo, weights)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_set = combo
-    return [table.scope[i] for i in best_set], best_val

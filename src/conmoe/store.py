@@ -112,22 +112,21 @@ def _payload_length(spec: ModelSpec) -> int:
 
 
 def write_checkpoint(model: MoEModel, path) -> None:
-    # built before the file is opened, so a header that is refused leaves no file
+    # checked before the file is opened, so a header that is refused leaves no file
     header = canonical_json({"magic": MAGIC, "spec": asdict(model.spec), "metadata": model.metadata})
+    if len(model.layers) != model.spec.num_layers:
+        raise ValueError("layer count mismatch")
 
     def write(f):
         f.write(header)
         f.write(b"\n")
         f.write(struct.pack("<Q", _payload_length(model.spec)))
-        count = 0
-        for layer in model.layers:
+        for l in range(model.spec.num_layers):  # not an iterator: it holds the last layer
+            layer = model.layers[l]
             model.check_layer(layer)
             f.write(np.ascontiguousarray(layer.block, dtype="<f4"))
             f.write(np.ascontiguousarray(layer.router, dtype="<f4"))
-            count += 1
             del layer  # a derived layer is released before the next one is built
-        if count != model.spec.num_layers:
-            raise ValueError("layer count mismatch")
 
     _write_atomic(path, write)
 

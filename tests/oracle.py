@@ -7,6 +7,11 @@ projections as named views of its row; the two-branch SiLU; and the
 batched layer's slot grouping by one scan per slot; and the two-trace
 fidelity evaluation and scope sweep. Nothing in conmoe imports them.
 
+Some queries only the tests ask live here too, on conmoe's own types: the
+batched forward's whole trace (model_forward_trace), one table entry
+(distance), a plan's per-scope prototype sets (scopes) and the exhaustive
+objective minimum (brute_force_optimal, under ENUMERATION_CAP).
+
 The oracle forward routes one token at a time: router_topk picks the top-k
 slots, dropped slots leave before the softmax, and each surviving slot's
 prototype output (expert_forward, one matrix-vector product per projection)
@@ -15,6 +20,7 @@ is summed in ascending slot order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,8 +38,8 @@ from conmoe.geometry import (
 )
 from conmoe import model as batched
 from conmoe.model import PROJECTIONS, MoELayer, MoEModel, token_rows
-from conmoe.plan import ConsolidationPlan, scope_partition
-from conmoe.planner import consolidate
+from conmoe.plan import ConsolidationPlan, Scope, scope_partition
+from conmoe.planner import _cost, consolidate
 
 # The batched forward groups its GEMMs and sums differently from these
 # per-token loops, which moves outputs and stats in the last bits only:
@@ -280,6 +286,35 @@ def cross_layer_nn(model, scope_size):
                     overall_fraction=cross_total / (num_layers * n))
 
 
+def distance(table, a, b):
+    """The table's entry for the slots a and b."""
+    return float(table.values[table.index_of(a), table.index_of(b)])
+
+
+# the most prototype sets brute_force_optimal enumerates
+ENUMERATION_CAP = 10**6
+
+
+def brute_force_optimal(table, k, weights):
+    """Exhaustive search over all size-k prototype sets for the least
+    planner objective; ties resolved by lexicographically smallest set.
+    Refuses to enumerate more than ENUMERATION_CAP sets."""
+    n = len(table.scope)
+    if not (1 <= k <= n):
+        raise ValueError("k must be in [1, scope size]")
+    if math.comb(n, k) > ENUMERATION_CAP:
+        raise ValueError("enumeration cap exceeded")
+    weights = np.asarray(weights, dtype=np.float64)
+    best_set = None
+    best_val = None
+    for combo in itertools.combinations(range(n), k):
+        val = _cost(table, combo, weights)
+        if best_val is None or val < best_val:
+            best_val = val
+            best_set = combo
+    return [table.scope[i] for i in best_set], best_val
+
+
 def nearest_neighbor(ref, table):
     """Closest other expert; ties broken by ascending (layer, index)."""
     i = table.index_of(ref)
@@ -354,14 +389,14 @@ def merge(model, stats, rho):
         cores = _keep(refs, lambda r: frequency(stats, r), rho)
         clusters.update((c, []) for c in cores)
         for ref in refs:
-            core = ref if ref in cores else min(cores, key=lambda c: (table.distance(ref, c), c))
+            core = ref if ref in cores else min(cores, key=lambda c: (distance(table, ref, c), c))
             assignment[ref] = core
             clusters[core].append(ref)
     plan = ConsolidationPlan(rho=rho, scope_size=1, policy="merge_msmoe", assignment=assignment)
     return (plan, *fuse(model, clusters, stats))
 
 
-def batched_trace(model, tokens, plan=None):
+def model_forward_trace(model, tokens, plan=None):
     """The batched forward's whole trace: (final state, every layer's MoE
     output), each (count, hidden)."""
     x = tokens
@@ -383,8 +418,8 @@ def evaluate_fidelity(model, plan, tokens, reference=None):
     layer's and the final state's mean per-token relative L2 error."""
     tokens = token_rows(tokens, model.spec.hidden_dim)
     plan.check_covers(model)
-    want_final, want_outs = reference or batched_trace(model, tokens)
-    got_final, got_outs = batched_trace(model, tokens, plan)
+    want_final, want_outs = reference or model_forward_trace(model, tokens)
+    got_final, got_outs = model_forward_trace(model, tokens, plan)
     return FidelityReport(
         per_layer_error=[_mean_relative_error(got, want) for got, want in zip(got_outs, want_outs)],
         end_to_end_error=_mean_relative_error(got_final, want_final),
@@ -396,10 +431,19 @@ def evaluate_fidelity(model, plan, tokens, reference=None):
 
 def scope_sweep(model, stats, config, scope_sizes, tokens):
     """One reference trace, then each scope's plan evaluated against it."""
-    reference = batched_trace(model, token_rows(tokens, model.spec.hidden_dim))
+    reference = model_forward_trace(model, token_rows(tokens, model.spec.hidden_dim))
     return [evaluate_fidelity(model, consolidate(model, stats, replace(config, scope_size=size)),
                               tokens, reference)
             for size in scope_sizes]
+
+
+def scopes(plan):
+    """scope_partition of the plan's layers, each with the prototypes its
+    non-dropped slots map to."""
+    image = sorted(plan.distinct_prototypes())
+    num_layers = max(l for l, _ in plan.assignment) + 1
+    return [Scope(layers, [p for p in image if p[0] in layers])
+            for layers in scope_partition(num_layers, plan.scope_size)]
 
 
 def identity_plan(num_layers, num_experts, scope_size=1):

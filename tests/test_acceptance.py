@@ -11,7 +11,6 @@ from conmoe import (
     DupConfig,
     ModelSpec,
     ScopeConfig,
-    brute_force_optimal,
     budget,
     consolidate,
     cross_layer_nn,
@@ -34,7 +33,7 @@ from conmoe import (
 )
 from conmoe.cli import main
 from conftest import run_cli_subprocess
-from oracle import aggregate_coefficients, expert, identity_plan
+from oracle import aggregate_coefficients, brute_force_optimal, distance, expert, identity_plan, scopes
 from conmoe.planner import importance_weights
 
 
@@ -118,11 +117,11 @@ def test_criterion_3_exact_duplicate_recovery():
     for l in range(spec.num_layers):
         refs = [(l, i) for i in range(spec.num_experts)]
         table = distance_matrix(model, refs)
-        protos = set(plan.scopes[l].prototypes)
+        protos = set(scopes(plan)[l].prototypes)
         for ref in refs:
             if ref not in protos:
                 target = plan.assignment[ref]
-                assert table.distance(ref, target) == 0.0
+                assert distance(table, ref, target) == 0.0
     report = evaluate_fidelity(model, plan, tokens)
     assert report.end_to_end_error == 0.0
     _pass(3, "every dropped slot maps to its exact duplicate; fidelity error exactly 0")
@@ -183,14 +182,14 @@ def test_criterion_4_objective_oracle():
 def test_criterion_5_assignment_optimality():
     for trial in range(12):
         model, stats, config, plan, _ = random_plan(300 + trial)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
             table = distance_matrix(model, refs)
             for ref in refs:
                 if ref in plan.drop_mask:
                     continue
-                best = min(table.distance(ref, p) for p in scope.prototypes)
-                assert table.distance(ref, plan.assignment[ref]) == best
+                best = min(distance(table, ref, p) for p in scope.prototypes)
+                assert distance(table, ref, plan.assignment[ref]) == best
     _pass(5, "d(e, m(e)) == min over prototypes, exactly, for every generated plan")
 
 
@@ -260,7 +259,7 @@ def test_criterion_9_budget_formula():
         model, stats, config, plan, _ = random_plan(900 + trial)
         achieved = reduction_accounting(plan)
         min_pool = min(
-            len(scope.layers) * model.spec.num_experts for scope in plan.scopes
+            len(scope.layers) * model.spec.num_experts for scope in scopes(plan)
         )
         assert abs(achieved - config.rho) <= 1.0 / min_pool + 1e-12
     _pass(9, "budget formula values and achieved-ratio rounding bound hold")

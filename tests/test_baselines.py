@@ -11,6 +11,7 @@ from conmoe import (
     fuse_weighted_average,
     gen_synthetic,
     gen_tokens,
+    materialize,
     merge_msmoe,
     prune_frequency,
     prune_reap,
@@ -19,7 +20,7 @@ from conmoe import (
 )
 from conmoe.store import plan_to_dict
 from conftest import experts_equal
-from oracle import expert
+from oracle import expert, scopes
 from test_acceptance import random_plan
 
 
@@ -36,7 +37,7 @@ class TestPruning:
     def test_frequency_keeps_top(self, small_model):
         stats = stats_with_counts(small_model, [5, 3, 1, 0, 0, 0, 0, 0])
         plan = prune_frequency(small_model, stats, 0.75)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             assert scope.prototypes == [(scope.layers[0], 0), (scope.layers[0], 1)]
         assert (0, 2) in plan.drop_mask and (0, 3) in plan.drop_mask
 
@@ -47,7 +48,7 @@ class TestPruning:
     def test_all_equal_counts_keep_lowest_indices(self, small_model):
         stats = stats_with_counts(small_model, [2] * 8)
         plan = prune_frequency(small_model, stats, 0.5)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             l = scope.layers[0]
             assert scope.prototypes == [(l, 0), (l, 1), (l, 2), (l, 3)]
 
@@ -55,7 +56,7 @@ class TestPruning:
         stats = stats_with_counts(small_model, [1, 1, 1, 1, 0, 0, 0, 0],
                                   norms=[2.5, 0.1, 1.0, 0.9, 0, 0, 0, 0])
         plan = prune_reap(small_model, stats, 0.75)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             l = scope.layers[0]
             assert scope.prototypes == [(l, 0), (l, 2)]
 
@@ -67,7 +68,7 @@ class TestPruning:
     def test_never_routed_rank_last(self, small_model):
         stats = stats_with_counts(small_model, [0, 3, 0, 2, 0, 1, 0, 4])
         plan = prune_reap(small_model, stats, 0.5)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             assert all(ref[1] % 2 == 1 for ref in scope.prototypes)
 
 
@@ -80,7 +81,7 @@ class TestMergeMSMoE:
     def test_usage_weighted_average(self, small_model):
         stats = stats_with_counts(small_model, [3, 1] + [0] * 6)
         plan, fused = merge_msmoe(small_model, stats, 0.875)  # keep 1 core per layer
-        core = plan.scopes[0].prototypes[0]
+        core = scopes(plan)[0].prototypes[0]
         assert core == (0, 0)
         for _, sources in fused.metadata["provenance"]:
             assert sum(w for _, w in sources) == pytest.approx(1.0, abs=1e-6)
@@ -92,7 +93,7 @@ class TestMergeMSMoE:
         model, _ = gen_synthetic(ModelSpec(1, 2, 8, 12, 1), seed=21)
         stats = stats_with_counts(model, [3, 1])
         plan, fused = merge_msmoe(model, stats, 0.5)
-        core = plan.scopes[0].prototypes[0]
+        core = scopes(plan)[0].prototypes[0]
         assert core == (0, 0)
         want_gate = 0.75 * expert(model, (0, 0)).gate.astype(np.float64) + \
             0.25 * expert(model, (0, 1)).gate.astype(np.float64)
@@ -105,7 +106,7 @@ class TestMergeMSMoE:
         model, _ = gen_synthetic(ModelSpec(1, 4, 8, 12, 1), seed=23, dup=DupConfig("within"))
         stats = stats_with_counts(model, [3, 1, 2, 0])
         plan, _ = merge_msmoe(model, stats, 0.5)
-        assert plan.scopes[0].prototypes == [(0, 0), (0, 2)]
+        assert scopes(plan)[0].prototypes == [(0, 0), (0, 2)]
         assert plan.assignment[(0, 0)] == (0, 0)
         assert plan.assignment[(0, 2)] == (0, 2)
 
@@ -115,7 +116,7 @@ class TestMergeMSMoE:
         model, _ = gen_synthetic(ModelSpec(1, 2, 8, 12, 1), seed=22)
         stats = stats_with_counts(model, [0, 0])
         plan, fused = merge_msmoe(model, stats, 0.5)
-        core = plan.scopes[0].prototypes[0]
+        core = scopes(plan)[0].prototypes[0]
         provenance = {tuple(slot): sources for slot, sources in fused.metadata["provenance"]}
         weights = [w for _, w in provenance[core]]
         assert weights == pytest.approx([0.5, 0.5])
@@ -136,7 +137,7 @@ class TestFuseWeightedAverage:
         stats = run_calibration(model, gen_tokens(16, 16, seed=4))
         plan = consolidate(model, stats, ScopeConfig(rho=0.5))
         fused = fuse_weighted_average(model, plan, stats)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             for p in scope.prototypes:
                 cluster = [r for r, t in plan.assignment.items() if t == p]
                 if all(experts_equal(expert(model, r), expert(model, p)) for r in cluster):
@@ -159,6 +160,35 @@ class TestFuseWeightedAverage:
         plan = prune_frequency(small_model, small_stats, 0.5)
         with pytest.raises(ValueError, match="remapping plan"):
             fuse_weighted_average(small_model, plan, small_stats)
+
+
+class TestDerivedModels:
+    @pytest.mark.parametrize("derivation", ["materialize", "fuse", "merge"])
+    def test_layers_are_a_plain_sequence(self, small_model, small_stats, derivation):
+        """A derived model's layers are sized, indexable and re-iterable,
+        and equal their reference in any order of access."""
+        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        if derivation == "materialize":
+            got = materialize(small_model, plan)
+            want = oracle.copy_model(small_model)
+            for slot, proto in plan.assignment.items():
+                want.row(slot)[...] = small_model.row(proto)
+        elif derivation == "fuse":
+            got = fuse_weighted_average(small_model, plan, small_stats)
+            want, _ = oracle.fuse(small_model, plan.clusters(), small_stats)
+        else:
+            _, got = merge_msmoe(small_model, small_stats, 0.5)
+            _, want, _ = oracle.merge(small_model, small_stats, 0.5)
+        num_layers = small_model.spec.num_layers
+        assert len(got.layers) == num_layers
+        got.validate()
+        got.validate()
+        with pytest.raises(IndexError):
+            got.layers[num_layers]
+        for l in (*reversed(range(num_layers)), -1):
+            assert np.array_equal(got.layers[l].block, want.layers[l].block)
+        assert oracle.models_equal(got, want)
+        assert oracle.models_equal(oracle.copy_model(got), want)
 
 
 class TestBudgetParity:
@@ -207,7 +237,7 @@ class TestAgainstOracle:
             model, stats, config, plan, _ = random_plan(100 + trial)
             self.check(model, stats, config.rho)
             clusters = {p: sorted(s for s, t in plan.assignment.items() if t == p)
-                        for scope in plan.scopes for p in scope.prototypes}
+                        for scope in scopes(plan) for p in scope.prototypes}
             for weights in (stats, None):
                 fused = fuse_weighted_average(model, plan, weights)
                 want_fused, want_provenance = oracle.fuse(model, clusters, weights)

@@ -8,11 +8,12 @@ import pytest
 
 import oracle
 from conmoe import ModelSpec, gen_synthetic, gen_tokens, prune_reap, run_calibration
-from conmoe.model import model_forward_trace, silu, slot_groups
+from conmoe.model import silu, slot_groups
 from oracle import (
     assert_rows_close,
     assert_stats_close,
     identity_plan,
+    model_forward_trace,
     router_topk,
     scan_slot_groups,
 )

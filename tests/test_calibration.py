@@ -15,7 +15,7 @@ from conmoe.model import ModelSpec, MoEModel
 from conmoe.store import stats_to_dict
 from conftest import stack_layer
 import oracle
-from oracle import ExpertWeights, assert_stats_close
+from oracle import ExpertWeights, assert_stats_close, scopes
 
 
 def stats_from_pairs(pairs):
@@ -117,7 +117,7 @@ class TestScores:
     def test_reap_aliases_contribution(self, small_model, small_stats):
         # the REAP baseline keeps, per layer, the experts of largest contribution
         plan = prune_reap(small_model, small_stats, 0.5)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             refs = [(scope.layers[0], i) for i in range(small_model.spec.num_experts)]
             ranked = sorted(refs, key=lambda r: (-contribution(small_stats)[r], r))
             assert scope.prototypes == sorted(ranked[:len(scope.prototypes)])

@@ -61,6 +61,10 @@ def test_annotators_read_a_live_pipeline(tmp_path):
             f"calibrate --model {model} --tokens 16 -o {stats}",
             f"consolidate --model {model} --stats {stats} --rho 0.5 --scope 2 -o {plan}",
             f"eval --model {model} --plan {plan} --tokens 4 -o {tmp_path / 'r.json'}",
+            f"materialize --model {model} --plan {plan} -o {tmp_path / 'mat.mckpt'}",
+            f"fuse --model {model} --plan {plan} --stats {stats} -o {tmp_path / 'fused.mckpt'}",
+            f"merge --model {model} --stats {stats} --rho 0.5 --fused-model {tmp_path / 'merged.mckpt'} "
+            f"-o {tmp_path / 'merge.json'}",
         ):
             assert main([*argv.split(), "-q"]) == 0
     finally:
@@ -68,7 +72,10 @@ def test_annotators_read_a_live_pipeline(tmp_path):
     names = {span.name for span in tracer.spans}
     assert {f"store.{op}_{artifact}" for op in ("read", "write")
             for artifact in ("checkpoint", "stats", "plan")} <= names
+    # the CLI's derivations are the hooked names
+    assert {"model.materialize", "baselines.fuse_weighted_average", "baselines.merge_msmoe"} <= names
     assert [span.attrs for span in tracer.spans if "annotate_error" in (span.attrs or {})] == []
     consolidated = [span for span in tracer.spans if span.name == "planner.consolidate"]
-    assert [span.attrs for span in consolidated] == [{"prototypes": 8}]
+    # the consolidate command's plan, then merge's scope-1 plan
+    assert [span.attrs for span in consolidated] == [{"prototypes": 8}, {"prototypes": 8}]
     assert conmoe.cli.consolidate is conmoe.planner.consolidate  # the hooks are gone

@@ -7,7 +7,6 @@ from conmoe import (
     ModelSpec,
     ScopeConfig,
     assign,
-    brute_force_optimal,
     budget,
     consolidate,
     distance_matrix,
@@ -27,6 +26,7 @@ from conmoe.calibration import CalibStats
 from conmoe.plan import SELECTION_POLICIES
 from conmoe.planner import importance_weights
 from conmoe.store import canonical_json, plan_to_dict
+from oracle import brute_force_optimal, distance, scopes
 
 
 def table_from(values, layer=0):
@@ -91,7 +91,7 @@ class TestScore:
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
         contrib = importance_weights(small_stats, refs)
-        replace = np.array([min(table.distance(r, o) for o in refs if o != r) for r in refs])
+        replace = np.array([min(distance(table, r, o) for o in refs if o != r) for r in refs])
         contrib_n = (contrib - contrib.min()) / (contrib.max() - contrib.min() + 1e-8)
         replace_n = (replace - replace.min()) / (replace.max() - replace.min() + 1e-8)
         assert np.all((0.0 <= contrib_n) & (contrib_n <= 1.0))
@@ -193,7 +193,7 @@ class TestConsolidate:
     def test_rho_zero_is_identity(self, small_model, small_stats):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.0))
         assert all(plan.assignment[r] == r for r in plan.assignment)
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             n = small_model.spec.num_experts
             assert len(scope.prototypes) == len(scope.layers) * n
 
@@ -206,10 +206,10 @@ class TestConsolidate:
         for l in range(spec.num_layers):
             refs = [(l, i) for i in range(spec.num_experts)]
             table = distance_matrix(model, refs)
-            protos = set(plan.scopes[l].prototypes)
+            protos = set(scopes(plan)[l].prototypes)
             for ref in refs:
                 if ref not in protos:
-                    assert table.distance(ref, plan.assignment[ref]) == 0.0
+                    assert distance(table, ref, plan.assignment[ref]) == 0.0
 
     def test_plan_bytes_deterministic(self, small_model, small_stats):
         a = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
@@ -220,16 +220,16 @@ class TestConsolidate:
         a = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=1, policy="adaptive"))
         b = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=1, policy="fixed_k"))
         assert a.assignment == b.assignment
-        assert [s.prototypes for s in a.scopes] == [s.prototypes for s in b.scopes]
+        assert [s.prototypes for s in scopes(a)] == [s.prototypes for s in scopes(b)]
 
     def test_assignment_optimality(self, small_model, small_stats):
         plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
-        for scope in plan.scopes:
+        for scope in scopes(plan):
             refs = [(l, i) for l in scope.layers for i in range(small_model.spec.num_experts)]
             table = distance_matrix(small_model, refs)
             for ref in refs:
-                best = min(table.distance(ref, p) for p in scope.prototypes)
-                assert table.distance(ref, plan.assignment[ref]) == best
+                best = min(distance(table, ref, p) for p in scope.prototypes)
+                assert distance(table, ref, plan.assignment[ref]) == best
 
 
 class TestTablesBuilt:

@@ -35,7 +35,7 @@ from conmoe.analysis import cross_layer_nn, dump_nn_csvs
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import stats_from_dict, stats_to_dict
-from oracle import copy_model, expert, identity_plan, models_equal, tensor_index
+from oracle import copy_model, expert, identity_plan, models_equal, scopes, tensor_index
 
 
 @pytest.fixture
@@ -359,7 +359,7 @@ class TestPlanIO:
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["assignment", "drop_mask", "metadata", "policy", "rho", "scope_size", "version"]
         doc["scopes"] = [{"layers": s.layers, "prototypes": [list(r) for r in s.prototypes]}
-                         for s in plan.scopes]
+                         for s in scopes(plan)]
         path.write_text(json.dumps(doc))
         assert read_plan(path) == plan
 
@@ -369,7 +369,7 @@ class TestPlanIO:
         plan = identity_plan(3, 2, scope_size=2)
         plan.assignment[(1, 1)] = (0, 1)
         plan.drop_mask = {(2, 0)}
-        assert plan.scopes == [Scope([0, 1], [(0, 0), (0, 1), (1, 0)]), Scope([2], [(2, 1)])]
+        assert scopes(plan) == [Scope([0, 1], [(0, 0), (0, 1), (1, 0)]), Scope([2], [(2, 1)])]
         assert plan.clusters() == {(0, 0): [(0, 0)], (0, 1): [(0, 1), (1, 1)],
                                    (1, 0): [(1, 0)], (2, 1): [(2, 1)]}
 
@@ -573,14 +573,17 @@ class TestDerivedCheckpointMemory:
             tracemalloc.stop()
         assert peak < 1.5 * layer_bytes
 
-    @pytest.mark.parametrize("layers", [list, iter], ids=["list", "stream"])
-    def test_refused_last_layer_keeps_previous_file(self, model, tmp_path, layers):
+    @pytest.mark.parametrize("derive", [
+        lambda m: m,
+        lambda m: materialize(m, identity_plan(m.spec.num_layers, m.spec.num_experts)),
+    ], ids=["list", "derived"])
+    def test_refused_last_layer_keeps_previous_file(self, model, tmp_path, derive):
         path = tmp_path / "m.mckpt"
         write_checkpoint(model, path)
         before = path.read_bytes()
         bad = copy_model(model)
         bad.row((1, 3))[2, 5] = np.nan
-        bad.layers = layers(bad.layers)
+        bad = derive(bad)
         with pytest.raises(ValueError, match="non-finite down weights"):
             write_checkpoint(bad, path)
         assert path.read_bytes() == before
