@@ -21,7 +21,7 @@ from .geometry import (
     nearest,
     projection_distance,
 )
-from .plan import ConsolidationPlan, Scope
+from .plan import ConsolidationPlan
 from .planner import (
     ScopeConfig,
     assign,

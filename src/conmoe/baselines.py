@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .model import DerivedLayers, MoELayer, MoEModel, Ref, nest_lineage
+from .model import DerivedLayers, MoELayer, MoEModel, Ref
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, select_pool
 
@@ -21,8 +21,8 @@ from .planner import ScopeConfig, consolidate, select_pool
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
     """The scope-1 reduced pool of `selection`; every slot keeps its own
     weights and the unselected are dropped, so no distance table is built."""
-    kept = {p for scope, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))
-            for p in scope.prototypes}
+    kept = {p for _, prototypes, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))
+            for p in prototypes}
     return ConsolidationPlan(rho=rho, scope_size=1, policy=policy,
                              assignment={ref: ref for ref in model.slots()},
                              drop_mask=set(model.slots()) - kept)
@@ -62,23 +62,21 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     their clusters (uniform weights without stats), accumulated in float64
     in cluster order; the reassignment map is left unchanged.
     metadata["provenance"] lists each fused slot's (source, weight) pairs;
-    a fused source's fusion, provenance and prior_fusion move under
-    metadata["prior_fusion"]. Its layers are DerivedLayers over the
-    unchanged source."""
+    the source's metadata nests whole under metadata["derived_from"]. Its
+    layers are DerivedLayers over the unchanged source."""
     plan.check_covers(model)
     if stats is not None:
         stats.check_covers(model)
     if plan.is_pruning:
         raise ValueError("fusion requires a remapping plan, not a pruning plan")
-    metadata = nest_lineage(model.metadata, ("fusion", "provenance"), "prior_fusion")
-    metadata["fusion"] = "weighted_average"
-    metadata["provenance"] = sorted(
+    provenance = sorted(
         [list(proto), [[list(src), w] for src, w in zip(members, _fusion_weights(stats, members))]]
         for proto, members in plan.clusters().items())
+    metadata = {"derived_from": dict(model.metadata), "fusion": "weighted_average", "provenance": provenance}
 
     def layer(l: int) -> MoELayer:
         block = model.layers[l].block.copy()
-        for (pl, pi), sources in metadata["provenance"]:
+        for (pl, pi), sources in provenance:
             if pl == l:
                 block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
         return MoELayer(block, model.layers[l].router.copy())

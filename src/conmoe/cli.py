@@ -2,9 +2,9 @@
 fuse, materialize, evaluate, analyze, sweep.
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error.
-Plans, stats and reports record the --seed that produced them; derived
-checkpoints carry their source checkpoint's metadata. Reruns with identical
-inputs write byte-identical outputs.
+Plans, stats and reports record the --seed that produced them; a derived
+checkpoint nests its source checkpoint's metadata whole under
+"derived_from". Reruns with identical inputs write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,18 +32,14 @@ OPTIONS = {
 }
 
 
-def _options(*names, optional=()) -> list[argparse.ArgumentParser]:
-    """Parent parser: --seed, --output/-o, --quiet/-q, and the named OPTIONS
-    (those in `optional` not required)."""
+def _options(*names) -> list[argparse.ArgumentParser]:
+    """Parent parser: --seed, --output/-o, --quiet/-q, and the named OPTIONS."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--quiet", "-q", action="store_true")
     for name in names:
-        kwargs = dict(OPTIONS[name])
-        if name in optional:
-            kwargs["required"] = False
-        p.add_argument(name, **kwargs)
+        p.add_argument(name, **OPTIONS[name])
     return [p]
 
 
@@ -77,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused-model", required=True)
 
     about = "post-hoc weighted-average fusion of a remapping plan (uniform weights without --stats)"
-    sub.add_parser("fuse", parents=_options("--model", "--plan", "--stats", optional=["--stats"]),
-                   help=about, description=about)
+    p = sub.add_parser("fuse", parents=_options("--model", "--plan"), help=about, description=about)
+    p.add_argument("--stats")
     sub.add_parser("materialize", parents=_options("--model", "--plan"),
                    help="expand a plan into a checkpoint")
     sub.add_parser("eval", parents=_options("--model", "--plan", "--tokens"),

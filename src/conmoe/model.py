@@ -204,21 +204,11 @@ def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
     return x.reshape(np.shape(h0))
 
 
-def nest_lineage(metadata: dict, keys: tuple[str, ...], prior: str) -> dict:
-    """The metadata a derived checkpoint starts from: the source's, less
-    `keys` and `prior`. A source derived the same way (it has keys[0])
-    keeps its lineage: those of its keys it has move under `prior`,
-    nesting one level per earlier derivation."""
-    out = {k: v for k, v in metadata.items() if k not in (*keys, prior)}
-    if keys[0] in metadata:
-        out[prior] = {k: metadata[k] for k in (*keys, prior) if k in metadata}
-    return out
-
-
 class DerivedLayers(Sequence):
     """A derived model's layers, layer l built on access as build(l) from the
-    unchanged source. Only the last layer built is held, dropped before the
-    next is built, so writing them in turn never holds two."""
+    unchanged source, read-only: a write could not outlive the layer. Only
+    the last layer built is held, dropped before the next is built, so
+    writing them in turn never holds two."""
 
     def __init__(self, count: int, build):
         self._count, self._build, self._held = count, build, (None, None)
@@ -230,21 +220,20 @@ class DerivedLayers(Sequence):
         l = range(self._count)[l]  # an index out of range is an IndexError
         if self._held[0] != l:
             self._held = (None, None)
-            self._held = (l, self._build(l))
+            layer = self._build(l)
+            layer.block.flags.writeable = layer.router.flags.writeable = False
+            self._held = (l, layer)
         return self._held[1]
 
 
 def materialize(model: MoEModel, plan) -> MoEModel:
     """Expand a plan into the original architecture by copying each slot's
     assigned prototype weights into the slot. Routers are untouched.
-    Drop-masked slots get zero weights. A materialized source's
-    materialized_from_policy, zeroed_slots and prior_materialization move
-    under metadata["prior_materialization"]. Its layers are DerivedLayers
-    over the unchanged source."""
+    Drop-masked slots get zero weights. The source's metadata nests whole
+    under metadata["derived_from"]. Its layers are DerivedLayers over the
+    unchanged source."""
     plan.check_covers(model)
-    metadata = nest_lineage(model.metadata, ("materialized_from_policy", "zeroed_slots"),
-                            "prior_materialization")
-    metadata["materialized_from_policy"] = plan.policy
+    metadata = {"derived_from": dict(model.metadata), "materialized_from_policy": plan.policy}
     zeroed = [list(ref) for ref in model.slots() if ref in plan.drop_mask]
     if zeroed:
         metadata["zeroed_slots"] = zeroed

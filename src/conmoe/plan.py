@@ -12,6 +12,12 @@ SELECTION_POLICIES = ("adaptive", "fixed_k", "usage_topk", "reap_topk", "distanc
 POLICIES = ("identity", *SELECTION_POLICIES, "prune_frequency", "prune_reap", "merge_msmoe")
 
 
+def check_rho(rho: float) -> None:
+    """The reduction ratio of every plan, config and budget."""
+    if not (0.0 <= rho < 1.0):
+        raise ValueError("rho must be in [0, 1)")
+
+
 def scope_partition(num_layers: int, scope_size: int) -> list[list[int]]:
     """Consecutive groups of scope_size layers; the last may be ragged."""
     if not (1 <= scope_size <= num_layers):
@@ -20,12 +26,6 @@ def scope_partition(num_layers: int, scope_size: int) -> list[list[int]]:
         list(range(start, min(start + scope_size, num_layers)))
         for start in range(0, num_layers, scope_size)
     ]
-
-
-@dataclass
-class Scope:
-    layers: list[int]
-    prototypes: list[Ref]  # deduplicated, ascending (layer, index)
 
 
 @dataclass
@@ -70,8 +70,7 @@ class ConsolidationPlan:
             raise ValueError(f"plan does not cover this model (plan grid {grid}, model grid {shape})")
 
     def validate(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError("rho must be in [0, 1)")
+        check_rho(self.rho)
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
         slots = self.assignment

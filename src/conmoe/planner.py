@@ -13,7 +13,7 @@ import numpy as np
 from .calibration import CalibStats, contribution
 from .geometry import DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
-from .plan import SELECTION_POLICIES, ConsolidationPlan, Scope, scope_partition
+from .plan import SELECTION_POLICIES, ConsolidationPlan, check_rho, scope_partition
 
 @dataclass(frozen=True)
 class ScopeConfig:
@@ -22,8 +22,7 @@ class ScopeConfig:
     policy: str = "adaptive"
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError("rho must be in [0, 1)")
+        check_rho(self.rho)
         if self.policy not in SELECTION_POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
 
@@ -32,8 +31,7 @@ def budget(rho: float, pool_size: int) -> int:
     """max(1, round((1 - rho) * pool)); round is half away from zero."""
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    if not (0.0 <= rho < 1.0):
-        raise ValueError("rho must be in [0, 1)")
+    check_rho(rho)
     return max(1, math.floor((1.0 - rho) * pool_size + 0.5))
 
 
@@ -91,22 +89,23 @@ def select_prototypes(keys, refs: list[Ref], k: int, per_layer: bool = False) ->
 
 
 def select_pool(model: MoEModel, stats: CalibStats,
-                config: ScopeConfig) -> list[tuple[Scope, DistanceTable | None]]:
-    """The reduced expert pool: per scope, the Scope holding its retained
-    prototypes and the distance table they were ranked by. The table is None
-    when the policy reads only stats or the scope keeps every expert."""
+                config: ScopeConfig) -> list[tuple[list[Ref], list[Ref], DistanceTable | None]]:
+    """The reduced expert pool: per scope, its slots, the retained
+    prototypes among them and the distance table they were ranked by. The
+    table is None when the policy reads only stats or the scope keeps every
+    expert."""
     stats.check_covers(model)
     pool = []
     for layers in scope_partition(model.spec.num_layers, config.scope_size):
-        refs = [(l, i) for l in layers for i in range(model.spec.num_experts)]
-        k = budget(config.rho, len(refs))
-        if k == len(refs):
-            pool.append((Scope(layers=list(layers), prototypes=refs), None))
+        slots = [(l, i) for l in layers for i in range(model.spec.num_experts)]
+        k = budget(config.rho, len(slots))
+        if k == len(slots):
+            pool.append((slots, slots, None))
             continue
-        table = distance_matrix(model, refs) if config.policy in TABLE_POLICIES else None
-        keys = _keys(config.policy, stats, refs, table)
-        prototypes = select_prototypes(keys, refs, k, per_layer=config.policy == "fixed_k")
-        pool.append((Scope(layers=list(layers), prototypes=prototypes), table))
+        table = distance_matrix(model, slots) if config.policy in TABLE_POLICIES else None
+        keys = _keys(config.policy, stats, slots, table)
+        prototypes = select_prototypes(keys, slots, k, per_layer=config.policy == "fixed_k")
+        pool.append((slots, prototypes, table))
     return pool
 
 
@@ -127,11 +126,10 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
     """Full planner: select the reduced pool, then assign every slot to its
     nearest prototype, reusing the table the selection ranked by."""
     assignment: dict[Ref, Ref] = {}
-    for scope, table in select_pool(model, stats, config):
-        refs = [(l, i) for l in scope.layers for i in range(model.spec.num_experts)]
-        if table is None and len(scope.prototypes) < len(refs):
-            table = distance_matrix(model, refs)  # the policy read only stats
-        assignment.update(zip(refs, refs) if table is None else assign(scope.prototypes, table))
+    for slots, prototypes, table in select_pool(model, stats, config):
+        if table is None and len(prototypes) < len(slots):
+            table = distance_matrix(model, slots)  # the policy read only stats
+        assignment.update(zip(slots, slots) if table is None else assign(prototypes, table))
     return ConsolidationPlan(
         rho=config.rho,
         scope_size=config.scope_size,

@@ -18,7 +18,7 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,17 +163,10 @@ def read_checkpoint(path) -> MoEModel:
 
 
 def _spec_from_dict(d) -> ModelSpec:
-    def count(key):
-        return _field("checkpoint spec", d, key, _int)
-
-    return ModelSpec(
-        num_layers=count("num_layers"),
-        num_experts=count("num_experts"),
-        hidden_dim=count("hidden_dim"),
-        intermediate_dim=count("intermediate_dim"),
-        top_k=count("top_k"),
-        activation=_field("checkpoint spec", d, "activation", str),
-    )
+    """Every ModelSpec field, in declaration order, each required."""
+    convert = {"int": _int, "str": str}
+    return ModelSpec(**{f.name: _field("checkpoint spec", d, f.name, convert[f.type])
+                        for f in fields(ModelSpec)})
 
 
 def _ref_to_list(ref) -> list[int]:

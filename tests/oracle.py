@@ -38,7 +38,7 @@ from conmoe.geometry import (
 )
 from conmoe import model as batched
 from conmoe.model import PROJECTIONS, MoELayer, MoEModel, token_rows
-from conmoe.plan import ConsolidationPlan, Scope, scope_partition
+from conmoe.plan import ConsolidationPlan, scope_partition
 from conmoe.planner import _cost, consolidate
 
 # The batched forward groups its GEMMs and sums differently from these
@@ -435,6 +435,12 @@ def scope_sweep(model, stats, config, scope_sizes, tokens):
     return [evaluate_fidelity(model, consolidate(model, stats, replace(config, scope_size=size)),
                               tokens, reference)
             for size in scope_sizes]
+
+
+@dataclass
+class Scope:
+    layers: list[int]
+    prototypes: list[tuple[int, int]]  # deduplicated, ascending (layer, index)
 
 
 def scopes(plan):

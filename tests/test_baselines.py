@@ -190,6 +190,31 @@ class TestDerivedModels:
         assert oracle.models_equal(got, want)
         assert oracle.models_equal(oracle.copy_model(got), want)
 
+    @staticmethod
+    def derive(model, stats, derivation):
+        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=2))
+        return {"materialize": lambda: materialize(model, plan),
+                "fuse": lambda: fuse_weighted_average(model, plan, stats),
+                "merge": lambda: merge_msmoe(model, stats, 0.5)[1]}[derivation]()
+
+    @pytest.mark.parametrize("derivation", ["materialize", "fuse", "merge"])
+    def test_layers_are_read_only(self, small_model, small_stats, derivation):
+        """A write into a derived layer would be lost once another layer is
+        built from the source, so it is refused."""
+        got = self.derive(small_model, small_stats, derivation)
+        with pytest.raises(ValueError, match="read-only"):
+            got.row((0, 1))[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            got.layers[1].router[0] = 0.0
+
+    @pytest.mark.parametrize("derivation", ["materialize", "fuse", "merge"])
+    def test_source_metadata_nests_as_it_was(self, small_model, small_stats, derivation):
+        model = oracle.copy_model(small_model)
+        model.metadata = {"seed": 7}
+        got = self.derive(model, small_stats, derivation)
+        model.metadata["seed"] = 8
+        assert got.metadata["derived_from"] == {"seed": 7}
+
 
 class TestBudgetParity:
     def test_equal_logical_counts(self, small_model, small_stats):

@@ -43,6 +43,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def lineage(metadata):
+    """A checkpoint's metadata, then each source's in turn, down to the
+    checkpoint that was derived from none."""
+    levels = [metadata]
+    while "derived_from" in levels[-1]:
+        levels.append(levels[-1]["derived_from"])
+    return levels
+
+
 @pytest.fixture
 def model_path(tmp_path):
     path = tmp_path / "model.mckpt"
@@ -159,15 +168,13 @@ class TestPipeline:
         assert run("fuse", "--model", merged, "--plan", plan_path, "-o", twice, "-q") == 0
         assert run("fuse", "--model", twice, "--plan", plan_path, "--stats", stats_path,
                    "-o", thrice, "-q") == 0
-        first, second, third = (read_checkpoint(p).metadata for p in (merged, twice, thrice))
-        assert "prior_fusion" not in first
-        assert second["fusion"] == "weighted_average"
-        assert second["prior_fusion"] == {"fusion": "msmoe_usage_weighted",
-                                          "provenance": first["provenance"]}
-        assert third["prior_fusion"] == {"fusion": "weighted_average",
-                                         "provenance": second["provenance"],
-                                         "prior_fusion": second["prior_fusion"]}
-        assert third["seed"] == first["seed"]
+        third, second, first, source = lineage(read_checkpoint(thrice).metadata)
+        assert [read_checkpoint(p).metadata for p in (merged, twice)] == [first, second]
+        for level in (first, second, third):
+            assert sorted(level) == ["derived_from", "fusion", "provenance"]
+        assert first["fusion"] == "msmoe_usage_weighted"
+        assert second["fusion"] == third["fusion"] == "weighted_average"
+        assert source == read_checkpoint(model_path).metadata and source["seed"] == 7
 
     def test_materializing_a_materialized_checkpoint_keeps_its_lineage(self, model_path, stats_path,
                                                                       tmp_path):
@@ -180,17 +187,16 @@ class TestPipeline:
                    "-o", plan, "-q") == 0
         assert run("materialize", "--model", once, "--plan", plan, "-o", twice, "-q") == 0
         assert run("materialize", "--model", twice, "--plan", prune, "-o", thrice, "-q") == 0
-        first, second, third = (read_checkpoint(p).metadata for p in (once, twice, thrice))
-        assert "prior_materialization" not in first and first["zeroed_slots"]
+        third, second, first, source = lineage(read_checkpoint(thrice).metadata)
+        assert [read_checkpoint(p).metadata for p in (once, twice)] == [first, second]
+        for level in (first, third):
+            assert sorted(level) == ["derived_from", "materialized_from_policy", "zeroed_slots"]
+            assert level["materialized_from_policy"] == "prune_reap"
+        assert first["zeroed_slots"] and third["zeroed_slots"] == first["zeroed_slots"]
         # the slots the prune zeroed now hold prototype weights, so they are not listed
-        assert second["materialized_from_policy"] == "adaptive" and "zeroed_slots" not in second
-        assert second["prior_materialization"] == {"materialized_from_policy": "prune_reap",
-                                                   "zeroed_slots": first["zeroed_slots"]}
-        assert third["zeroed_slots"] == first["zeroed_slots"]
-        assert third["prior_materialization"] == {
-            "materialized_from_policy": "adaptive",
-            "prior_materialization": second["prior_materialization"]}
-        assert third["seed"] == first["seed"]
+        assert sorted(second) == ["derived_from", "materialized_from_policy"]
+        assert second["materialized_from_policy"] == "adaptive"
+        assert source == read_checkpoint(model_path).metadata and source["seed"] == 7
 
     def test_consolidate_plan_metadata(self, model_path, stats_path, tmp_path):
         plan = tmp_path / "plan.json"
@@ -296,6 +302,30 @@ class TestReadmeShapeRegressions:
             for p in plan.distinct_prototypes():
                 assert plan.assignment[p] == p
 
+    def test_mixed_chains_keep_each_step_apart(self, tmp_path):
+        """materialize then fuse, and fuse then materialize, with the same
+        plans: the headers differ, and every slot a header lists as zeroed
+        holds zeros in that file (fusion fills some pruned slots here)."""
+        model_path, stats_path = self.readme_model(tmp_path)
+        prune, plan = tmp_path / "prune.json", tmp_path / "plan.json"
+        assert run("prune", "--model", model_path, "--stats", stats_path, "--method", "reap",
+                   "--rho", "0.5", "-o", prune, "-q") == 0
+        assert run("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
+                   "--scope", 2, "-o", plan, "-q") == 0
+        steps = {"materialize": ("--plan", prune), "fuse": ("--plan", plan, "--stats", stats_path)}
+        headers = []
+        for order in (("materialize", "fuse"), ("fuse", "materialize")):
+            source = model_path
+            for step in order:
+                out = tmp_path / f"{source.stem}-{step}.mckpt"
+                assert run(step, "--model", source, *steps[step], "-o", out, "-q") == 0
+                source = out
+            headers.append(out.read_bytes().split(b"\n", 1)[0])
+            model = read_checkpoint(out)
+            for ref in model.metadata.get("zeroed_slots", []):
+                assert not model.row(tuple(ref)).any(), ref
+        assert headers[0] != headers[1]
+
 
 class TestArtifactBoundary:
     """Mismatched, malformed or out-of-range inputs end in exit 1 with an
@@ -365,6 +395,19 @@ class TestArtifactBoundary:
         # the assignment is the whole plan: its scopes are derived from it
         ("plan", share_across_layers, "dangling assignment: (1, "),
         ("plan", lambda d: d["assignment"].pop(5), "assignment is not the full (layer, expert) grid"),
+        # a spec, plan or stats value out of its range
+        ("checkpoint", lambda h: h["spec"].update(num_experts=0), "need at least one expert per layer"),
+        ("checkpoint", lambda h: h["spec"].update(top_k=9),
+         "top_k must satisfy 1 <= top_k <= num_experts"),
+        ("checkpoint", lambda h: h["spec"].update(hidden_dim=0), "dimensions must be positive"),
+        ("checkpoint", lambda h: h.update(spec=[]), "checkpoint spec: expected a JSON object"),
+        ("checkpoint", lambda h: h.update(metadata=5),
+         "checkpoint header: malformed field 'metadata': expected a JSON object, got 5"),
+        ("plan", lambda d: d.update(rho=1.5), "rho must be in [0, 1)"),
+        ("plan", lambda d: d.update(policy="bogus"), "unknown policy: 'bogus'"),
+        ("plan", lambda d: d["drop_mask"].append(next(s for s, t in d["assignment"] if s != t)),
+         "is not a slot that maps to itself"),
+        ("stats", lambda d: d.update(token_total=-1), "negative token total"),
     ])
     def test_malformed_field(self, model_path, stats_path, tmp_path, capsys,
                              artifact, mutate, message):
@@ -383,6 +426,28 @@ class TestArtifactBoundary:
             "stats": ("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5"),
         }[artifact]
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out", message=message)
+
+    @pytest.mark.parametrize("cut,message", [
+        (lambda raw: raw[:raw.find(b"\n")], "malformed header: no newline terminator"),
+        (lambda raw: raw[:raw.find(b"\n") + 5], "payload length mismatch"),
+    ], ids=["header_without_newline", "ends_inside_length"])
+    def test_truncated_checkpoint(self, model_path, tmp_path, capsys, cut, message):
+        model_path.write_bytes(cut(model_path.read_bytes()))
+        self.assert_rejected(capsys, "calibrate", "--model", model_path, "--tokens", 4,
+                             "-o", tmp_path / "s.json", message=message)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("gen", "--layers", 1, "--experts", 4, "--hidden", 4, "--inter", 4, "--topk", 2,
+          "--dup", "cross"), "cross-layer duplicates need at least 2 layers"),
+        (("calibrate", "--model", "MODEL", "--tokens", 0), "token count must be >= 1"),
+        (("sweep", "--model", "MODEL", "--stats", "STATS", "--rho", 0.5, "--tokens", 4,
+          "--scopes", ","), "empty scope list"),
+    ], ids=["gen_cross_one_layer", "calibrate_no_tokens", "sweep_no_scopes"])
+    def test_option_out_of_range(self, model_path, stats_path, tmp_path, capsys, argv, message):
+        paths = {"MODEL": model_path, "STATS": stats_path}
+        self.assert_rejected(capsys, *(paths.get(a, a) for a in argv), "-o", tmp_path / "out",
+                             message=message)
+        assert not (tmp_path / "out").exists()
 
     def test_plan_scope_size_beyond_its_layers(self, tmp_path, capsys):
         """A 2-layer scope-2 plan derives the same one scope under any larger

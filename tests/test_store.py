@@ -15,7 +15,6 @@ from conmoe import (
     DupConfig,
     MoELayer,
     ModelSpec,
-    Scope,
     ScopeConfig,
     consolidate,
     fuse_weighted_average,
@@ -35,7 +34,7 @@ from conmoe.analysis import cross_layer_nn, dump_nn_csvs
 from conmoe.cli import main
 from conmoe.model import PROJECTIONS
 from conmoe.store import stats_from_dict, stats_to_dict
-from oracle import copy_model, expert, identity_plan, models_equal, scopes, tensor_index
+from oracle import Scope, copy_model, expert, identity_plan, models_equal, scopes, tensor_index
 
 
 @pytest.fixture
