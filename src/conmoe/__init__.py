@@ -29,7 +29,6 @@ from .planner import (
     consolidate,
     objective,
     scope_partition,
-    select_pool,
     select_prototypes,
     score,
 )

@@ -1,9 +1,11 @@
 """Matched-budget pruning and merging baselines, plus post-hoc fusion of a
 remapping plan's clusters.
 
-Each baseline starts from the planner's scope-1 reduced pool with the usage
-(`usage_topk`) or REAP (`reap_topk`) selection; they differ only in what the
-unselected slots become. Pruning drops them; merging keeps the nearest-core
+Each baseline keeps, per layer, the slots that the planner's usage
+(`usage_topk`) or REAP (`reap_topk`) key ranks highest, the pool of a
+scope-1 `consolidate` with that policy; they differ only in what the other
+slots become. Pruning drops them, ranking with the planner's key and
+`select_prototypes` and no distance table; merging keeps the nearest-core
 assignment of `consolidate` and fuses each core's cluster."""
 
 from __future__ import annotations
@@ -15,17 +17,20 @@ import numpy as np
 from .calibration import CalibStats
 from .model import DerivedLayers, MoELayer, MoEModel, Ref
 from .plan import ConsolidationPlan
-from .planner import ScopeConfig, consolidate, select_pool
+from .planner import ScopeConfig, budget, consolidate, policy_keys, select_prototypes
 
 
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
-    """The scope-1 reduced pool of `selection`; every slot keeps its own
-    weights and the unselected are dropped, so no distance table is built."""
-    kept = {p for _, prototypes, _ in select_pool(model, stats, ScopeConfig(rho, 1, selection))
-            for p in prototypes}
-    return ConsolidationPlan(rho=rho, scope_size=1, policy=policy,
-                             assignment={ref: ref for ref in model.slots()},
-                             drop_mask=set(model.slots()) - kept)
+    """Each layer keeps its budget's largest `selection` keys, the
+    planner's scope-1 pool; every slot keeps its own weights and the rest
+    are dropped, so no distance table is built."""
+    k = budget(rho, model.spec.num_experts)  # rho is checked before stats coverage
+    stats.check_covers(model)
+    slots = model.slots()
+    kept = select_prototypes(policy_keys(selection, stats, slots, None), slots,
+                             k * model.spec.num_layers, per_layer=True)
+    return ConsolidationPlan(rho=rho, scope_size=1, policy=policy, assignment=dict(zip(slots, slots)),
+                             drop_mask=set(slots) - set(kept))
 
 
 def prune_frequency(model: MoEModel, stats: CalibStats, rho: float) -> ConsolidationPlan:

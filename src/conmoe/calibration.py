@@ -27,9 +27,12 @@ class CalibStats:
         self.validate()
 
     def validate(self):
+        counts, sums = self.routed_count, self.sum_weighted_norm
+        if counts.shape != sums.shape:
+            raise ValueError(f"stats: grids differ in shape: routed_count {counts.shape}, "
+                             f"sum_weighted_norm {sums.shape}")
         if self.token_total < 0:
             raise ValueError("negative token total")
-        counts, sums = self.routed_count, self.sum_weighted_norm
         for bad, message in (
             (counts < 0, "negative counts for"),
             (counts > self.token_total, "routed_count exceeds token_total for"),

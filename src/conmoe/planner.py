@@ -1,7 +1,7 @@
-"""Consolidation planner, in the paper's two steps: select the reduced
-expert pool per scope (budgets, scoring, selection policies), then choose
-the reuse structure (nearest-prototype assignment); plus the consolidation
-objective."""
+"""Consolidation planner, in the paper's two steps per scope: keep the
+prototypes a selection policy ranks highest within the scope's budget,
+then choose the reuse structure (nearest-prototype assignment) in the one
+distance table the scope builds; plus the consolidation objective."""
 
 from __future__ import annotations
 
@@ -47,12 +47,9 @@ def score(stats: CalibStats, table: DistanceTable) -> np.ndarray:
     return minmax_norm(importance_weights(stats, table.scope)) * minmax_norm(replace)
 
 
-# The policies that rank by the distance table; the others read only stats.
-TABLE_POLICIES = ("adaptive", "fixed_k", "distance_only")
-
-
-def _keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None):
-    """The per-ref ranking key of a policy; the largest keys are kept."""
+def policy_keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None):
+    """The per-ref ranking key of a policy; the largest keys are kept. Only
+    usage_topk and reap_topk rank without a table."""
     if policy == "usage_topk":
         return stats.routed_count[tuple(zip(*refs))]
     if policy == "reap_topk":
@@ -88,27 +85,6 @@ def select_prototypes(keys, refs: list[Ref], k: int, per_layer: bool = False) ->
     return sorted(chosen)
 
 
-def select_pool(model: MoEModel, stats: CalibStats,
-                config: ScopeConfig) -> list[tuple[list[Ref], list[Ref], DistanceTable | None]]:
-    """The reduced expert pool: per scope, its slots, the retained
-    prototypes among them and the distance table they were ranked by. The
-    table is None when the policy reads only stats or the scope keeps every
-    expert."""
-    stats.check_covers(model)
-    pool = []
-    for layers in scope_partition(model.spec.num_layers, config.scope_size):
-        slots = [(l, i) for l in layers for i in range(model.spec.num_experts)]
-        k = budget(config.rho, len(slots))
-        if k == len(slots):
-            pool.append((slots, slots, None))
-            continue
-        table = distance_matrix(model, slots) if config.policy in TABLE_POLICIES else None
-        keys = _keys(config.policy, stats, slots, table)
-        prototypes = select_prototypes(keys, slots, k, per_layer=config.policy == "fixed_k")
-        pool.append((slots, prototypes, table))
-    return pool
-
-
 def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
     """Each slot to its nearest prototype; ties go to the ascending
     (layer, index) prototype. Prototypes map to themselves, also when an
@@ -123,19 +99,24 @@ def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
 
 
 def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> ConsolidationPlan:
-    """Full planner: select the reduced pool, then assign every slot to its
-    nearest prototype, reusing the table the selection ranked by."""
+    """Full planner, per scope: keep the budget's prototypes by the
+    policy's keys, then assign every slot to its nearest prototype in the
+    same distance table. A scope whose budget keeps every expert maps to
+    itself and builds no table."""
+    stats.check_covers(model)
     assignment: dict[Ref, Ref] = {}
-    for slots, prototypes, table in select_pool(model, stats, config):
-        if table is None and len(prototypes) < len(slots):
-            table = distance_matrix(model, slots)  # the policy read only stats
-        assignment.update(zip(slots, slots) if table is None else assign(prototypes, table))
-    return ConsolidationPlan(
-        rho=config.rho,
-        scope_size=config.scope_size,
-        policy=config.policy,
-        assignment=assignment,
-    )
+    for layers in scope_partition(model.spec.num_layers, config.scope_size):
+        slots = [(l, i) for l in layers for i in range(model.spec.num_experts)]
+        k = budget(config.rho, len(slots))
+        if k == len(slots):
+            assignment.update(zip(slots, slots))
+            continue
+        table = distance_matrix(model, slots)
+        keys = policy_keys(config.policy, stats, slots, table)
+        prototypes = select_prototypes(keys, slots, k, per_layer=config.policy == "fixed_k")
+        assignment.update(assign(prototypes, table))
+    return ConsolidationPlan(rho=config.rho, scope_size=config.scope_size, policy=config.policy,
+                             assignment=assignment)
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:

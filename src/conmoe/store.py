@@ -38,8 +38,12 @@ _REQUIRED = object()
 
 
 def canonical_json(obj) -> bytes:
-    """Sorted, compact, strict JSON: a NaN or an infinity is a ValueError."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    """Sorted, compact, strict JSON: a NaN or an infinity, or a value that
+    nests too deeply to encode, is a ValueError."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except RecursionError as exc:
+        raise ValueError(f"cannot encode JSON: {exc}") from None
 
 
 def _write_atomic(path, write) -> None:
@@ -254,9 +258,6 @@ def stats_from_dict(d: dict) -> CalibStats:
         raise ValueError(f"unsupported stats version: {version}")
     counts = _field("stats", d, "routed_count", _grid(_int, np.int64))
     sums = _field("stats", d, "sum_weighted_norm", _grid(_float, np.float64))
-    if counts.shape != sums.shape:
-        raise ValueError(f"stats: grids differ in shape: routed_count {counts.shape}, "
-                         f"sum_weighted_norm {sums.shape}")
     return CalibStats(
         token_total=_field("stats", d, "token_total", _int),
         top_k=_field("stats", d, "top_k", _int),

@@ -229,6 +229,25 @@ class TestBudgetParity:
         assert len(ratios) == 1
 
 
+class TestSharedPool:
+    """Each baseline keeps the pool of a scope-1 consolidation with its
+    selection policy."""
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        model, _ = gen_synthetic(ModelSpec(8, 16, 32, 48, 2), seed=42)
+        return model, run_calibration(model, gen_tokens(256, model.spec.hidden_dim, seed=42))
+
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
+    def test_baselines_keep_the_scope1_pool(self, readme, rho):
+        model, stats = readme
+        usage, reap = (consolidate(model, stats, ScopeConfig(rho, 1, policy)).distinct_prototypes()
+                       for policy in ("usage_topk", "reap_topk"))
+        assert prune_frequency(model, stats, rho).distinct_prototypes() == usage
+        assert merge_msmoe(model, stats, rho)[0].distinct_prototypes() == usage
+        assert prune_reap(model, stats, rho).distinct_prototypes() == reap
+
+
 class TestAgainstOracle:
     """The planner-built baselines give the plans, fused stacks and
     provenance of the per-layer loops in tests/oracle.py."""

@@ -500,6 +500,19 @@ class TestArtifactBoundary:
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out",
                              message=f"malformed {name}: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("prune", "--method", "frequency", "--rho", "1.5"), "rho must be in [0, 1)"),
+        (("consolidate", "--rho", "0.5", "--scope", 99), "calibration stats do not cover this model"),
+    ], ids=["prune_rho_before_coverage", "consolidate_coverage_before_scope"])
+    def test_which_error_wins_with_other_grid_stats(self, model_path, tmp_path, capsys, argv, message):
+        small, stats = tmp_path / "model4.mckpt", tmp_path / "stats4.json"
+        assert run("gen", "--layers", 4, "--experts", 4, "--hidden", 16, "--inter", 24,
+                   "--topk", 2, "-o", small, "-q") == 0
+        assert run("calibrate", "--model", small, "--tokens", 8, "-o", stats, "-q") == 0
+        self.assert_rejected(capsys, *argv, "--model", model_path, "--stats", stats,
+                             "-o", tmp_path / "out", message=message)
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_report_refused(self, tmp_path):
         """Ten layers of the unnormalised residual stack overflow the
         end-to-end error to inf; a report cannot hold it as strict JSON.

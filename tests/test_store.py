@@ -428,6 +428,11 @@ class TestStatsIO:
         with pytest.raises(ValueError, match=re.escape("negative counts for (0, 1)")):
             CalibStats(token_total=3, top_k=1, routed_count=np.array([[3, -1]]),
                        sum_weighted_norm=np.array([[1.5, 0.0]]))
+        # grids of two shapes would broadcast into a wrong contribution grid
+        with pytest.raises(ValueError, match=re.escape(
+                "stats: grids differ in shape: routed_count (2, 2), sum_weighted_norm (1, 2)")):
+            CalibStats(token_total=4, top_k=1, routed_count=np.array([[1, 3], [2, 2]]),
+                       sum_weighted_norm=np.array([[0.5, 0.7]]))
 
     def test_negative_counts_rejected(self, tmp_path):
         stats = self.make_stats()
@@ -527,6 +532,16 @@ class TestAtomicWrites:
             write_checkpoint(model, tmp_path / "m.mckpt")
         with pytest.raises(ValueError, match="Out of range float values"):
             store.write_json(tmp_path / "r.json", {"x": float("inf")})
+        assert os.listdir(tmp_path) == []
+
+    def test_too_deep_json_is_refused_before_writing(self, tmp_path):
+        """A derivation chain nests one level per step; a nest too deep for
+        the encoder is a ValueError, not a RecursionError, and leaves no file."""
+        deep: dict = {}
+        for _ in range(5000):
+            deep = {"derived_from": deep}
+        with pytest.raises(ValueError, match="cannot encode JSON: maximum recursion depth exceeded"):
+            store.write_json(tmp_path / "r.json", deep)
         assert os.listdir(tmp_path) == []
 
     def test_file_mode_is_unchanged(self, model, tmp_path):
