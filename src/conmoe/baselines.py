@@ -4,9 +4,9 @@ remapping plan's clusters.
 Each baseline keeps, per layer, the slots that the planner's usage
 (`usage_topk`) or REAP (`reap_topk`) key ranks highest, the pool of a
 scope-1 `consolidate` with that policy; they differ only in what the other
-slots become. Pruning drops them, ranking with the planner's key and
-`select_prototypes` and no distance table; merging keeps the nearest-core
-assignment of `consolidate` and fuses each core's cluster."""
+slots become. Pruning drops them, ranking by each slot's `layer_places`
+under the planner's key, with no distance table; merging keeps the
+nearest-core assignment of `consolidate` and fuses each core's cluster."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .calibration import CalibStats
 from .model import DerivedLayers, MoELayer, MoEModel, Ref
 from .plan import ConsolidationPlan
-from .planner import ScopeConfig, budget, consolidate, policy_keys, select_prototypes
+from .planner import ScopeConfig, budget, consolidate, layer_places, policy_keys, select_prototypes
 
 
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
@@ -27,8 +27,8 @@ def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, polic
     k = budget(rho, model.spec.num_experts)  # rho is checked before stats coverage
     stats.check_covers(model)
     slots = model.slots()
-    kept = select_prototypes(policy_keys(selection, stats, slots, None), slots,
-                             k * model.spec.num_layers, per_layer=True)
+    kept = select_prototypes(layer_places(policy_keys(selection, stats, slots, None), slots), slots,
+                             k * model.spec.num_layers)
     return ConsolidationPlan(rho=rho, scope_size=1, policy=policy, assignment=dict(zip(slots, slots)),
                              drop_mask=set(slots) - set(kept))
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SUPPORTED_ACTIVATIONS = ("silu",)
-
 # (layer, expert index) slot reference
 Ref = tuple[int, int]
 
@@ -27,7 +25,6 @@ class ModelSpec:
     hidden_dim: int
     intermediate_dim: int
     top_k: int
-    activation: str = "silu"
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -38,8 +35,6 @@ class ModelSpec:
             raise ValueError("top_k must satisfy 1 <= top_k <= num_experts")
         if self.hidden_dim < 1 or self.intermediate_dim < 1:
             raise ValueError("dimensions must be positive")
-        if self.activation not in SUPPORTED_ACTIVATIONS:
-            raise ValueError(f"unsupported activation: {self.activation!r}")
 
 
 PROJECTIONS = ("gate", "up", "down")
@@ -240,9 +235,9 @@ def materialize(model: MoEModel, plan) -> MoEModel:
 
     def layer(l: int) -> MoELayer:
         block = np.zeros_like(model.layers[l].block)
-        for i, row in enumerate(block):
-            if (l, i) not in plan.drop_mask:
-                row[...] = model.row(plan.assignment[(l, i)])
+        kept = [(plan.assignment[(l, i)], i) for i in range(len(block)) if (l, i) not in plan.drop_mask]
+        for proto, i in sorted(kept):  # by source layer: a derived source builds each about once
+            block[i] = model.row(proto)
         return MoELayer(block, model.layers[l].router.copy())
 
     return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, layer), metadata)

@@ -56,33 +56,29 @@ def policy_keys(policy: str, stats: CalibStats, refs: list[Ref], table: Distance
         return importance_weights(stats, refs)
     if policy == "distance_only":
         return nearest(table)[1]
+    if policy == "fixed_k":
+        return layer_places(score(stats, table), refs)
     return score(stats, table)
 
 
-def _top_k(keys: list[float], refs: list[Ref], k: int) -> list[Ref]:
-    """Largest-k by key; ties broken by ascending (layer, index)."""
-    ranked = sorted(zip(keys, refs), key=lambda kr: (-kr[0], kr[1]))
-    return sorted(r for _, r in ranked[:k])
+def layer_places(keys, refs: list[Ref]) -> np.ndarray:
+    """Minus each ref's rank within its own layer by key, largest first,
+    ties to the lower index. Over whole layers, the k largest places keep
+    k // layers refs per layer and one more in each of the earliest k % layers."""
+    keys = np.asarray(keys, dtype=np.float64).tolist()
+    places = np.empty(len(refs))
+    for layer in {r[0] for r in refs}:
+        rows = sorted((i for i, r in enumerate(refs) if r[0] == layer), key=lambda i: (-keys[i], refs[i]))
+        places[rows] = -np.arange(len(rows))
+    return places
 
 
-def select_prototypes(keys, refs: list[Ref], k: int, per_layer: bool = False) -> list[Ref]:
-    """The k refs with the largest keys. With per_layer, each layer of refs
-    keeps k // layers of its own, the remainder going to the earliest layers."""
+def select_prototypes(keys, refs: list[Ref], k: int) -> list[Ref]:
+    """The k refs with the largest keys, ties to the lowest (layer, index)."""
     if k > len(refs):
         raise ValueError("budget exceeds scope pool size")
-    keys = np.asarray(keys, dtype=np.float64).tolist()
-    if not per_layer:
-        return _top_k(keys, refs, k)
-    layers = sorted({r[0] for r in refs})
-    base, rem = divmod(k, len(layers))
-    chosen: list[Ref] = []
-    for pos, layer in enumerate(layers):
-        rows = [i for i, r in enumerate(refs) if r[0] == layer]
-        quota = base + (1 if pos < rem else 0)
-        if quota > len(rows):
-            raise ValueError("per-layer budget exceeds layer pool size")
-        chosen.extend(_top_k([keys[i] for i in rows], [refs[i] for i in rows], quota))
-    return sorted(chosen)
+    ranked = sorted(zip(np.asarray(keys, dtype=np.float64).tolist(), refs), key=lambda kr: (-kr[0], kr[1]))
+    return sorted(r for _, r in ranked[:k])
 
 
 def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
@@ -113,7 +109,7 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
             continue
         table = distance_matrix(model, slots)
         keys = policy_keys(config.policy, stats, slots, table)
-        prototypes = select_prototypes(keys, slots, k, per_layer=config.policy == "fixed_k")
+        prototypes = select_prototypes(keys, slots, k)
         assignment.update(assign(prototypes, table))
     return ConsolidationPlan(rho=config.rho, scope_size=config.scope_size, policy=config.policy,
                              assignment=assignment)

@@ -28,6 +28,7 @@ from .model import MoELayer, MoEModel, ModelSpec
 from .plan import ConsolidationPlan
 
 MAGIC = "MCKPT1"
+ACTIVATION = "silu"  # the one expert activation; every header names it
 PLAN_VERSION = 1
 STATS_VERSION = 2
 
@@ -117,7 +118,8 @@ def _payload_length(spec: ModelSpec) -> int:
 
 def write_checkpoint(model: MoEModel, path) -> None:
     # checked before the file is opened, so a header that is refused leaves no file
-    header = canonical_json({"magic": MAGIC, "spec": asdict(model.spec), "metadata": model.metadata})
+    spec = {**asdict(model.spec), "activation": ACTIVATION}
+    header = canonical_json({"magic": MAGIC, "spec": spec, "metadata": model.metadata})
     if len(model.layers) != model.spec.num_layers:
         raise ValueError("layer count mismatch")
 
@@ -167,10 +169,13 @@ def read_checkpoint(path) -> MoEModel:
 
 
 def _spec_from_dict(d) -> ModelSpec:
-    """Every ModelSpec field, in declaration order, each required."""
-    convert = {"int": _int, "str": str}
-    return ModelSpec(**{f.name: _field("checkpoint spec", d, f.name, convert[f.type])
-                        for f in fields(ModelSpec)})
+    """Every ModelSpec field, in declaration order, each a required integer;
+    then the activation, which must be ACTIVATION."""
+    spec = ModelSpec(**{f.name: _field("checkpoint spec", d, f.name, _int) for f in fields(ModelSpec)})
+    activation = _field("checkpoint spec", d, "activation", str)
+    if activation != ACTIVATION:
+        raise ValueError(f"unsupported activation: {activation!r}")
+    return spec
 
 
 def _ref_to_list(ref) -> list[int]:

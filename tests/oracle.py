@@ -1,9 +1,10 @@
 """Reference implementations the tests compare conmoe against: the
 per-token forward, the per-pair expert distance, the index-pair distance
 table and the geometry queries, the nested-list nearest-neighbor tally,
-the per-layer pruning and merging baselines, the identity plan, model
-copies and equality and a checkpoint payload's tensor index; an expert's three
-projections as named views of its row; the two-branch SiLU; and the
+the per-layer quota selection (quota_select), the per-layer pruning and
+merging baselines, the identity plan, model copies and equality and a
+checkpoint payload's tensor index; an expert's three projections as named
+views of its row; the two-branch SiLU; and the
 batched layer's slot grouping by one scan per slot; and the two-trace
 fidelity evaluation and scope sweep. Nothing in conmoe imports them.
 
@@ -349,6 +350,20 @@ def _keep(refs, key, rho):
 def _layers(model):
     n = model.spec.num_experts
     return [[(l, i) for i in range(n)] for l in range(model.spec.num_layers)]
+
+
+def quota_select(keys, refs, k):
+    """Per-layer quotas: each layer of refs keeps its own k // layers
+    largest keys (ties to the lower index), one more in each of the
+    earliest k % layers."""
+    keys = np.asarray(keys, dtype=np.float64).tolist()
+    layers = sorted({r[0] for r in refs})
+    base, rem = divmod(k, len(layers))
+    chosen = []
+    for pos, layer in enumerate(layers):
+        rows = sorted((i for i, r in enumerate(refs) if r[0] == layer), key=lambda i: (-keys[i], refs[i]))
+        chosen.extend(refs[i] for i in rows[:base + (1 if pos < rem else 0)])
+    return sorted(chosen)
 
 
 def prune(model, stats, rho, method):

@@ -11,7 +11,7 @@ from conmoe import (
     prune_reap,
     run_calibration,
 )
-from conmoe.model import ModelSpec, MoEModel
+from conmoe.model import ModelSpec, MoEModel, residual_step
 from conmoe.store import stats_to_dict
 from conftest import stack_layer
 import oracle
@@ -82,6 +82,22 @@ class TestRunCalibration:
         for l in range(spec.num_layers):
             total = small_stats.routed_count[l].sum()
             assert total == small_stats.token_total * spec.top_k
+
+    @pytest.mark.parametrize("dims,count", [((8, 16, 32, 48, 2), 256), ((8, 16, 64, 128, 4), 512)],
+                             ids=["readme", "token_heavy"])
+    def test_steps_the_forward_stack(self, dims, count):
+        """Row l is, bit for bit, a one-layer calibration of layer l on the
+        state model.residual_step reaches before it: calibration's residual
+        step and the forward's are one stack."""
+        spec = ModelSpec(*dims)
+        model, _ = gen_synthetic(spec, seed=42)
+        x = gen_tokens(count, spec.hidden_dim, seed=43)
+        stats = run_calibration(model, x)
+        for l in range(spec.num_layers):
+            one = run_calibration(MoEModel(ModelSpec(1, *dims[1:]), [model.layers[l]]), x)
+            assert np.array_equal(stats.routed_count[l], one.routed_count[0])
+            assert stats.sum_weighted_norm[l].tobytes() == one.sum_weighted_norm[0].tobytes()
+            _, x = residual_step(model, l, x)
 
     def test_empty_tokens_rejected(self, small_model):
         with pytest.raises(ValueError, match=re.escape(NOT_A_BATCH)):

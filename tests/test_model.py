@@ -7,14 +7,17 @@ import pytest
 from conmoe import (
     DupConfig,
     ModelSpec,
+    ScopeConfig,
+    consolidate,
     distance_matrix,
     gen_synthetic,
     gen_tokens,
     materialize,
     model_forward,
     moe_forward,
+    run_calibration,
 )
-from conmoe.model import MoEModel, slot_groups
+from conmoe.model import DerivedLayers, MoELayer, MoEModel, slot_groups
 from conftest import experts_equal, stack_layer
 from oracle import (
     BATCH_RTOL,
@@ -319,6 +322,26 @@ class TestMaterialize:
         mat = materialize(small_model, plan)
         for t in small_tokens[:8]:
             assert np.array_equal(model_forward(small_model, t, plan), model_forward(mat, t))
+
+    def test_derived_source_builds_each_layer_about_once(self):
+        """Rows are copied in ascending prototype order, so a derived source,
+        which holds one layer, is built about once per source layer a derived
+        layer reads, not once per cross-layer row."""
+        spec = ModelSpec(4, 32, 8, 12, 2)
+        model, _ = gen_synthetic(spec, seed=3)
+        stats = run_calibration(model, gen_tokens(64, spec.hidden_dim, seed=4))
+        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=4))
+        builds = []
+
+        def build(l):
+            builds.append(l)
+            return MoELayer(model.layers[l].block.copy(), model.layers[l].router.copy())
+
+        derived = materialize(MoEModel(spec, DerivedLayers(spec.num_layers, build)), plan)
+        got = [(derived.layers[l].block.copy(), derived.layers[l].router.copy()) for l in range(spec.num_layers)]
+        assert len(builds) <= spec.num_layers * (plan.scope_size + 2)
+        want = materialize(model, plan)
+        assert models_equal(MoEModel(spec, [MoELayer(*pair) for pair in got]), want)
 
 
 class TestGenSynthetic:

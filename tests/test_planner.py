@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conmoe import (
@@ -143,18 +145,30 @@ class TestSelectPrototypes:
     def test_fixed_k_equal_per_layer(self, small_stats, small_model):
         refs = [(l, i) for l in (0, 1) for i in range(4)]
         table = distance_matrix(small_model, refs)
-        scores = score(small_stats, table)
-        got = select_prototypes(scores, refs, 4, per_layer=True)
+        keys = planner.policy_keys("fixed_k", small_stats, refs, table)
+        got = select_prototypes(keys, refs, 4)
         assert sum(1 for r in got if r[0] == 0) == 2
         assert sum(1 for r in got if r[0] == 1) == 2
 
     def test_fixed_k_remainder_to_earliest(self, small_stats, small_model):
         refs = [(l, i) for l in (0, 1) for i in range(4)]
         table = distance_matrix(small_model, refs)
-        scores = score(small_stats, table)
-        got = select_prototypes(scores, refs, 5, per_layer=True)
+        keys = planner.policy_keys("fixed_k", small_stats, refs, table)
+        got = select_prototypes(keys, refs, 5)
         assert sum(1 for r in got if r[0] == 0) == 3
         assert sum(1 for r in got if r[0] == 1) == 2
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_layer_places_match_quota_reference(self, data):
+        """Over 1-5 whole layers, the k largest layer places are the per-layer
+        quota selection for every k; small integer keys make ties."""
+        first, layers, experts = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        refs = [(first + l, i) for l in range(layers) for i in range(experts)]
+        keys = data.draw(st.lists(st.integers(0, 3), min_size=len(refs), max_size=len(refs)))
+        places = planner.layer_places(keys, refs)
+        for k in range(1, len(refs) + 1):
+            assert select_prototypes(places, refs, k) == oracle.quota_select(keys, refs, k)
 
     def test_budget_exceeds_pool(self):
         with pytest.raises(ValueError):
