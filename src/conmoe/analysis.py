@@ -33,9 +33,11 @@ class NNReport:
     overall_fraction: float
 
 
-def _relative_errors(got: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Per-token relative L2 error of (count, hidden) rows."""
-    return np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
+def _mean_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    """The per-token relative L2 errors of float32 (count, hidden) rows,
+    averaged in float64."""
+    errors = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
+    return float(errors.mean(dtype=np.float64))
 
 
 def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.ndarray) -> list[FidelityReport]:
@@ -52,11 +54,11 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
         want, reference = residual_step(model, l, reference)
         for k, plan in enumerate(plans):
             got, states[k] = residual_step(model, l, states[k], plan)
-            per_layer[k].append(float(_relative_errors(got, want).mean()))
+            per_layer[k].append(_mean_relative_error(got, want))
     return [
         FidelityReport(
             per_layer_error=errors,
-            end_to_end_error=float(_relative_errors(state, reference).mean()),
+            end_to_end_error=_mean_relative_error(state, reference),
             token_count=tokens.shape[0],
             achieved_reduction=reduction_accounting(plan),
             metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},

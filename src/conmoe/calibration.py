@@ -60,7 +60,8 @@ class CalibStats:
 
 def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     """For each token, at the point an expert is selected, record its
-    routing weight times the L2 norm of its raw output."""
+    routing weight times the L2 norm of its raw output, a float32 product
+    summed into the float64 grid."""
     tokens = token_rows(tokens, model.spec.hidden_dim)
 
     shape = (model.spec.num_layers, model.spec.num_experts)

@@ -151,7 +151,7 @@ def _run(args) -> None:
         store.write_checkpoint(materialize(model, plan), args.output)
 
     elif args.command == "eval":
-        tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
+        tokens = gen_tokens(args.tokens, model.spec.hidden_dim, [args.seed, 1])  # held out
         report = analysis.evaluate_fidelity(model, plan, tokens)
         report.metadata["seed"] = args.seed
         store.write_json(args.output, asdict(report))
@@ -167,7 +167,7 @@ def _run(args) -> None:
         sizes = [int(s) for s in args.scopes.split(",") if s]
         if not sizes:
             raise ValueError("empty scope list")
-        tokens = gen_tokens(args.tokens, model.spec.hidden_dim, args.seed)
+        tokens = gen_tokens(args.tokens, model.spec.hidden_dim, [args.seed, 1])  # held out
         config = ScopeConfig(rho=args.rho)
         reports = analysis.scope_sweep(model, stats, config, sizes, tokens)
         store.write_json(

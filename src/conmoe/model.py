@@ -1,10 +1,12 @@
 """MoE model types, forward operators, and synthetic model generation.
 
-The model is a residual stack of routed-expert layers: h <- h + MoE(h).
-Routers, and only routers, decide which experts run; consolidation never
-touches them. The forward runs a batch of tokens one layer at a time,
-grouped by slot, and sums each token's terms in ascending slot order, so
-consolidated and materialized forwards can be compared bit-exactly.
+The model is a pre-norm residual stack of routed-expert layers:
+h <- h + MoE(h / rms(h)), with no learned gain. Routers, and only routers,
+decide which experts run; consolidation never touches them. The forward
+runs in float32, the checkpoint's own dtype, on a batch of tokens one layer
+at a time, grouped by slot, and sums each token's terms in ascending slot
+order, so consolidated and materialized forwards can be compared
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 
 # (layer, expert index) slot reference
 Ref = tuple[int, int]
+
+# added to each token's mean square before the root in the pre-norm
+NORM_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,16 +101,16 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def _token_batch(h: np.ndarray, hidden_dim: int) -> np.ndarray:
-    """A (hidden,) token or a (count, hidden) batch, as a float64 batch."""
-    x = np.asarray(h, dtype=np.float64)
+    """A (hidden,) token or a (count, hidden) batch, as a float32 batch."""
+    x = np.asarray(h, dtype=np.float32)
     if x.ndim not in (1, 2) or x.shape[-1] != hidden_dim:
         raise ValueError("hidden vector dimension mismatch")
     return x.reshape(-1, hidden_dim)
 
 
 def token_rows(tokens: np.ndarray, hidden_dim: int) -> np.ndarray:
-    """A non-empty (count, hidden) batch of calibration or eval tokens, as float64."""
-    tokens = np.asarray(tokens, dtype=np.float64)
+    """A non-empty (count, hidden) batch of calibration or eval tokens, as float32."""
+    tokens = np.asarray(tokens, dtype=np.float32)
     if tokens.ndim != 2 or tokens.shape[0] == 0:
         raise ValueError("tokens must be a non-empty (count, hidden) array")
     if tokens.shape[1] != hidden_dim:
@@ -114,16 +119,20 @@ def token_rows(tokens: np.ndarray, hidden_dim: int) -> np.ndarray:
 
 
 def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
-    """Route the (count, hidden) batch x through one layer and yield, per
-    slot in ascending order, (slot, token rows, routing weights, outputs of
-    the slot's prototype on those rows).
+    """Normalise the (count, hidden) batch x, as float32, to unit RMS per
+    token, route it through one layer and yield, per slot in ascending order,
+    (slot, token rows, routing weights, outputs of the slot's prototype on
+    those normalised rows), all float32.
 
     Each token picks the top-k original slots by router logit (ties to the
     lower index). Drop-masked slots leave before the softmax, so the weights
     are a softmax over the surviving selected logits; a token whose every
     selected slot is dropped is in no group. Tokens are grouped by slot, not
     by prototype, so a plan forward issues the same GEMMs as a plain forward
-    through the materialized model; each prototype is cast once per call.
+    through the materialized model. The router and each prototype are
+    copied once per call: a mapped checkpoint's rows may be unaligned, and
+    NumPy multiplies unaligned float32 operands outside BLAS, with other
+    bits than an aligned copy of the same rows.
     """
     if plan is not None:
         plan.check_covers(model)
@@ -131,7 +140,9 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     protos = slots if plan is None else [plan.assignment[s] for s in slots]
     dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
     layer = model.layers[layer_idx]
-    logits = x @ layer.router.astype(np.float64).T
+    x = np.asarray(x, dtype=np.float32)
+    x = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + NORM_EPS)
+    logits = x @ layer.router.astype(np.float32).T
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
     top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k].copy()
@@ -152,14 +163,14 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
                       np.cumsum(np.bincount(chosen, minlength=len(slots)))[:-1])
     h = model.spec.hidden_dim
     last = {proto: i for i, (proto, g) in enumerate(zip(protos, groups)) if g.size}
-    cast = {}
+    copies = {}
     for i, (proto, g) in enumerate(zip(protos, groups)):
         if g.size == 0:
             continue
         tok = g // model.spec.top_k
-        if proto not in cast:
-            cast[proto] = model.row(proto).astype(np.float64)
-        gate, up, down = cast.pop(proto) if last[proto] == i else cast[proto]
+        if proto not in copies:
+            copies[proto] = model.row(proto).astype(np.float32)
+        gate, up, down = copies.pop(proto) if last[proto] == i else copies[proto]
         xs = x[tok]
         y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
         yield i, tok, weights.ravel()[g], y
@@ -184,9 +195,10 @@ def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np
 
 
 def residual_step(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None) -> tuple[np.ndarray, np.ndarray]:
-    """One layer of the residual stack h <- h + MoE(h) on a (count, hidden)
-    batch: (the layer's MoE output, the state after it). Every stack forward
-    steps through it and keeps only the states it needs."""
+    """One layer of the residual stack h <- h + MoE(h / rms(h)) on a float32
+    (count, hidden) batch: (the layer's MoE output, the state after it).
+    Every stack forward steps through it and keeps only the states it
+    needs."""
     out = moe_forward(model, layer_idx, x, plan)
     return out, x + out
 
@@ -316,8 +328,10 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> t
     return model, dup_map
 
 
-def gen_tokens(count: int, hidden_dim: int, seed: int) -> np.ndarray:
-    """Synthetic calibration/eval hidden vectors, standard normal."""
+def gen_tokens(count: int, hidden_dim: int, seed: int | Sequence[int]) -> np.ndarray:
+    """Synthetic hidden vectors, standard normal, from seed: an int, or a
+    sequence of ints for a stream apart from that int's, such as the
+    held-out eval stream [seed, 1]."""
     if count < 1:
         raise ValueError("token count must be >= 1")
     rng = np.random.default_rng(seed)

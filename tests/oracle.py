@@ -13,10 +13,12 @@ batched forward's whole trace (model_forward_trace), one table entry
 (distance), a plan's per-scope prototype sets (scopes) and the exhaustive
 objective minimum (brute_force_optimal, under ENUMERATION_CAP).
 
-The oracle forward routes one token at a time: router_topk picks the top-k
-slots, dropped slots leave before the softmax, and each surviving slot's
-prototype output (expert_forward, one matrix-vector product per projection)
-is summed in ascending slot order.
+The oracle forward runs one float32 token at a time: rms_norm scales it to
+unit RMS, router_topk picks the top-k slots on the normalised token,
+dropped slots leave before the softmax, and each surviving slot's
+prototype output on the normalised token (expert_forward, one
+matrix-vector product per projection) is summed in ascending slot order;
+the residual adds the sum to the un-normalised token.
 """
 
 from __future__ import annotations
@@ -38,17 +40,19 @@ from conmoe.geometry import (
     projection_distance,
 )
 from conmoe import model as batched
-from conmoe.model import PROJECTIONS, MoELayer, MoEModel, token_rows
+from conmoe.model import NORM_EPS, PROJECTIONS, MoELayer, MoEModel, token_rows
 from conmoe.plan import ConsolidationPlan, scope_partition
 from conmoe.planner import _cost, consolidate
 
-# The batched forward groups its GEMMs and sums differently from these
-# per-token loops, which moves outputs and stats in the last bits only:
-# the largest relative difference seen (README and token-heavy shapes at
-# seed 42 with 256 tokens, plain and under a REAP pruning plan, and the 20
-# random_plan models of criterion 2) is 2.0e-12 for a layer output and
-# 6.8e-13 for a weighted norm. Routing must agree exactly.
-BATCH_RTOL = 1e-9
+# The batched forward groups its float32 GEMMs and sums differently from
+# these per-token loops, which moves outputs and stats in the last bits
+# only: the largest relative difference seen (README and token-heavy shapes
+# at seed 42 with 256 tokens, plain and under a REAP pruning plan, and the
+# 20 random_plan models of criterion 2) is 2.7e-6 for a layer output and
+# 6.3e-7 for a weighted norm, 23 and 6 float32 epsilons. Routing must agree
+# exactly. 1e-4 is 840 float32 epsilons; the float64 forward's 1e-9 was
+# 4.5e6 float64 epsilons.
+BATCH_RTOL = 1e-4
 
 
 def assert_rows_close(got, want, rtol=BATCH_RTOL):
@@ -97,14 +101,20 @@ def silu(x):
     return x * np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
+def rms_norm(h):
+    """One token scaled to unit RMS, in float32."""
+    h = np.asarray(h, dtype=np.float32)
+    return h / np.sqrt(np.mean(np.square(h)) + NORM_EPS)
+
+
 def expert_forward(e, h):
-    """down @ (silu(gate @ h) * (up @ h)), computed in float64."""
-    h = np.asarray(h, dtype=np.float64)
+    """down @ (silu(gate @ h) * (up @ h)), computed in float32."""
+    h = np.asarray(h, dtype=np.float32)
     if h.shape != (e.gate.shape[1],):
         raise ValueError("hidden vector dimension mismatch")
-    pre = e.gate.astype(np.float64) @ h
-    lin = e.up.astype(np.float64) @ h
-    return e.down.astype(np.float64) @ (silu(pre) * lin)
+    pre = e.gate @ h
+    lin = e.up @ h
+    return e.down @ (silu(pre) * lin)
 
 
 def _softmax(logits):
@@ -113,14 +123,14 @@ def _softmax(logits):
 
 
 def _route(router, h, k):
-    """The k largest router logits, descending (ties to the lower index):
-    (slot indices, logits)."""
+    """The k largest float32 router logits, descending (ties to the lower
+    index): (slot indices, logits)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = router.shape[0]
     if k > n:
         raise ValueError("k exceeds expert count")
-    logits = router.astype(np.float64) @ np.asarray(h, dtype=np.float64)
+    logits = router @ np.asarray(h, dtype=np.float32)
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")
     idx = np.lexsort((np.arange(n), -logits))[:k]
@@ -136,8 +146,9 @@ def router_topk(router, h, k) -> TopKSelection:
 
 def slot_weights(model, layer_idx, h, plan=None):
     """(slot, routing weight) of one token's surviving selected slots, in
-    ascending slot order; the softmax runs over the survivors' logits."""
-    idx, sel = _route(model.layers[layer_idx].router, h, model.spec.top_k)
+    ascending slot order, routed on rms_norm(h); the softmax runs over the
+    survivors' logits."""
+    idx, sel = _route(model.layers[layer_idx].router, rms_norm(h), model.spec.top_k)
     if plan is not None:
         keep = [j for j, i in enumerate(idx) if (layer_idx, int(i)) not in plan.drop_mask]
         if not keep:
@@ -147,16 +158,18 @@ def slot_weights(model, layer_idx, h, plan=None):
 
 
 def moe_terms(model, layer_idx, h, plan=None):
-    """(slot, weight, prototype output) per surviving selected slot."""
+    """(slot, weight, prototype output on rms_norm(h)) per surviving
+    selected slot."""
     terms = []
+    x = rms_norm(h)
     for i, w in slot_weights(model, layer_idx, h, plan):
         ref = (layer_idx, i) if plan is None else plan.assignment[(layer_idx, i)]
-        terms.append((i, w, expert_forward(expert(model, ref), h)))
+        terms.append((i, w, expert_forward(expert(model, ref), x)))
     return terms
 
 
 def moe_forward(model, layer_idx, h, plan=None):
-    out = np.zeros(model.spec.hidden_dim)
+    out = np.zeros(model.spec.hidden_dim, dtype=np.float32)
     for _, w, y in moe_terms(model, layer_idx, h, plan):
         out = out + w * y
     return out
@@ -165,7 +178,7 @@ def moe_forward(model, layer_idx, h, plan=None):
 def trace(model, h0, plan=None):
     """One token through the residual stack: (final state, per-layer MoE
     outputs)."""
-    h = np.asarray(h0, dtype=np.float64)
+    h = np.asarray(h0, dtype=np.float32)
     outputs = []
     for l in range(model.spec.num_layers):
         out = moe_forward(model, l, h, plan)
@@ -176,17 +189,18 @@ def trace(model, h0, plan=None):
 
 def calibrate(model, tokens):
     """Per-token calibration loop: route each layer with router_topk, record
-    every selected expert's weight times its output norm, then take the
-    residual step over the recorded outputs in ascending slot order."""
+    every selected expert's weight times its output norm (a float32 product
+    summed into float64), then take the residual step over the recorded
+    outputs in ascending slot order."""
     shape = (model.spec.num_layers, model.spec.num_experts)
     counts, sums = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    for h in np.asarray(tokens, dtype=np.float64):
+    for h in np.asarray(tokens, dtype=np.float32):
         for l in range(model.spec.num_layers):
             terms = moe_terms(model, l, h)
             moe_out = np.zeros_like(h)
             for i, g, out in terms:
                 counts[l, i] += 1
-                sums[l, i] += g * float(np.linalg.norm(out))
+                sums[l, i] += np.float32(g) * np.linalg.norm(out)
                 moe_out = moe_out + g * out
             h = h + moe_out
     return CalibStats(token_total=len(tokens), top_k=model.spec.top_k,
@@ -195,12 +209,14 @@ def calibrate(model, tokens):
 
 def scan_slot_groups(model, layer_idx, x, plan=None):
     """model.slot_groups with one np.nonzero scan of the (token, position)
-    selections per slot, and this module's silu: the same routing, group
-    order, GEMMs and yields."""
+    selections per slot, and this module's silu: the same norm, routing,
+    group order, float32 GEMMs and yields."""
     slots = [(layer_idx, i) for i in range(model.spec.num_experts)]
     protos = slots if plan is None else [plan.assignment[s] for s in slots]
     dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
-    logits = x @ model.layers[layer_idx].router.astype(np.float64).T
+    x = np.asarray(x, dtype=np.float32)
+    x = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + NORM_EPS)
+    logits = x @ model.layers[layer_idx].router.astype(np.float32).T
     top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k]
     keep = ~dropped[top]
     sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
@@ -212,7 +228,7 @@ def scan_slot_groups(model, layer_idx, x, plan=None):
     for i, proto in enumerate(protos):
         tok, pos = np.nonzero((top == i) & keep)
         if tok.size:
-            gate, up, down = model.row(proto).astype(np.float64)
+            gate, up, down = model.row(proto).astype(np.float32)
             xs = x[tok]
             y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
             yield i, tok, weights[tok, pos], y
@@ -413,8 +429,8 @@ def merge(model, stats, rho):
 
 def model_forward_trace(model, tokens, plan=None):
     """The batched forward's whole trace: (final state, every layer's MoE
-    output), each (count, hidden)."""
-    x = tokens
+    output), each (count, hidden) float32."""
+    x = token_rows(tokens, model.spec.hidden_dim)
     outputs = []
     for l in range(model.spec.num_layers):
         out = batched.moe_forward(model, l, x, plan)
@@ -424,7 +440,8 @@ def model_forward_trace(model, tokens, plan=None):
 
 
 def _mean_relative_error(got, want):
-    return float((np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)).mean())
+    errors = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
+    return float(errors.mean(dtype=np.float64))
 
 
 def evaluate_fidelity(model, plan, tokens, reference=None):

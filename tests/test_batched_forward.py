@@ -14,6 +14,7 @@ from oracle import (
     assert_stats_close,
     identity_plan,
     model_forward_trace,
+    rms_norm,
     router_topk,
     scan_slot_groups,
 )
@@ -56,9 +57,12 @@ def test_random_plans_match_oracle():
 def test_silu_matches_two_branch_form_bit_for_bit():
     special = [0.0, 5e-324, 1e-310, 36.7, 709.78, 745.0, 1e308, np.inf]
     x = np.array(special + [-v for v in special])
+    special32 = [0.0, 1e-45, 1e-40, 17.3, 88.7, 103.9, 3e38, np.inf]
+    x32 = np.array(special32 + [-v for v in special32], dtype=np.float32)
     rng = np.random.default_rng(18)
     bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
-    for values in (x, bits[np.isfinite(bits)]):
+    bits32 = rng.integers(0, 2**32, size=100_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    for values in (x, bits[np.isfinite(bits)], x32, bits32[np.isfinite(bits32)]):
         with np.errstate(invalid="ignore"):  # -inf * sigmoid(-inf) is -inf * 0.0
             got, want = silu(values), oracle.silu(values)
         assert got.tobytes() == want.tobytes()
@@ -78,7 +82,7 @@ def sparse_batch_with_drops():
     x = gen_tokens(3, 8, seed=2)
     plan = identity_plan(1, 8)
     plan.assignment[(0, 1)] = (0, 0)
-    plan.drop_mask = {(0, i) for i in router_topk(model.layers[0].router, x[0], 2).indices}
+    plan.drop_mask = {(0, i) for i in router_topk(model.layers[0].router, rms_norm(x[0]), 2).indices}
     return model, x, plan
 
 
@@ -132,8 +136,8 @@ def test_slot_groups_match_scan_grouping_bit_for_bit(case):
 
 
 def test_each_prototype_is_read_once_per_layer_call(monkeypatch):
-    """A prototype shared by several slots is read and cast to float64 once
-    per call, not once per slot."""
+    """A prototype shared by several slots is read and copied once per
+    call, not once per slot."""
     model, x, plan = shared_prototypes()
     reads = []
     row = type(model).row

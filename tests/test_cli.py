@@ -4,10 +4,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conmoe.cli import main
-from conmoe import read_checkpoint, read_plan
+from conmoe import analysis, cli, gen_tokens, read_checkpoint, read_plan, write_checkpoint
+from conmoe.model import residual_step
 from conftest import run_cli_subprocess
 from oracle import tensor_index
 from test_geometry import assert_pair_kernel_bytes
@@ -226,6 +228,38 @@ class TestPipeline:
         assert [r["scope_size"] for r in doc["reports"]] == [1, 2, 4]
 
 
+class TestTokenStreams:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("count", [1, 16, 64])
+    def test_eval_and_sweep_score_held_out_tokens(self, model_path, tmp_path, monkeypatch, seed, count):
+        """At one --seed and --tokens, calibrate draws gen_tokens' stream of
+        the seed, and eval and sweep draw one other stream: no token they
+        score was calibrated on."""
+        drawn = {}
+
+        def recording(name, fn):
+            def record(*args):
+                drawn[name] = args[-1]  # the tokens are the last argument
+                return fn(*args)
+            return record
+
+        for module, name in ((cli, "run_calibration"), (analysis, "evaluate_fidelity"),
+                             (analysis, "scope_sweep")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        stats, plan = tmp_path / "s.json", tmp_path / "p.json"
+        common = ("--model", model_path, "--tokens", count, "--seed", seed, "-q")
+        assert run("calibrate", *common, "-o", stats) == 0
+        assert run("consolidate", "--model", model_path, "--stats", stats, "--rho", "0.5",
+                   "-o", plan, "-q") == 0
+        assert run("eval", *common, "--plan", plan, "-o", tmp_path / "r.json") == 0
+        assert run("sweep", *common, "--stats", stats, "--rho", "0.5", "--scopes", "1,2",
+                   "-o", tmp_path / "sweep.json") == 0
+        calibrated, scored = drawn["run_calibration"], drawn["evaluate_fidelity"]
+        assert np.array_equal(calibrated, gen_tokens(count, 16, seed))
+        assert np.array_equal(drawn["scope_sweep"], scored)
+        assert not (calibrated[:, None, :] == scored[None, :, :]).all(axis=2).any()
+
+
 class TestDeterminism:
     def test_artifacts_byte_identical_across_threads(self, model_path, tmp_path):
         outs = []
@@ -290,6 +324,35 @@ class TestReadmeShapeRegressions:
         doc = json.loads(report.read_text())
         assert doc["end_to_end_error"] >= 0.0
 
+    @staticmethod
+    def scope_1_report(tmp_path, model, stats):
+        """Every value of the eval report of the model's rho-0.5 scope-1 plan."""
+        plan, report = tmp_path / "plan.json", tmp_path / "report.json"
+        assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
+                   "-o", plan, "-q") == 0
+        assert run("eval", "--model", model, "--plan", plan, "--tokens", 256, "-o", report, "-q") == 0
+        doc = json.loads(report.read_text())
+        return [doc["end_to_end_error"], *doc["per_layer_error"]]
+
+    def test_pre_norm_stack_stays_bounded(self, tmp_path):
+        """Each layer's median MoE-output norm stays within 2x of layer 0's,
+        every report value is finite and below 2, and the --dup within plan
+        reports exactly 0.0. The stack without a norm grew that median to
+        5.8e3 by layer 7 and reported 7.7e34."""
+        model_path, stats = self.readme_model(tmp_path)
+        model = read_checkpoint(model_path)
+        x = gen_tokens(256, 32, 42).astype(np.float32)
+        medians = []
+        for l in range(8):
+            out, x = residual_step(model, l, x)
+            medians.append(np.median(np.linalg.norm(out, axis=1)))
+        assert all(0.5 <= m / medians[0] <= 2.0 for m in medians), medians
+        values = self.scope_1_report(tmp_path, model_path, stats)
+        assert all(0.0 <= v < 2.0 for v in values), values
+        dup = tmp_path / "dup"
+        dup.mkdir()
+        assert self.scope_1_report(dup, *self.readme_model(dup, "--dup", "within")) == [0.0] * 9
+
     def test_consolidate_keeps_duplicate_prototypes(self, tmp_path):
         # budgets above the number of distinct experts select both copies
         # of some planted duplicates; each copy must remain its own prototype
@@ -325,6 +388,26 @@ class TestReadmeShapeRegressions:
             for ref in model.metadata.get("zeroed_slots", []):
                 assert not model.row(tuple(ref)).any(), ref
         assert headers[0] != headers[1]
+
+
+class TestPaperShapes:
+    def test_olmoe_pool_runs_without_warnings(self, tmp_path):
+        """OLMoE-1B-7B's pool structure, 16 layers x 64 experts, top-8, at
+        hidden 32 and inter 64: calibrate, consolidate and eval each exit 0
+        in a fresh interpreter with no RuntimeWarning on stderr, and the
+        report's values are finite and below 2."""
+        model, stats, plan, report = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json", "r.json"))
+        assert run("gen", "--layers", 16, "--experts", 64, "--hidden", 32, "--inter", 64,
+                   "--topk", 8, "-o", model, "-q") == 0
+        for argv in (["calibrate", "--model", model, "--tokens", 256, "-o", stats],
+                     ["consolidate", "--model", model, "--stats", stats, "--rho", "0.5", "-o", plan],
+                     ["eval", "--model", model, "--plan", plan, "--tokens", 256, "-o", report]):
+            done = run_cli_subprocess([*argv, "-q"], blas_threads=1)
+            assert done.returncode == 0, done.stderr
+            assert "RuntimeWarning" not in done.stderr
+        doc = json.loads(report.read_text())
+        values = [doc["end_to_end_error"], *doc["per_layer_error"]]
+        assert all(0.0 <= v < 2.0 for v in values), values
 
 
 class TestArtifactBoundary:
@@ -514,16 +597,20 @@ class TestArtifactBoundary:
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_report_refused(self, tmp_path):
-        """Ten layers of the unnormalised residual stack overflow the
-        end-to-end error to inf; a report cannot hold it as strict JSON.
-        eval runs in a subprocess, where the overflow's RuntimeWarning is
-        not an error."""
+        """A one-layer model whose gate and up entries are then scaled to
+        about 1e20: the weights are finite, but their products pass
+        float32's 3.4e38, so the errors are not finite and a report cannot
+        hold them as strict JSON. eval runs in a subprocess, where the
+        overflow's RuntimeWarning is not an error."""
         model, stats, plan, report = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json", "r.json"))
-        assert run("gen", "--layers", 10, "--experts", 16, "--hidden", 32, "--inter", 48,
+        assert run("gen", "--layers", 1, "--experts", 16, "--hidden", 32, "--inter", 48,
                    "--topk", 2, "-o", model, "-q") == 0
         assert run("calibrate", "--model", model, "--tokens", 64, "-o", stats, "-q") == 0
         assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
                    "-o", plan, "-q") == 0
+        huge = read_checkpoint(model)
+        huge.layers[0].block[:, :2] *= 1e20  # gate and up; the mapping is copy-on-write
+        write_checkpoint(huge, model)
         done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
                                    "-o", report, "-q"], blas_threads=1)
         assert done.returncode == 1

@@ -15,7 +15,9 @@ from conmoe import (
     materialize,
     model_forward,
     moe_forward,
+    read_checkpoint,
     run_calibration,
+    write_checkpoint,
 )
 from conmoe.model import DerivedLayers, MoELayer, MoEModel, slot_groups
 from conftest import experts_equal, stack_layer
@@ -29,10 +31,22 @@ from oracle import (
     expert_forward,
     identity_plan,
     models_equal,
+    rms_norm,
     router_topk,
+    slot_weights,
 )
 
-SILU_ONE = 1.0 / (1.0 + np.exp(-1.0))  # closed form, ~0.7310585786300049
+# closed form in float32, ~0.7310586
+SILU_ONE = np.float32(1.0) / (np.float32(1.0) + np.exp(np.float32(-1.0)))
+
+
+def weighted_sum(terms):
+    """sum of w * y over (weight, output) pairs, in order, in float32: the
+    forward's per-token sum."""
+    out = np.zeros_like(terms[0][1])
+    for w, y in terms:
+        out = out + w * y
+    return out
 
 
 def make_expert(inter, hidden, fill=0.0):
@@ -41,6 +55,18 @@ def make_expert(inter, hidden, fill=0.0):
         up=np.full((inter, hidden), fill, dtype=np.float32),
         down=np.full((hidden, inter), fill, dtype=np.float32),
     )
+
+
+def mapped_with_alignment(model, path, aligned):
+    """model written to path, its header padded so that the payload is (or
+    is not) 4-byte aligned, and read back mapped."""
+    for pad in range(4):
+        model.metadata["pad"] = "x" * pad
+        write_checkpoint(model, path)
+        mapped = read_checkpoint(path)
+        if mapped.layers[0].block.flags.aligned == aligned:
+            return mapped
+    raise AssertionError("no header length gives that alignment")
 
 
 def one_layer_model(layer, k):
@@ -119,9 +145,9 @@ class TestMoEForward:
     def test_k1_equals_argmax_expert(self, small_model):
         layer = small_model.layers[0]
         h = np.arange(small_model.spec.hidden_dim, dtype=np.float64) / 7.0
-        sel = router_topk(layer.router, h, 1)
+        sel = router_topk(layer.router, rms_norm(h), 1)
         out = moe_forward(one_layer_model(layer, 1), 0, h)
-        assert np.array_equal(out, expert_forward(expert(small_model, (0, sel.indices[0])), h))
+        assert np.array_equal(out, expert_forward(expert(small_model, (0, sel.indices[0])), rms_norm(h)))
 
     def test_identical_experts_weight_sum(self, rng):
         e = ExpertWeights(
@@ -131,9 +157,12 @@ class TestMoEForward:
         )
         layer = stack_layer([e, e], router=rng.standard_normal((2, 4)).astype(np.float32))
         h = rng.standard_normal(4)
-        out = moe_forward(one_layer_model(layer, 2), 0, h)
-        single = expert_forward(e, h)
-        assert out == pytest.approx(single, rel=1e-12)
+        model = one_layer_model(layer, 2)
+        out = moe_forward(model, 0, h)
+        single = expert_forward(e, rms_norm(h))
+        weights = [w for _, w in slot_weights(model, 0, h)]
+        assert out == pytest.approx(weighted_sum([(w, single) for w in weights]), rel=1e-12)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-6)
 
     def test_all_zero_experts(self, rng):
         layer = stack_layer(
@@ -148,9 +177,9 @@ class TestMoEForward:
         for i, tok, w, y in slot_groups(small_model, 1, x):
             for t, g, out in zip(tok.tolist(), w.tolist(), y):
                 terms[t].append((i, g))
-                assert_rows_close(out, expert_forward(expert(small_model, (1, i)), x[t]))
+                assert_rows_close(out, expert_forward(expert(small_model, (1, i)), rms_norm(x[t])))
         for t, h in enumerate(x):
-            sel = router_topk(small_model.layers[1].router, h, small_model.spec.top_k)
+            sel = router_topk(small_model.layers[1].router, rms_norm(h), small_model.spec.top_k)
             want = sorted(zip(sel.indices, sel.weights))
             assert [i for i, _ in terms[t]] == [i for i, _ in want]
             assert [g for _, g in terms[t]] == pytest.approx([g for _, g in want], rel=BATCH_RTOL)
@@ -215,8 +244,9 @@ class TestConsolidatedForward:
         coeffs = aggregate_coefficients(small_model, 0, plan, h)
         assert set(coeffs) == {(0, 0)}
         assert coeffs[(0, 0)] == pytest.approx(1.0, abs=1e-6)
-        single = expert_forward(expert(small_model, (0, 0)), h)
-        assert out == pytest.approx(coeffs[(0, 0)] * single, rel=1e-12)
+        single = expert_forward(expert(small_model, (0, 0)), rms_norm(h))
+        terms = [(w, single) for _, w in slot_weights(small_model, 0, h, plan)]
+        assert out == pytest.approx(weighted_sum(terms), rel=1e-12)
 
     def test_all_selected_dropped_gives_zero(self, small_model):
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
@@ -244,19 +274,24 @@ class TestConsolidatedForward:
         h = np.array([1.0, 0.0, 0.0, 0.0])
         groups = slot_groups(model, 0, h[None], plan)
         assert [(i, tok.tolist(), w.tolist()) for i, tok, w, _ in groups] == [(1, [0], [1.0])]
-        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(expert(model, (0, 1)), h))
+        assert np.array_equal(moe_forward(model, 0, h, plan), expert_forward(expert(model, (0, 1)), rms_norm(h)))
 
     def test_surviving_weights_are_softmax_of_surviving_logits(self):
+        # the token [16, 0, 0, 0] normalises to exactly [2, 0, 0, 0]: its mean
+        # square 64 absorbs NORM_EPS in float32, so the logits are 2 * router
         layer = stack_layer(
             [make_expert(6, 4) for _ in range(3)],
-            router=np.array([[3.0, 0, 0, 0], [np.log(3.0), 0, 0, 0], [0, 0, 0, 0]]),
+            router=np.array([[1.5, 0, 0, 0], [np.log(3.0) / 2, 0, 0, 0], [0, 0, 0, 0]], dtype=np.float32),
         )
         model = one_layer_model(layer, 3)
         plan = identity_plan(1, 3)
         plan.drop_mask = {(0, 0)}
-        groups = list(slot_groups(model, 0, np.array([[1.0, 0.0, 0.0, 0.0]]), plan))
+        groups = list(slot_groups(model, 0, np.array([[16.0, 0.0, 0.0, 0.0]]), plan))
         assert [i for i, _, _, _ in groups] == [1, 2]
-        assert [w[0] for _, _, w, _ in groups] == pytest.approx([0.75, 0.25], abs=1e-12)
+        # the closed form 1 / (1 + z), z / (1 + z) with z = exp(-log 3), in float32
+        z = np.exp(-2 * layer.router[1, 0])
+        assert [w[0] for _, _, w, _ in groups] == pytest.approx([1 / (1 + z), z / (1 + z)], abs=1e-12)
+        assert [w[0] for _, _, w, _ in groups] == pytest.approx([0.75, 0.25], abs=1e-6)
 
     # fewer experts, fewer layers, a superset of the model's slots, and as
     # many slots as the model's (4, 8) grid in another shape
@@ -297,7 +332,7 @@ class TestModelForward:
         one = MoEModel(spec=ModelSpec(1, spec.num_experts, spec.hidden_dim,
                                       spec.intermediate_dim, spec.top_k),
                        layers=[small_model.layers[0]])
-        h0 = np.linspace(0, 1, spec.hidden_dim)
+        h0 = np.linspace(0, 1, spec.hidden_dim, dtype=np.float32)
         want = h0 + moe_forward(small_model, 0, h0)
         assert np.array_equal(model_forward(one, h0), want)
 
@@ -322,6 +357,23 @@ class TestMaterialize:
         mat = materialize(small_model, plan)
         for t in small_tokens[:8]:
             assert np.array_equal(model_forward(small_model, t, plan), model_forward(mat, t))
+
+    @pytest.mark.parametrize("source_aligned", [False, True], ids=["unaligned_source", "aligned_source"])
+    def test_forward_bit_identical_across_payload_alignment(self, tmp_path, source_aligned):
+        """A mapped payload starts wherever its header ends, so its float32
+        rows may be unaligned, and NumPy multiplies unaligned operands
+        outside BLAS, with other bits. Whichever file is aligned, the plan
+        forward on the source equals its materialized checkpoint's plain
+        forward bit for bit, a token at a time and as one batch."""
+        spec = ModelSpec(4, 16, 32, 48, 2)
+        model, _ = gen_synthetic(spec, seed=5)
+        tokens = gen_tokens(64, spec.hidden_dim, seed=6)
+        plan = consolidate(model, run_calibration(model, tokens), ScopeConfig(rho=0.5, scope_size=2))
+        source = mapped_with_alignment(model, tmp_path / "source.mckpt", source_aligned)
+        mat = mapped_with_alignment(materialize(source, plan), tmp_path / "mat.mckpt", not source_aligned)
+        for h in tokens[:16]:
+            assert model_forward(source, h, plan).tobytes() == model_forward(mat, h).tobytes()
+        assert model_forward(source, tokens, plan).tobytes() == model_forward(mat, tokens).tobytes()
 
     def test_derived_source_builds_each_layer_about_once(self):
         """Rows are copied in ascending prototype order, so a derived source,
