@@ -211,19 +211,20 @@ class TestBatchedRouting:
 
 
     def test_routing_sort_is_released(self):
-        """One layer on a 10,000-token batch of the README shape traces
-        below 3.3 (tokens, hidden) float64 arrays: the output plus one slot
-        group's rows and products. The full routing sort and the logits are
-        not held while the groups run; holding them traced 3.7."""
+        """One layer on a 10,000-token float32 batch of the README shape
+        traces below 4.6 (tokens, hidden) float32 arrays: the normalised
+        batch, the output, and one slot group's rows and products. The full
+        routing sort and the logits are not held while the groups run;
+        holding them traced 5.4 (4.1 without)."""
         model, _ = gen_synthetic(ModelSpec(8, 16, 32, 48, 2), seed=42)
-        x = gen_tokens(10_000, 32, seed=1)
+        x = gen_tokens(10_000, 32, seed=1).astype(np.float32)
         tracemalloc.start()
         try:
             moe_forward(model, 0, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.3 * x.nbytes
+        assert peak < 4.6 * x.nbytes
 
 
 class TestConsolidatedForward:
