@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import EPS, distance_matrix, nearest
-from .model import MoEModel, residual_step, token_rows
+from .model import MoEModel, moe_forward, token_rows
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
 from .store import write_bytes
@@ -51,10 +51,14 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
     reference, states = tokens, [tokens] * len(plans)
     per_layer = [[] for _ in plans]
     for l in range(model.spec.num_layers):
-        want, reference = residual_step(model, l, reference)
+        want = moe_forward(model, l, reference)
+        reference = reference + want
         for k, plan in enumerate(plans):
-            got, states[k] = residual_step(model, l, states[k], plan)
+            got = moe_forward(model, l, states[k], plan)
+            states[k] = states[k] + got
             per_layer[k].append(_mean_relative_error(got, want))
+            del got  # no output outlives its error: the next forward runs without it
+        del want
     return [
         FidelityReport(
             per_layer_error=errors,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, slot_groups, token_rows
+from .model import MoEModel, model_forward, token_rows
 
 
 @dataclass(eq=False)  # array fields make the generated == raise
@@ -59,24 +59,20 @@ class CalibStats:
 
 
 def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
-    """For each token, at the point an expert is selected, record its
-    routing weight times the L2 norm of its raw output, a float32 product
-    summed into the float64 grid."""
+    """Run the forward on the tokens and, at the point an expert is
+    selected, record its routing weight times the L2 norm of its raw
+    output, a float32 product summed into the float64 grid."""
     tokens = token_rows(tokens, model.spec.hidden_dim)
-
     shape = (model.spec.num_layers, model.spec.num_experts)
     counts = np.zeros(shape, dtype=np.int64)
     sums = np.zeros(shape)
-    h = tokens
-    for l in range(model.spec.num_layers):
-        out = np.zeros_like(h)
-        for i, tok, g, y in slot_groups(model, l, h):
-            counts[l, i] = tok.size
-            # summed in token order, one token at a time
-            np.add.at(sums[l], np.full(tok.size, i), g * np.linalg.norm(y, axis=1))
-            out[tok] = out[tok] + g[:, None] * y
-        # the residual step reuses the recorded outputs
-        h = h + out
+
+    def record(l, i, tok, g, y):
+        counts[l, i] = tok.size
+        # summed in token order, one token at a time
+        np.add.at(sums[l], np.full(tok.size, i), g * np.linalg.norm(y, axis=1))
+
+    model_forward(model, tokens, visit=record)
     return CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,
                       routed_count=counts, sum_weighted_norm=sums)
 

@@ -172,15 +172,19 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
             copies[proto] = model.row(proto).astype(np.float32)
         gate, up, down = copies.pop(proto) if last[proto] == i else copies[proto]
         xs = x[tok]
-        y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
+        with np.errstate(all="ignore"):  # an overflow is refused below, naming its layer
+            y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
+        if not np.isfinite(y).all():
+            raise ValueError(f"non-finite expert output at layer {layer_idx}")
         yield i, tok, weights.ravel()[g], y
 
 
-def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np.ndarray:
+def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None, visit=None) -> np.ndarray:
     """One MoE layer on a (hidden,) token or a (count, hidden) batch,
     returning the same shape. A ConsolidationPlan redirects each selected
     slot to its prototype and drops masked slots; with no plan every slot
-    is its own prototype.
+    is its own prototype. visit, if given, is called as visit(layer, slot,
+    token rows, weights, outputs) on each slot group before it is added.
 
     Each token sums its slot terms in ascending slot order, so a plan
     forward is bit-identical to a plain forward through the materialized
@@ -189,25 +193,19 @@ def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None) -> np
     """
     x = _token_batch(h, model.spec.hidden_dim)
     out = np.zeros_like(x)
-    for _, tok, w, y in slot_groups(model, layer_idx, x, plan):
+    for i, tok, w, y in slot_groups(model, layer_idx, x, plan):
+        if visit is not None:
+            visit(layer_idx, i, tok, w, y)
         out[tok] = out[tok] + w[:, None] * y
     return out.reshape(np.shape(h))
 
 
-def residual_step(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None) -> tuple[np.ndarray, np.ndarray]:
-    """One layer of the residual stack h <- h + MoE(h / rms(h)) on a float32
-    (count, hidden) batch: (the layer's MoE output, the state after it).
-    Every stack forward steps through it and keeps only the states it
-    needs."""
-    out = moe_forward(model, layer_idx, x, plan)
-    return out, x + out
-
-
-def model_forward(model: MoEModel, h0: np.ndarray, plan=None) -> np.ndarray:
-    """Final state of the residual stack, holding only the running state."""
+def model_forward(model: MoEModel, h0: np.ndarray, plan=None, visit=None) -> np.ndarray:
+    """Final state of the residual stack h <- h + MoE(h / rms(h)), holding
+    only the running state; visit goes to every layer's moe_forward."""
     x = _token_batch(h0, model.spec.hidden_dim)
     for l in range(model.spec.num_layers):
-        _, x = residual_step(model, l, x, plan)
+        x = x + moe_forward(model, l, x, plan, visit)
     return x.reshape(np.shape(h0))
 
 

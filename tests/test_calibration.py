@@ -11,7 +11,7 @@ from conmoe import (
     prune_reap,
     run_calibration,
 )
-from conmoe.model import ModelSpec, MoEModel, residual_step
+from conmoe.model import ModelSpec, MoEModel, moe_forward
 from conmoe.store import stats_to_dict
 from conftest import stack_layer
 import oracle
@@ -87,8 +87,8 @@ class TestRunCalibration:
                              ids=["readme", "token_heavy"])
     def test_steps_the_forward_stack(self, dims, count):
         """Row l is, bit for bit, a one-layer calibration of layer l on the
-        state model.residual_step reaches before it: calibration's residual
-        step and the forward's are one stack."""
+        state the stack h <- h + moe_forward(h) reaches before it:
+        calibration steps the forward's own stack."""
         spec = ModelSpec(*dims)
         model, _ = gen_synthetic(spec, seed=42)
         x = gen_tokens(count, spec.hidden_dim, seed=43).astype(np.float32)
@@ -97,7 +97,17 @@ class TestRunCalibration:
             one = run_calibration(MoEModel(ModelSpec(1, *dims[1:]), [model.layers[l]]), x)
             assert np.array_equal(stats.routed_count[l], one.routed_count[0])
             assert stats.sum_weighted_norm[l].tobytes() == one.sum_weighted_norm[0].tobytes()
-            _, x = residual_step(model, l, x)
+            x = x + moe_forward(model, l, x)
+
+    def test_runs_one_forward(self, small_model, small_tokens, small_stats, monkeypatch):
+        """Calibration is model_forward with a recorder: one moe_forward
+        call per layer, in order, and no layer loop of its own."""
+        layers, forward = [], moe_forward
+        monkeypatch.setattr("conmoe.model.moe_forward",
+                            lambda model, l, *a: layers.append(l) or forward(model, l, *a))
+        stats = run_calibration(small_model, small_tokens)
+        assert layers == list(range(small_model.spec.num_layers))
+        assert stats_to_dict(stats) == stats_to_dict(small_stats)
 
     def test_empty_tokens_rejected(self, small_model):
         with pytest.raises(ValueError, match=re.escape(NOT_A_BATCH)):

@@ -9,7 +9,7 @@ import pytest
 
 from conmoe.cli import main
 from conmoe import analysis, cli, gen_tokens, read_checkpoint, read_plan, write_checkpoint
-from conmoe.model import residual_step
+from conmoe.model import moe_forward
 from conftest import run_cli_subprocess
 from oracle import tensor_index
 from test_geometry import assert_pair_kernel_bytes
@@ -344,7 +344,8 @@ class TestReadmeShapeRegressions:
         x = gen_tokens(256, 32, 42).astype(np.float32)
         medians = []
         for l in range(8):
-            out, x = residual_step(model, l, x)
+            out = moe_forward(model, l, x)
+            x = x + out
             medians.append(np.median(np.linalg.norm(out, axis=1)))
         assert all(0.5 <= m / medians[0] <= 2.0 for m in medians), medians
         values = self.scope_1_report(tmp_path, model_path, stats)
@@ -596,27 +597,48 @@ class TestArtifactBoundary:
                              "-o", tmp_path / "out", message=message)
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_report_refused(self, tmp_path):
-        """A one-layer model whose gate and up entries are then scaled to
-        about 1e20: the weights are finite, but their products pass
-        float32's 3.4e38, so the errors are not finite and a report cannot
-        hold them as strict JSON. eval runs in a subprocess, where the
-        overflow's RuntimeWarning is not an error."""
-        model, stats, plan, report = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json", "r.json"))
+    @staticmethod
+    def scaled_model(tmp_path, projections):
+        """A one-layer 16x32x48 top-2 model, its rho-0.5 plan, and then the
+        given block projections scaled by 1e20: the weights stay finite,
+        but their products pass float32's 3.4e38."""
+        model, stats, plan = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json"))
         assert run("gen", "--layers", 1, "--experts", 16, "--hidden", 32, "--inter", 48,
                    "--topk", 2, "-o", model, "-q") == 0
         assert run("calibrate", "--model", model, "--tokens", 64, "-o", stats, "-q") == 0
         assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
                    "-o", plan, "-q") == 0
         huge = read_checkpoint(model)
-        huge.layers[0].block[:, :2] *= 1e20  # gate and up; the mapping is copy-on-write
+        huge.layers[0].block[:, projections] *= 1e20  # the mapping is copy-on-write
         write_checkpoint(huge, model)
+        return model, plan
+
+    def test_non_finite_report_refused(self, tmp_path):
+        """Down scaled by 1e20: the expert outputs stay finite, but the
+        float32 error norms overflow, so the errors are not finite and a
+        report cannot hold them as strict JSON. eval runs in a subprocess,
+        where the overflow's RuntimeWarning is not an error."""
+        model, plan = self.scaled_model(tmp_path, 2)
+        report = tmp_path / "r.json"
         done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
                                    "-o", report, "-q"], blas_threads=1)
         assert done.returncode == 1
         assert "error: Out of range float values are not JSON compliant" in done.stderr
         assert "Traceback" not in done.stderr
         assert not report.exists()
+
+    def test_expert_overflow_names_its_layer(self, tmp_path):
+        """Gate and up scaled by 1e20: the expert outputs overflow, and
+        calibrate and eval each exit 1 naming the layer, with nothing else
+        on stderr, in a subprocess where a RuntimeWarning would print."""
+        model, plan = self.scaled_model(tmp_path, slice(0, 2))
+        out = tmp_path / "out.json"
+        for argv in (("calibrate",), ("eval", "--plan", plan)):
+            done = run_cli_subprocess([*argv, "--model", model, "--tokens", 64, "-o", out, "-q"],
+                                      blas_threads=1)
+            assert done.returncode == 1
+            assert done.stderr == "error: non-finite expert output at layer 0\n"
+            assert not out.exists()
 
     def test_non_finite_metadata_refused(self, model_path, stats_path, tmp_path, capsys):
         plan, out = tmp_path / "p.json", tmp_path / "reduced.mckpt"
@@ -669,7 +691,7 @@ class TestArtifactBoundary:
 
     def test_sweep_bad_rho_fails_before_any_forward(self, model_path, stats_path, tmp_path, capsys,
                                                    monkeypatch):
-        monkeypatch.setattr("conmoe.analysis.residual_step",
+        monkeypatch.setattr("conmoe.analysis.moe_forward",
                             lambda *a, **k: pytest.fail("a forward ran before rho was checked"))
         self.assert_rejected(capsys, "sweep", "--model", model_path, "--stats", stats_path,
                              "--rho", "1.5", "--scopes", "1,2", "--tokens", 8,
@@ -677,7 +699,7 @@ class TestArtifactBoundary:
 
     def test_sweep_bad_scope_fails_before_any_forward(self, model_path, stats_path, tmp_path, capsys,
                                                       monkeypatch):
-        monkeypatch.setattr("conmoe.analysis.residual_step",
+        monkeypatch.setattr("conmoe.analysis.moe_forward",
                             lambda *a, **k: pytest.fail("a forward ran before every scope was checked"))
         self.assert_rejected(capsys, "sweep", "--model", model_path, "--stats", stats_path,
                              "--rho", "0.5", "--scopes", "1,99", "--tokens", 8,

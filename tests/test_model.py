@@ -203,6 +203,17 @@ class TestBatchedRouting:
         with pytest.raises(ValueError, match="non-finite router logits"):
             moe_forward(one_layer_model(layer, 1), 0, np.array([1.0, 0.0, 0.0, 0.0]))
 
+    def test_expert_overflow_names_the_layer(self):
+        """Finite weights whose products pass float32's range: the forward
+        and calibration refuse layer 1 by name, and no RuntimeWarning (an
+        error in this suite) escapes the expert arithmetic."""
+        model, _ = gen_synthetic(ModelSpec(2, 16, 32, 48, 2), seed=42)
+        model.layers[1].block[:, :2] *= 1e20  # gate and up
+        x = gen_tokens(64, 32, seed=1)
+        for run in (model_forward, run_calibration):
+            with pytest.raises(ValueError, match="^non-finite expert output at layer 1$"):
+                run(model, x)
+
     def test_dimension_mismatch(self, small_model):
         hidden = small_model.spec.hidden_dim
         for shape in [(hidden + 1,), (2, hidden + 1), (1, 2, hidden)]:
@@ -327,6 +338,28 @@ class TestModelForward:
                 one = model_forward(small_model, t, p)
                 assert one.shape == t.shape
                 assert one.tobytes() == model_forward(small_model, t[None], p).tobytes()
+
+    @pytest.mark.parametrize("planned", [False, True], ids=["plain", "plan"])
+    def test_visit_sees_every_slot_group_and_moves_no_bit(self, small_model, small_tokens, planned):
+        """A visitor sees layers 0..L-1 in order, each layer's slot groups
+        exactly as slot_groups yields them on that layer's input, and the
+        final state has the same bytes as without it."""
+        plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
+        plan.assignment[(1, 3)] = (1, 0)
+        plan = plan if planned else None
+        x = small_tokens.astype(np.float32)
+        seen = []
+        final = model_forward(small_model, x, plan, visit=lambda *group: seen.append(group))
+        assert final.tobytes() == model_forward(small_model, x, plan).tobytes()
+        want = []
+        for l in range(small_model.spec.num_layers):
+            want += [(l, *group) for group in slot_groups(small_model, l, x, plan)]
+            x = x + moe_forward(small_model, l, x, plan)
+        order = [(l, i) for l, i, *_ in seen]
+        assert order == sorted(order) == [(l, i) for l, i, *_ in want]
+        assert {l for l, _ in order} == set(range(small_model.spec.num_layers))
+        for got, expected in zip(seen, want):
+            assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in expected[2:]]
 
     def test_single_layer(self, small_model):
         spec = small_model.spec
