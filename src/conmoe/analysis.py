@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,6 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
     are averaged as soon as both outputs exist, so only the current states
     are held (plans + 1 of them), never a trace."""
     tokens = token_rows(tokens, model.spec.hidden_dim)
-    for plan in plans:
-        plan.check_covers(model)
     reference, states = tokens, [tokens] * len(plans)
     per_layer = [[] for _ in plans]
     for l in range(model.spec.num_layers):
@@ -120,14 +118,9 @@ def dump_nn_csvs(report: NNReport, heatmap_path, fractions_path) -> None:
                [*fractions, ["overall", repr(report.overall_fraction)]])
 
 
-def scope_sweep(
-    model: MoEModel,
-    stats,
-    config: ScopeConfig,
-    scope_sizes: list[int],
-    tokens: np.ndarray,
-) -> list[FidelityReport]:
-    """Consolidate at every scope size with config's rho and policy, then
-    evaluate all the plans in one pass against one reference forward."""
-    plans = [consolidate(model, stats, replace(config, scope_size=size)) for size in scope_sizes]
+def scope_sweep(model: MoEModel, stats, rho: float, scope_sizes: list[int], tokens: np.ndarray,
+                policy: str = "adaptive") -> list[FidelityReport]:
+    """Consolidate at every scope size with rho and policy, then evaluate
+    all the plans in one pass against one reference forward."""
+    plans = [consolidate(model, stats, ScopeConfig(rho, size, policy)) for size in scope_sizes]
     return _fidelity_pass(model, plans, tokens)

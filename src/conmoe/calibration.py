@@ -68,9 +68,13 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     sums = np.zeros(shape)
 
     def record(l, i, tok, g, y):
+        with np.errstate(over="ignore"):  # an overflow is refused below, naming its layer
+            norms = np.linalg.norm(y, axis=1)
+        if not np.isfinite(norms).all():
+            raise ValueError(f"non-finite expert output norm at layer {l}")
         counts[l, i] = tok.size
         # summed in token order, one token at a time
-        np.add.at(sums[l], np.full(tok.size, i), g * np.linalg.norm(y, axis=1))
+        np.add.at(sums[l], np.full(tok.size, i), g * norms)
 
     model_forward(model, tokens, visit=record)
     return CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,

@@ -168,8 +168,7 @@ def _run(args) -> None:
         if not sizes:
             raise ValueError("empty scope list")
         tokens = gen_tokens(args.tokens, model.spec.hidden_dim, [args.seed, 1])  # held out
-        config = ScopeConfig(rho=args.rho)
-        reports = analysis.scope_sweep(model, stats, config, sizes, tokens)
+        reports = analysis.scope_sweep(model, stats, args.rho, sizes, tokens)
         store.write_json(
             args.output,
             {

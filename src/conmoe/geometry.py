@@ -64,9 +64,7 @@ def _projection_distances(flat: list[np.ndarray]) -> np.ndarray:
     a float64 stack, via ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b>. The Gram
     of a stack with itself is exactly symmetric (one SYRK call), so each
     entry equals its mirror and a diagonal d2 is 2||a||^2 - 2||a||^2 = 0."""
-    stack = np.empty((len(flat), flat[0].size if flat else 0))
-    for row, w in zip(stack, flat):
-        row[:] = w
+    stack = np.stack(flat, dtype=np.float64)
     gram = stack @ stack.T
     del stack
     sq = np.diag(gram).copy()  # not a view, so that del gram frees the Gram

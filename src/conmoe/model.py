@@ -141,7 +141,11 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
     layer = model.layers[layer_idx]
     x = np.asarray(x, dtype=np.float32)
-    x = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + NORM_EPS)
+    with np.errstate(over="ignore"):  # an overflow is refused below, naming its layer
+        mean_square = np.mean(np.square(x), axis=1, keepdims=True)
+    if not np.isfinite(mean_square).all():
+        raise ValueError(f"non-finite input norm at layer {layer_idx}")
+    x = x / np.sqrt(mean_square + NORM_EPS)
     logits = x @ layer.router.astype(np.float32).T
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite router logits")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from conmoe.geometry import (
 from conmoe import model as batched
 from conmoe.model import NORM_EPS, PROJECTIONS, MoELayer, MoEModel, token_rows
 from conmoe.plan import ConsolidationPlan, scope_partition
-from conmoe.planner import _cost, consolidate
+from conmoe.planner import ScopeConfig, _cost, consolidate
 
 # The batched forward groups its float32 GEMMs and sums differently from
 # these per-token loops, which moves outputs and stats in the last bits
@@ -461,10 +461,10 @@ def evaluate_fidelity(model, plan, tokens, reference=None):
     )
 
 
-def scope_sweep(model, stats, config, scope_sizes, tokens):
+def scope_sweep(model, stats, rho, scope_sizes, tokens, policy="adaptive"):
     """One reference trace, then each scope's plan evaluated against it."""
     reference = model_forward_trace(model, token_rows(tokens, model.spec.hidden_dim))
-    return [evaluate_fidelity(model, consolidate(model, stats, replace(config, scope_size=size)),
+    return [evaluate_fidelity(model, consolidate(model, stats, ScopeConfig(rho, size, policy)),
                               tokens, reference)
             for size in scope_sizes]
 

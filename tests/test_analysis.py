@@ -69,6 +69,14 @@ class TestEvaluateFidelity:
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_fidelity(small_model, plan, np.ones(shape(small_model.spec.hidden_dim)))
 
+    @pytest.mark.parametrize("grid", [(3, 8), (4, 7), (5, 8), (4, 9)])
+    def test_plan_of_another_shape_rejected(self, small_model, small_tokens, grid):
+        """The plan forward refuses a plan that does not cover the model, so
+        the evaluation needs no coverage check of its own."""
+        message = f"plan does not cover this model (plan grid {grid}, model grid (4, 8))"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_fidelity(small_model, identity_plan(*grid), small_tokens)
+
 
 class TestReductionAccounting:
     def test_identity_zero(self, small_model):
@@ -152,12 +160,12 @@ class TestCrossLayerNN:
 
 class TestScopeSweep:
     def test_output_rows(self, small_model, small_stats, small_tokens):
-        reports = scope_sweep(small_model, small_stats, ScopeConfig(rho=0.5), [1, 2, 4], small_tokens[:8])
+        reports = scope_sweep(small_model, small_stats, 0.5, [1, 2, 4], small_tokens[:8])
         assert len(reports) == 3
         assert all(r.metadata["rho"] == 0.5 for r in reports)
 
     def test_whole_model_scope(self, small_model, small_stats, small_tokens):
-        reports = scope_sweep(small_model, small_stats, ScopeConfig(rho=0.25), [small_model.spec.num_layers], small_tokens[:4])
+        reports = scope_sweep(small_model, small_stats, 0.25, [small_model.spec.num_layers], small_tokens[:4])
         assert len(reports) == 1
 
     def test_duplicate_model_zero_everywhere(self):
@@ -165,7 +173,7 @@ class TestScopeSweep:
         model, _ = gen_synthetic(spec, seed=23, dup=DupConfig("within"))
         tokens = gen_tokens(12, spec.hidden_dim, seed=6)
         stats = run_calibration(model, tokens)
-        reports = scope_sweep(model, stats, ScopeConfig(rho=0.5), [1], tokens)
+        reports = scope_sweep(model, stats, 0.5, [1], tokens)
         assert reports[0].end_to_end_error == 0.0
 
 
@@ -209,9 +217,8 @@ class TestOnePassMatchesTwoTraces:
         self.assert_matches_oracle(small_model, plan, small_tokens)
 
     def test_four_scope_sweep(self, small_model, small_stats, small_tokens):
-        config = ScopeConfig(rho=0.5)
-        got = scope_sweep(small_model, small_stats, config, [1, 2, 3, 4], small_tokens)
-        want = oracle.scope_sweep(small_model, small_stats, config, [1, 2, 3, 4], small_tokens)
+        got = scope_sweep(small_model, small_stats, 0.5, [1, 2, 3, 4], small_tokens)
+        want = oracle.scope_sweep(small_model, small_stats, 0.5, [1, 2, 3, 4], small_tokens)
         assert len(got) == len(want) == 4
         for g, w in zip(got, want):
             self.assert_same(g, w)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conmoe.cli import main
-from conmoe import analysis, cli, gen_tokens, read_checkpoint, read_plan, write_checkpoint
+from conmoe import (ConsolidationPlan, analysis, cli, gen_tokens, read_checkpoint, read_plan,
+                    write_checkpoint, write_plan)
 from conmoe.model import moe_forward
 from conftest import run_cli_subprocess
 from oracle import tensor_index
@@ -639,6 +640,41 @@ class TestArtifactBoundary:
             assert done.returncode == 1
             assert done.stderr == "error: non-finite expert output at layer 0\n"
             assert not out.exists()
+
+    def test_expert_output_norm_overflow_names_its_layer(self, tmp_path):
+        """Down scaled by 1e20: the expert outputs stay finite, but their
+        float32 norms overflow. calibrate exits 1 naming the layer, not the
+        stats, with nothing else on stderr."""
+        model, _ = self.scaled_model(tmp_path, 2)
+        out = tmp_path / "stats.json"
+        done = run_cli_subprocess(["calibrate", "--model", model, "--tokens", 64, "-o", out, "-q"],
+                                  blas_threads=1)
+        assert done.returncode == 1
+        assert done.stderr == "error: non-finite expert output norm at layer 0\n"
+        assert not out.exists()
+
+    def test_input_norm_overflow_names_its_layer(self, tmp_path):
+        """A 2-layer model whose layer 0 down is scaled by 1e20: layer 1's
+        input is finite, but its float32 mean square overflows. eval exits
+        1 naming layer 1, where the norm divided every token by inf and the
+        report read 0.0. Layer 0's error norms still overflow and warn
+        first, in a subprocess where a RuntimeWarning prints."""
+        model, plan, report = tmp_path / "m.mckpt", tmp_path / "p.json", tmp_path / "r.json"
+        assert run("gen", "--layers", 2, "--experts", 16, "--hidden", 32, "--inter", 48,
+                   "--topk", 2, "-o", model, "-q") == 0
+        folded = {(l, i): (l, i) for l in range(2) for i in range(16)}
+        folded.update({(1, i): (1, 0) for i in range(1, 16)})
+        write_plan(ConsolidationPlan(rho=15 / 32, scope_size=1, policy="adaptive",
+                                     assignment=folded), plan)
+        huge = read_checkpoint(model)
+        huge.layers[0].block[:, 2] *= 1e20  # the mapping is copy-on-write
+        write_checkpoint(huge, model)
+        done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
+                                   "-o", report, "-q"], blas_threads=1)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == "error: non-finite input norm at layer 1"
+        assert "Traceback" not in done.stderr
+        assert not report.exists()
 
     def test_non_finite_metadata_refused(self, model_path, stats_path, tmp_path, capsys):
         plan, out = tmp_path / "p.json", tmp_path / "reduced.mckpt"

@@ -214,6 +214,20 @@ class TestBatchedRouting:
             with pytest.raises(ValueError, match="^non-finite expert output at layer 1$"):
                 run(model, x)
 
+    def test_large_input_norm_names_the_layer(self):
+        """Layer 0's down scaled by 1e20: its outputs stay finite, but their
+        float32 norms and layer 1's mean square overflow. The forward refuses
+        layer 1's input, which the norm would divide by inf to zeros, and
+        calibration refuses layer 0's output norms; no RuntimeWarning (an
+        error in this suite) escapes either."""
+        model, _ = gen_synthetic(ModelSpec(2, 16, 32, 48, 2), seed=42)
+        model.layers[0].block[:, 2] *= 1e20  # down
+        x = gen_tokens(64, 32, seed=1)
+        with pytest.raises(ValueError, match="^non-finite input norm at layer 1$"):
+            model_forward(model, x)
+        with pytest.raises(ValueError, match="^non-finite expert output norm at layer 0$"):
+            run_calibration(model, x)
+
     def test_dimension_mismatch(self, small_model):
         hidden = small_model.spec.hidden_dim
         for shape in [(hidden + 1,), (2, hidden + 1), (1, 2, hidden)]:
