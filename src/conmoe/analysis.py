@@ -118,9 +118,14 @@ def dump_nn_csvs(report: NNReport, heatmap_path, fractions_path) -> None:
                [*fractions, ["overall", repr(report.overall_fraction)]])
 
 
-def scope_sweep(model: MoEModel, stats, rho: float, scope_sizes: list[int], tokens: np.ndarray,
-                policy: str = "adaptive") -> list[FidelityReport]:
-    """Consolidate at every scope size with rho and policy, then evaluate
-    all the plans in one pass against one reference forward."""
-    plans = [consolidate(model, stats, ScopeConfig(rho, size, policy)) for size in scope_sizes]
+def scope_sweep(
+    model: MoEModel,
+    stats,
+    rho: float,
+    scope_sizes: list[int],
+    tokens: np.ndarray,
+) -> list[FidelityReport]:
+    """Consolidate at every scope size with rho and the adaptive policy, then
+    evaluate all the plans in one pass against one reference forward."""
+    plans = [consolidate(model, stats, ScopeConfig(rho, size)) for size in scope_sizes]
     return _fidelity_pass(model, plans, tokens)

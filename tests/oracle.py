@@ -461,10 +461,10 @@ def evaluate_fidelity(model, plan, tokens, reference=None):
     )
 
 
-def scope_sweep(model, stats, rho, scope_sizes, tokens, policy="adaptive"):
+def scope_sweep(model, stats, rho, scope_sizes, tokens):
     """One reference trace, then each scope's plan evaluated against it."""
     reference = model_forward_trace(model, token_rows(tokens, model.spec.hidden_dim))
-    return [evaluate_fidelity(model, consolidate(model, stats, ScopeConfig(rho, size, policy)),
+    return [evaluate_fidelity(model, consolidate(model, stats, ScopeConfig(rho, size)),
                               tokens, reference)
             for size in scope_sizes]
 

@@ -10,6 +10,7 @@ from conmoe import (
     ScopeConfig,
     consolidate,
     distance_matrix,
+    evaluate_fidelity,
     gen_synthetic,
     gen_tokens,
     materialize,
@@ -330,6 +331,9 @@ class TestConsolidatedForward:
                 moe_forward(small_model, 0, h, plan)
             with pytest.raises(ValueError, match=message):
                 model_forward(small_model, h, plan)
+        # the evaluation has no coverage check of its own; its plan forward refuses
+        with pytest.raises(ValueError, match=message):
+            evaluate_fidelity(small_model, plan, small_tokens[:4])
 
 
 class TestModelForward:
