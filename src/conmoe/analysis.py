@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import EPS, distance_matrix, nearest
-from .model import MoEModel, moe_forward, token_rows
+from .model import MoEModel, finite, moe_forward, token_rows
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, consolidate, scope_partition
 from .store import write_bytes
@@ -48,24 +48,28 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
     tokens = token_rows(tokens, model.spec.hidden_dim)
     reference, states = tokens, [tokens] * len(plans)
     per_layer = [[] for _ in plans]
-    for l in range(model.spec.num_layers):
-        want = moe_forward(model, l, reference)
-        reference = reference + want
-        for k, plan in enumerate(plans):
-            got = moe_forward(model, l, states[k], plan)
-            states[k] = states[k] + got
-            per_layer[k].append(_mean_relative_error(got, want))
-            del got  # no output outlives its error: the next forward runs without it
-        del want
+    with np.errstate(all="ignore"):  # a non-finite error is refused; 0 / inf = 0 is not
+        for l in range(model.spec.num_layers):
+            want = moe_forward(model, l, reference)
+            reference = reference + want
+            for k, plan in enumerate(plans):
+                got = moe_forward(model, l, states[k], plan)
+                states[k] = states[k] + got
+                per_layer[k].append(finite(_mean_relative_error(got, want), "error norm", l))
+                del got  # no output outlives its error: the next forward runs without it
+            del want
+        end_to_end = [_mean_relative_error(state, reference) for state in states]
+    if not np.isfinite(end_to_end).all():
+        raise ValueError("non-finite end-to-end error")
     return [
         FidelityReport(
             per_layer_error=errors,
-            end_to_end_error=_mean_relative_error(state, reference),
+            end_to_end_error=error,
             token_count=tokens.shape[0],
             achieved_reduction=reduction_accounting(plan),
             metadata={"policy": plan.policy, "rho": plan.rho, "scope_size": plan.scope_size},
         )
-        for plan, errors, state in zip(plans, per_layer, states)
+        for plan, errors, error in zip(plans, per_layer, end_to_end)
     ]
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, model_forward, token_rows
+from .model import MoEModel, finite, model_forward, token_rows
 
 
 @dataclass(eq=False)  # array fields make the generated == raise
@@ -68,10 +68,7 @@ def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     sums = np.zeros(shape)
 
     def record(l, i, tok, g, y):
-        with np.errstate(over="ignore"):  # an overflow is refused below, naming its layer
-            norms = np.linalg.norm(y, axis=1)
-        if not np.isfinite(norms).all():
-            raise ValueError(f"non-finite expert output norm at layer {l}")
+        norms = finite(np.linalg.norm(y, axis=1), "expert output norm", l)
         counts[l, i] = tok.size
         # summed in token order, one token at a time
         np.add.at(sums[l], np.full(tok.size, i), g * norms)

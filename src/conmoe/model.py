@@ -118,6 +118,13 @@ def token_rows(tokens: np.ndarray, hidden_dim: int) -> np.ndarray:
     return tokens
 
 
+def finite(value, what: str, layer: int):
+    """value, or the forward's one refusal of a non-finite one, by layer."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"non-finite {what} at layer {layer}")
+    return value
+
+
 def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     """Normalise the (count, hidden) batch x, as float32, to unit RMS per
     token, route it through one layer and yield, per slot in ascending order,
@@ -129,10 +136,11 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     are a softmax over the surviving selected logits; a token whose every
     selected slot is dropped is in no group. Tokens are grouped by slot, not
     by prototype, so a plan forward issues the same GEMMs as a plain forward
-    through the materialized model. The router and each prototype are
-    copied once per call: a mapped checkpoint's rows may be unaligned, and
-    NumPy multiplies unaligned float32 operands outside BLAS, with other
-    bits than an aligned copy of the same rows.
+    through the materialized model. The router is copied once per call, the
+    prototype once per group: a mapped checkpoint's rows may be unaligned,
+    and NumPy multiplies unaligned float32 operands outside BLAS, with other
+    bits than an aligned copy. A non-finite input norm, router logit or
+    group output is refused by layer, under moe_forward's error state.
     """
     if plan is not None:
         plan.check_covers(model)
@@ -141,14 +149,9 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
     layer = model.layers[layer_idx]
     x = np.asarray(x, dtype=np.float32)
-    with np.errstate(over="ignore"):  # an overflow is refused below, naming its layer
-        mean_square = np.mean(np.square(x), axis=1, keepdims=True)
-    if not np.isfinite(mean_square).all():
-        raise ValueError(f"non-finite input norm at layer {layer_idx}")
+    mean_square = finite(np.mean(np.square(x), axis=1, keepdims=True), "input norm", layer_idx)
     x = x / np.sqrt(mean_square + NORM_EPS)
-    logits = x @ layer.router.astype(np.float32).T
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite router logits")
+    logits = finite(x @ layer.router.astype(np.float32).T, "router logits", layer_idx)
     top = np.argsort(-logits, axis=1, kind="stable")[:, :model.spec.top_k].copy()
     keep = ~dropped[top]
     sel = np.where(keep, np.take_along_axis(logits, top, axis=1), -np.inf)
@@ -166,21 +169,14 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     groups = np.split(flat[np.argsort(chosen, kind="stable")],
                       np.cumsum(np.bincount(chosen, minlength=len(slots)))[:-1])
     h = model.spec.hidden_dim
-    last = {proto: i for i, (proto, g) in enumerate(zip(protos, groups)) if g.size}
-    copies = {}
     for i, (proto, g) in enumerate(zip(protos, groups)):
         if g.size == 0:
             continue
         tok = g // model.spec.top_k
-        if proto not in copies:
-            copies[proto] = model.row(proto).astype(np.float32)
-        gate, up, down = copies.pop(proto) if last[proto] == i else copies[proto]
+        gate, up, down = model.row(proto).astype(np.float32)
         xs = x[tok]
-        with np.errstate(all="ignore"):  # an overflow is refused below, naming its layer
-            y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
-        if not np.isfinite(y).all():
-            raise ValueError(f"non-finite expert output at layer {layer_idx}")
-        yield i, tok, weights.ravel()[g], y
+        y = (silu(xs @ gate.reshape(-1, h).T) * (xs @ up.reshape(-1, h).T)) @ down.reshape(h, -1).T
+        yield i, tok, weights.ravel()[g], finite(y, "expert output", layer_idx)
 
 
 def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None, visit=None) -> np.ndarray:
@@ -193,15 +189,17 @@ def moe_forward(model: MoEModel, layer_idx: int, h: np.ndarray, plan=None, visit
     Each token sums its slot terms in ascending slot order, so a plan
     forward is bit-identical to a plain forward through the materialized
     model. A token's last bits can depend on which tokens share its slot
-    groups.
+    groups. One error state covers the layer, slot_groups and visit
+    included: each overflow is refused by layer, with no warning.
     """
     x = _token_batch(h, model.spec.hidden_dim)
     out = np.zeros_like(x)
-    for i, tok, w, y in slot_groups(model, layer_idx, x, plan):
-        if visit is not None:
-            visit(layer_idx, i, tok, w, y)
-        out[tok] = out[tok] + w[:, None] * y
-    return out.reshape(np.shape(h))
+    with np.errstate(all="ignore"):
+        for i, tok, w, y in slot_groups(model, layer_idx, x, plan):
+            if visit is not None:
+                visit(layer_idx, i, tok, w, y)
+            out[tok] = out[tok] + w[:, None] * y
+    return finite(out, "layer output", layer_idx).reshape(np.shape(h))
 
 
 def model_forward(model: MoEModel, h0: np.ndarray, plan=None, visit=None) -> np.ndarray:

@@ -39,11 +39,12 @@ def rng():
 
 def run_cli_subprocess(argv, blas_threads):
     """`python -m conmoe.cli ARGV` in a fresh interpreter whose OpenBLAS
-    uses the given number of threads."""
+    uses the given number of threads. A RuntimeWarning is an error there, as
+    in this suite, so a warning fails the command."""
     src = str(Path(conmoe.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "conmoe.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "conmoe.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
 
 

@@ -134,14 +134,3 @@ def test_slot_groups_match_scan_grouping_bit_for_bit(case):
     if case == "single_token_dropped":
         assert got == []
 
-
-def test_each_prototype_is_read_once_per_layer_call(monkeypatch):
-    """A prototype shared by several slots is read and copied once per
-    call, not once per slot."""
-    model, x, plan = shared_prototypes()
-    reads = []
-    row = type(model).row
-    monkeypatch.setattr(type(model), "row", lambda self, ref: reads.append(ref) or row(self, ref))
-    got = [g[0] for g in slot_groups(model, 0, x, plan)]
-    assert got == list(range(8))
-    assert sorted(reads) == [(0, 1), (0, 2), (0, 3), (0, 7)]

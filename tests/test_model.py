@@ -229,6 +229,24 @@ class TestBatchedRouting:
         with pytest.raises(ValueError, match="^non-finite expert output norm at layer 0$"):
             run_calibration(model, x)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e20], ids=["returns", "raises"])
+    def test_error_state_does_not_leak(self, scale):
+        """Each forward entry point leaves NumPy's error state as it found
+        it, both when it returns and when it refuses layer 1's gate and up
+        scaled by 1e20."""
+        model, _ = gen_synthetic(ModelSpec(2, 16, 32, 48, 2), seed=42)
+        model.layers[1].block[:, :2] *= scale
+        x, before = gen_tokens(64, 32, seed=1), np.geterr()
+        for run in (lambda: moe_forward(model, 1, x), lambda: model_forward(model, x),
+                    lambda: run_calibration(model, x),
+                    lambda: evaluate_fidelity(model, identity_plan(2, 16), x)):
+            if scale == 1.0:
+                run()
+            else:
+                with pytest.raises(ValueError, match="^non-finite expert output at layer 1$"):
+                    run()
+            assert np.geterr() == before
+
     def test_dimension_mismatch(self, small_model):
         hidden = small_model.spec.hidden_dim
         for shape in [(hidden + 1,), (2, hidden + 1), (1, 2, hidden)]:
