@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .model import DerivedLayers, MoELayer, MoEModel, Ref
+from .model import MoEModel, Ref, derive
 from .plan import ConsolidationPlan
 from .planner import ScopeConfig, budget, consolidate, layer_places, policy_keys, select_prototypes
 
@@ -63,27 +63,21 @@ def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]
 
 
 def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: CalibStats | None = None) -> MoEModel:
-    """A copy of `model` whose prototypes hold the usage-weighted average of
-    their clusters (uniform weights without stats), accumulated in float64
-    in cluster order; the reassignment map is left unchanged.
-    metadata["provenance"] lists each fused slot's (source, weight) pairs;
-    the source's metadata nests whole under metadata["derived_from"]. Its
-    layers are DerivedLayers over the unchanged source."""
-    plan.check_covers(model)
+    """A derived copy of `model` whose prototypes hold the usage-weighted
+    average of their clusters (uniform weights without stats), accumulated
+    in float64 in cluster order; the reassignment map is left unchanged.
+    metadata["provenance"] lists each fused slot's (source, weight) pairs."""
     if stats is not None:
         stats.check_covers(model)
-    if plan.is_pruning:
-        raise ValueError("fusion requires a remapping plan, not a pruning plan")
     provenance = sorted(
         [list(proto), [[list(src), w] for src, w in zip(members, _fusion_weights(stats, members))]]
         for proto, members in plan.clusters().items())
-    metadata = {"derived_from": dict(model.metadata), "fusion": "weighted_average", "provenance": provenance}
 
-    def layer(l: int) -> MoELayer:
-        block = model.layers[l].block.copy()
+    def block(l: int) -> np.ndarray:
+        out = model.layers[l].block.copy()
         for (pl, pi), sources in provenance:
             if pl == l:
-                block[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
-        return MoELayer(block, model.layers[l].router.copy())
+                out[pi] = sum(w * model.row(src).astype(np.float64) for src, w in sources)
+        return out
 
-    return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, layer), metadata)
+    return derive(model, plan, block, fusion="weighted_average", provenance=provenance)

@@ -3,8 +3,8 @@ fuse, materialize, evaluate, analyze, sweep.
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error.
 Plans, stats and reports record the --seed that produced them; a derived
-checkpoint nests its source checkpoint's metadata whole under
-"derived_from". Reruns with identical inputs write byte-identical outputs.
+checkpoint nests its source checkpoint's metadata whole, as model.derive
+writes it. Reruns with identical inputs write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", parents=_options("--model", "--plan"), help=about, description=about)
     p.add_argument("--stats")
     sub.add_parser("materialize", parents=_options("--model", "--plan"),
-                   help="expand a plan into a checkpoint")
+                   help="expand a remapping plan into a checkpoint (a pruning plan is refused)")
     sub.add_parser("eval", parents=_options("--model", "--plan", "--tokens"),
                    help="fidelity report for a plan")
 

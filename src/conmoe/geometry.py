@@ -45,6 +45,8 @@ class DistanceTable:
 def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
     """Full pairwise table: the mean over the projections of each one's
     (n, n) distances. Symmetric with a zero diagonal by construction."""
+    if not scope:
+        raise ValueError("empty scope: a distance table needs at least one expert")
     scope = sorted(scope)
     rows = [model.row(ref) for ref in scope]
     total = sum(_projection_distances([row[k] for row in rows]) for k in range(len(PROJECTIONS)))

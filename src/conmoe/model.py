@@ -233,26 +233,29 @@ class DerivedLayers(Sequence):
         return self._held[1]
 
 
-def materialize(model: MoEModel, plan) -> MoEModel:
-    """Expand a plan into the original architecture by copying each slot's
-    assigned prototype weights into the slot. Routers are untouched.
-    Drop-masked slots get zero weights. The source's metadata nests whole
-    under metadata["derived_from"]. Its layers are DerivedLayers over the
-    unchanged source."""
+def derive(model: MoEModel, plan, block, **keys) -> MoEModel:
+    """The one builder of a derived model: layer l is block(l) and a copy of
+    the source's router, as DerivedLayers over the unchanged source, and the
+    source's metadata nests whole under metadata["derived_from"], next to
+    keys. A pruning plan is refused: its dropped slots leave each token's
+    softmax, which no weights under the untouched routers can do."""
     plan.check_covers(model)
-    metadata = {"derived_from": dict(model.metadata), "materialized_from_policy": plan.policy}
-    zeroed = [list(ref) for ref in model.slots() if ref in plan.drop_mask]
-    if zeroed:
-        metadata["zeroed_slots"] = zeroed
+    if plan.is_pruning:
+        raise ValueError("a derived checkpoint requires a remapping plan, not a pruning plan")
+    return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, lambda l: MoELayer(
+        block(l), model.layers[l].router.copy())), {"derived_from": dict(model.metadata), **keys})
 
-    def layer(l: int) -> MoELayer:
-        block = np.zeros_like(model.layers[l].block)
-        kept = [(plan.assignment[(l, i)], i) for i in range(len(block)) if (l, i) not in plan.drop_mask]
-        for proto, i in sorted(kept):  # by source layer: a derived source builds each about once
-            block[i] = model.row(proto)
-        return MoELayer(block, model.layers[l].router.copy())
 
-    return MoEModel(model.spec, DerivedLayers(model.spec.num_layers, layer), metadata)
+def materialize(model: MoEModel, plan) -> MoEModel:
+    """Expand a remapping plan into the original architecture by copying
+    each slot's assigned prototype weights into the slot, through derive."""
+    def block(l: int) -> np.ndarray:
+        out = np.empty_like(model.layers[l].block)
+        for proto, i in sorted((plan.assignment[(l, i)], i) for i in range(len(out))):
+            out[i] = model.row(proto)  # by source layer: a derived source builds each about once
+        return out
+
+    return derive(model, plan, block, materialized_from_policy=plan.policy)
 
 
 @dataclass(frozen=True)

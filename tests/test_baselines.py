@@ -156,10 +156,14 @@ class TestFuseWeightedAverage:
                 f = getattr(expert(fused, proto), proj)
                 assert np.all(f >= lo - 1e-6) and np.all(f <= hi + 1e-6)
 
-    def test_pruning_plan_rejected(self, small_model, small_stats):
-        plan = prune_frequency(small_model, small_stats, 0.5)
-        with pytest.raises(ValueError, match="remapping plan"):
-            fuse_weighted_average(small_model, plan, small_stats)
+    @pytest.mark.parametrize("prune", [prune_frequency, prune_reap], ids=["frequency", "reap"])
+    @pytest.mark.parametrize("derive", [materialize, fuse_weighted_average], ids=["materialize", "fuse"])
+    def test_pruning_plan_rejected(self, small_model, small_stats, derive, prune):
+        """A dropped slot leaves each token's softmax, which no checkpoint
+        under the same routers can do, so both derivations refuse it alike."""
+        plan = prune(small_model, small_stats, 0.5)
+        with pytest.raises(ValueError, match="^a derived checkpoint requires a remapping plan, not a pruning plan$"):
+            derive(small_model, plan)
 
 
 class TestDerivedModels:

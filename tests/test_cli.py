@@ -181,23 +181,20 @@ class TestPipeline:
 
     def test_materializing_a_materialized_checkpoint_keeps_its_lineage(self, model_path, stats_path,
                                                                       tmp_path):
-        prune, plan = tmp_path / "prune.json", tmp_path / "plan.json"
+        reap, plan = tmp_path / "reap.json", tmp_path / "plan.json"
         once, twice, thrice = (tmp_path / f"{n}.mckpt" for n in ("once", "twice", "thrice"))
-        assert run("prune", "--model", model_path, "--stats", stats_path, "--method", "reap",
-                   "--rho", "0.5", "-o", prune, "-q") == 0
-        assert run("materialize", "--model", model_path, "--plan", prune, "-o", once, "-q") == 0
+        assert run("consolidate", "--model", model_path, "--stats", stats_path, "--policy", "reap_topk",
+                   "--rho", "0.5", "-o", reap, "-q") == 0
+        assert run("materialize", "--model", model_path, "--plan", reap, "-o", once, "-q") == 0
         assert run("consolidate", "--model", once, "--stats", stats_path, "--rho", "0.75",
                    "-o", plan, "-q") == 0
         assert run("materialize", "--model", once, "--plan", plan, "-o", twice, "-q") == 0
-        assert run("materialize", "--model", twice, "--plan", prune, "-o", thrice, "-q") == 0
+        assert run("materialize", "--model", twice, "--plan", reap, "-o", thrice, "-q") == 0
         third, second, first, source = lineage(read_checkpoint(thrice).metadata)
         assert [read_checkpoint(p).metadata for p in (once, twice)] == [first, second]
-        for level in (first, third):
-            assert sorted(level) == ["derived_from", "materialized_from_policy", "zeroed_slots"]
-            assert level["materialized_from_policy"] == "prune_reap"
-        assert first["zeroed_slots"] and third["zeroed_slots"] == first["zeroed_slots"]
-        # the slots the prune zeroed now hold prototype weights, so they are not listed
-        assert sorted(second) == ["derived_from", "materialized_from_policy"]
+        for level in (first, second, third):
+            assert sorted(level) == ["derived_from", "materialized_from_policy"]
+        assert first["materialized_from_policy"] == third["materialized_from_policy"] == "reap_topk"
         assert second["materialized_from_policy"] == "adaptive"
         assert source == read_checkpoint(model_path).metadata and source["seed"] == 7
 
@@ -369,15 +366,14 @@ class TestReadmeShapeRegressions:
 
     def test_mixed_chains_keep_each_step_apart(self, tmp_path):
         """materialize then fuse, and fuse then materialize, with the same
-        plans: the headers differ, and every slot a header lists as zeroed
-        holds zeros in that file (fusion fills some pruned slots here)."""
+        two remapping plans: the headers differ."""
         model_path, stats_path = self.readme_model(tmp_path)
-        prune, plan = tmp_path / "prune.json", tmp_path / "plan.json"
-        assert run("prune", "--model", model_path, "--stats", stats_path, "--method", "reap",
-                   "--rho", "0.5", "-o", prune, "-q") == 0
+        reap, plan = tmp_path / "reap.json", tmp_path / "plan.json"
+        assert run("consolidate", "--model", model_path, "--stats", stats_path, "--policy", "reap_topk",
+                   "--rho", "0.5", "-o", reap, "-q") == 0
         assert run("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
                    "--scope", 2, "-o", plan, "-q") == 0
-        steps = {"materialize": ("--plan", prune), "fuse": ("--plan", plan, "--stats", stats_path)}
+        steps = {"materialize": ("--plan", reap), "fuse": ("--plan", plan, "--stats", stats_path)}
         headers = []
         for order in (("materialize", "fuse"), ("fuse", "materialize")):
             source = model_path
@@ -386,9 +382,6 @@ class TestReadmeShapeRegressions:
                 assert run(step, "--model", source, *steps[step], "-o", out, "-q") == 0
                 source = out
             headers.append(out.read_bytes().split(b"\n", 1)[0])
-            model = read_checkpoint(out)
-            for ref in model.metadata.get("zeroed_slots", []):
-                assert not model.row(tuple(ref)).any(), ref
         assert headers[0] != headers[1]
 
 
@@ -695,6 +688,24 @@ class TestArtifactBoundary:
         self.assert_rejected(capsys, "materialize", "--model", model_path, "--plan", plan,
                              "-o", out, message="Out of range float values are not JSON compliant")
         assert not out.exists()
+
+    def test_pruning_plan_refused_by_every_derivation(self, model_path, stats_path, tmp_path):
+        """A pruning plan's forward drops slots from the softmax, which no
+        checkpoint holds: materialize and fuse each exit 1 with the same
+        one-line message, in a fresh interpreter, and leave no output and
+        no `.tmp` file."""
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for method in ("frequency", "reap"):
+            plan = tmp_path / f"prune-{method}.json"
+            assert run("prune", "--model", model_path, "--stats", stats_path, "--method", method,
+                       "--rho", "0.5", "-o", plan, "-q") == 0
+            for argv in (("materialize",), ("fuse", "--stats", stats_path)):
+                done = run_cli_subprocess([*argv, "--model", model_path, "--plan", plan,
+                                           "-o", tmp_path / "out.mckpt", "-q"], blas_threads=1)
+                assert (done.returncode, done.stderr) == (
+                    1, "error: a derived checkpoint requires a remapping plan, not a pruning plan\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*before, "prune-frequency.json", "prune-reap.json"])
 
     def test_version_1_stats_refused(self, model_path, stats_path, tmp_path, capsys):
         """Stats of the per-record layout, version 1, exit 1 with a message."""

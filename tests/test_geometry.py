@@ -112,6 +112,10 @@ class TestDistanceMatrix:
         assert np.array_equal(table.values, table.values.T)
         assert np.array_equal(np.diag(table.values), np.zeros(len(refs)))
 
+    def test_empty_scope_refused(self, small_model):
+        with pytest.raises(ValueError, match="^empty scope: a distance table needs at least one expert$"):
+            distance_matrix(small_model, [])
+
 
 def reference_table(model, scope):
     """The scalar per-pair loop the Gram kernel replaced."""

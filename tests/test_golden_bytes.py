@@ -40,8 +40,8 @@ WITH_TENSOR_INDEX = {
     "both": "8c839c11c4eed2c71d4838b53d26bda971ec67e7dd10b33c7d6dc5a18aaf08e2",
 }
 # file sha256, payload sha256
-MATERIALIZED = ("b949cb9cc11732de5883783cc83d1b788051794936e88c7bdba523d72a9af784",
-                "5f6eddcd0c99e62ed4f01ae3cb47410fd5c42dd45b6acb8e617ae2039bc4600f")
+MATERIALIZED = ("3957a1d5e576f61dcbf46734c327266505d16db042f915c68f13e78b8ef23f4c",
+                "85401a3385a2f1d2f51e0f5ddd2e89035a1f5ff17f684894c688cf8247f80e30")
 FUSED = ("237216de1efbb0ecdab95d2dc266ba8e658c76c80695e54e2f4cde746fcbc95b",
          "e0ebc49f650693675c4df5ccb282409e732a43111c25c0a6dd157706732f3b2b")
 # from the hand-written stats of hand_stats: the stats reader, contribution,
@@ -124,10 +124,16 @@ def test_header_with_tensor_index_reads_the_same(workdir, dup):
 
 
 def test_materialize(workdir, base_model):
-    plan = hand_plan(workdir / "drop.plan.json", dropped=[5])
+    """The remapping hand plan is pinned; its pruning variant, whose forward
+    no checkpoint holds, exits 1 and writes no file."""
+    plan = hand_plan(workdir / "materialize.plan.json", dropped=[])
     out = workdir / "materialized.mckpt"
     run("materialize", "--model", base_model, "--plan", plan, "-o", out, "-q")
     assert_checkpoint_hashes(out, *MATERIALIZED)
+    plan = hand_plan(workdir / "drop.plan.json", dropped=[5])
+    out = workdir / "pruned.mckpt"
+    assert main(["materialize", "--model", str(base_model), "--plan", str(plan), "-o", str(out), "-q"]) == 1
+    assert not out.exists()
 
 
 def test_fuse_uniform(workdir, base_model):
