@@ -2,6 +2,10 @@
 
 Each projection distance is a norm-balanced relative Frobenius distance in
 [0, 2); the expert distance averages it over the gate/up/down projections.
+A scope's table reuses one float64 stack, one Gram and one running total
+for the three projections, and turns each Gram into distances in place,
+ROW_BLOCK rows at a time. The Gram is computed whole, by one SYRK call,
+because that makes it, and so the table, exactly symmetric.
 """
 
 from __future__ import annotations
@@ -49,8 +53,13 @@ def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
         raise ValueError("empty scope: a distance table needs at least one expert")
     scope = sorted(scope)
     rows = [model.row(ref) for ref in scope]
-    total = sum(_projection_distances([row[k] for row in rows]) for k in range(len(PROJECTIONS)))
-    return DistanceTable(scope=scope, values=total / len(PROJECTIONS))
+    stack = np.empty((len(rows), rows[0].shape[1]))
+    gram = np.empty((len(rows), len(rows)))
+    total = np.zeros_like(gram)
+    for k in range(len(PROJECTIONS)):
+        total += _projection_distances([row[k] for row in rows], stack, gram)
+    total /= len(PROJECTIONS)
+    return DistanceTable(scope=scope, values=total)
 
 
 # A pair whose Gram-expanded squared distance falls below this fraction of
@@ -58,26 +67,32 @@ def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
 # It is recomputed by exact difference, so bitwise-equal projections are
 # exactly 0.0 and near-duplicates are never ranked by rounding noise.
 EXACT_RECOMPUTE_FRACTION = 1e-6
+ROW_BLOCK = 128  # Gram rows turned into distances at a time
 
 
-def _projection_distances(flat: list[np.ndarray]) -> np.ndarray:
+def _projection_distances(flat: list[np.ndarray], stack: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """projection_distance of one projection, given per expert as a flat
-    row, between every two experts: one (n, n) expression over the Gram of
-    a float64 stack, via ||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b>. The Gram
-    of a stack with itself is exactly symmetric (one SYRK call), so each
-    entry equals its mirror and a diagonal d2 is 2||a||^2 - 2||a||^2 = 0."""
-    stack = np.stack(flat, dtype=np.float64)
-    gram = stack @ stack.T
-    del stack
-    sq = np.diag(gram).copy()  # not a view, so that del gram frees the Gram
+    row, between every two experts, written over gram, via ||a - b||^2 =
+    ||a||^2 + ||b||^2 - 2<a, b>. Each Gram entry equals its mirror, and
+    a diagonal d2 is 2||a||^2 - 2||a||^2 = 0. A pair lost to cancellation is
+    recomputed after the last block, as its mirror is still a Gram entry."""
+    np.stack(flat, out=stack)
+    np.matmul(stack, stack.T, out=gram)
+    sq = np.diag(gram).copy()  # not a view: the blocks overwrite the diagonal
     norms = np.sqrt(sq)
-    d2 = np.maximum(sq[:, None] + sq - 2.0 * gram, 0.0)
-    del gram
-    close = np.triu(d2 < EXACT_RECOMPUTE_FRACTION * (sq[:, None] + sq), 1)
-    dist = 2.0 * np.sqrt(d2) / (norms[:, None] + norms + 2.0 * EPS)
-    for i, j in zip(*np.nonzero(close)):
-        dist[i, j] = dist[j, i] = projection_distance(flat[i], flat[j])
-    return dist
+    close = []
+    for r in range(0, len(sq), ROW_BLOCK):
+        block, s = gram[r:r + ROW_BLOCK], sq[r:r + ROW_BLOCK, None] + sq
+        np.subtract(s, 2.0 * block, out=block)
+        np.maximum(block, 0.0, out=block)
+        i, j = np.nonzero(block < EXACT_RECOMPUTE_FRACTION * s)
+        close.append((i[j > i + r] + r, j[j > i + r]))
+        np.sqrt(block, out=block)
+        block *= 2.0
+        block /= norms[r:r + ROW_BLOCK, None] + norms + 2.0 * EPS
+    for i, j in zip(*np.concatenate(close, axis=1)):
+        gram[i, j] = gram[j, i] = projection_distance(flat[i], flat[j])
+    return gram
 
 
 def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from conmoe import (
     nearest,
     projection_distance,
 )
+from conmoe import geometry
 from conmoe.geometry import DistanceTable
 from conmoe.store import plan_to_dict
 from oracle import (
@@ -187,6 +190,40 @@ class TestGramKernel:
         spec = ModelSpec(4, 72, 8, 12, 2)  # one 288-expert scope
         model, _ = gen_synthetic(spec, seed=9, dup=dup)
         assert_pair_kernel_bytes(model, whole_model(spec))
+
+    @pytest.mark.parametrize("dup", [DupConfig("both"), DupConfig("both", 1e-7)])
+    @pytest.mark.parametrize("row_block, shape", [(7, (2, 12, 8, 12, 2)), (None, (3, 100, 4, 6, 2))])
+    def test_planted_pairs_straddle_row_blocks(self, monkeypatch, row_block, shape, dup):
+        """A ragged last block (7 does not divide 24; 128 does not divide
+        300), with exact and near twins on both sides of block boundaries."""
+        if row_block is not None:
+            monkeypatch.setattr(geometry, "ROW_BLOCK", row_block)
+        block = geometry.ROW_BLOCK
+        spec = ModelSpec(*shape)
+        model, dup_map = gen_synthetic(spec, seed=11, dup=dup)
+        scope = whole_model(spec)
+        assert len(scope) > block and len(scope) % block
+        table = distance_matrix(model, scope)
+        straddling = 0
+        for copy, src in dup_map.items():
+            straddling += table.index_of(copy) // block != table.index_of(src) // block
+            d = distance(table, copy, src)
+            assert d == expert_distance(expert(model, copy), expert(model, src))
+            assert d == 0.0 or dup.noise > 0
+        assert straddling
+        assert_pair_kernel_bytes(model, scope)
+
+    def test_peak_memory_is_two_tables_and_a_stack(self):
+        spec = ModelSpec(4, 256, 4, 8, 2)  # one thin 1,024-expert scope
+        model, _ = gen_synthetic(spec, seed=12)
+        n = spec.num_layers * spec.num_experts
+        tracemalloc.start()
+        try:
+            distance_matrix(model, whole_model(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2.5 * n * n + n * spec.intermediate_dim * spec.hidden_dim)
 
     def test_plans_match_reference_table(self, monkeypatch):
         built = []
