@@ -116,19 +116,12 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:
-    """Importance-weighted sum of nearest-prototype distances."""
+    """Importance-weighted sum of nearest-prototype distances, in row order."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(table.scope),):
         raise ValueError("weight vector does not match scope")
-    return _cost(table, [table.index_of(p) for p in prototypes], weights)
-
-
-def _cost(table: DistanceTable, cols, weights) -> float:
-    """Weighted sum of each row's distance to its nearest column in cols,
-    added up row by row in scope order."""
-    _, dists = nearest(table, cols)
+    _, dists = nearest(table, [table.index_of(p) for p in prototypes])
     total = 0.0
     for w, d in zip(weights.tolist(), dists.tolist()):
         total += w * d
     return total
-

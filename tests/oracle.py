@@ -42,7 +42,7 @@ from conmoe.geometry import (
 from conmoe import model as batched
 from conmoe.model import NORM_EPS, PROJECTIONS, MoELayer, MoEModel, token_rows
 from conmoe.plan import ConsolidationPlan, scope_partition
-from conmoe.planner import ScopeConfig, _cost, consolidate
+from conmoe.planner import ScopeConfig, consolidate, objective
 
 # The batched forward groups its float32 GEMMs and sums differently from
 # these per-token loops, which moves outputs and stats in the last bits
@@ -325,7 +325,7 @@ def brute_force_optimal(table, k, weights):
     best_set = None
     best_val = None
     for combo in itertools.combinations(range(n), k):
-        val = _cost(table, combo, weights)
+        val = objective([table.scope[i] for i in combo], table, weights)
         if best_val is None or val < best_val:
             best_val = val
             best_set = combo

@@ -327,6 +327,59 @@ class TestNearest:
             assert (cols[i], dists[i]) == (best, values[i, best])
 
 
+def whole_array_nearest(values, cols=None):
+    """The whole-array query: a copied table with an inf diagonal, or the
+    gathered candidate columns, and one argmin over all rows."""
+    if cols is None:
+        values = values.copy()
+        np.fill_diagonal(values, np.inf)
+        cols = np.arange(len(values))
+    else:
+        values = values[:, cols]
+    pos = values.argmin(axis=1)
+    return cols[pos], values[np.arange(len(pos)), pos]
+
+
+class TestNearestRowBlocks:
+    @pytest.mark.parametrize("row_block, shape", [(7, (2, 12, 8, 12, 2)), (None, (3, 100, 4, 6, 2))])
+    def test_matches_whole_array_query(self, monkeypatch, row_block, shape):
+        """Exact twins at 0.0 tie with the diagonal across block boundaries,
+        the last block is ragged (7 does not divide 24; 128 does not divide
+        300), and no query writes the table."""
+        if row_block is not None:
+            monkeypatch.setattr(geometry, "ROW_BLOCK", row_block)
+        block = geometry.ROW_BLOCK
+        spec = ModelSpec(*shape)
+        model, dup_map = gen_synthetic(spec, seed=13, dup=DupConfig("within"))
+        table = distance_matrix(model, whole_model(spec))
+        n = len(table.scope)
+        assert n > block and n % block
+        assert any(table.index_of(c) // block != table.index_of(s) // block for c, s in dup_map.items())
+        before = table.values.tobytes()
+        subset = np.sort(np.random.default_rng(n).choice(n, n // 3, replace=False))
+        for cols in (None, np.arange(0, n, 2), subset):
+            got = nearest(table, cols)
+            want = whole_array_nearest(table.values, cols)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert table.values.tobytes() == before
+        assert not nearest(table)[1][[table.index_of(c) for c in dup_map]].any()
+
+    def test_peak_memory_is_a_few_blocks(self):
+        spec = ModelSpec(16, 256, 4, 8, 2)  # one thin 4,096-expert scope
+        model, _ = gen_synthetic(spec, seed=14)
+        table = distance_matrix(model, whole_model(spec))
+        n = len(table.scope)
+        for cols in (None, np.arange(1, n, 2)):
+            tracemalloc.start()
+            try:
+                nearest(table, cols)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.25 * 8 * n * n
+
+
 class TestMinMaxNorm:
     def test_basic(self):
         out = minmax_norm([2.0, 4.0, 6.0])
