@@ -10,6 +10,7 @@ writes it. Reruns with identical inputs write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -206,4 +207,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the start-up heap lives until exit; frozen, exit's collections skip it
+    gc.freeze()
     sys.exit(main())

@@ -161,11 +161,11 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     ex = np.exp(sel - peak)
     # a surviving row sums to >= 1 (its peak term is exp(0)); an empty one to 0
     weights = ex / np.maximum(ex.sum(axis=1, keepdims=True), 1.0)
-    # One stable sort groups the kept flat (token, position) selections by
-    # slot, each group in flat order; a token selects a slot at most once,
-    # so each group's tokens come out unique and ascending.
+    # One stable radix sort (slots as uint8, or uint16 above 256) groups the
+    # kept flat (token, position) selections by slot, each group in flat order;
+    # a token picks a slot at most once, so each group's tokens are ascending.
     flat = np.flatnonzero(keep)
-    chosen = top.ravel()[flat]
+    chosen = top.ravel()[flat].astype(np.min_scalar_type(len(slots) - 1))
     groups = np.split(flat[np.argsort(chosen, kind="stable")],
                       np.cumsum(np.bincount(chosen, minlength=len(slots)))[:-1])
     h = model.spec.hidden_dim

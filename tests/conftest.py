@@ -37,15 +37,20 @@ def rng():
     return np.random.default_rng(0)
 
 
-def run_cli_subprocess(argv, blas_threads):
-    """`python -m conmoe.cli ARGV` in a fresh interpreter whose OpenBLAS
-    uses the given number of threads. A RuntimeWarning is an error there, as
-    in this suite, so a warning fails the command."""
+def run_python_subprocess(args, blas_threads):
+    """`python ARGS` in a fresh interpreter that imports this conmoe and
+    whose OpenBLAS uses the given number of threads. A RuntimeWarning is an
+    error there, as in this suite, so a warning fails the command."""
     src = str(Path(conmoe.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "conmoe.cli", *map(str, argv)],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_cli_subprocess(argv, blas_threads):
+    """`python -m conmoe.cli ARGV` in a fresh interpreter, as run_python_subprocess."""
+    return run_python_subprocess(["-m", "conmoe.cli", *argv], blas_threads)
 
 
 def stack_layer(experts, router):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import oracle
-from conmoe import ModelSpec, gen_synthetic, gen_tokens, prune_reap, run_calibration
-from conmoe.model import silu, slot_groups
+from conmoe import (ModelSpec, gen_synthetic, gen_tokens, materialize, model_forward, prune_reap,
+                    run_calibration)
+from conmoe.model import NORM_EPS, silu, slot_groups
 from oracle import (
     assert_rows_close,
     assert_stats_close,
@@ -134,3 +135,35 @@ def test_slot_groups_match_scan_grouping_bit_for_bit(case):
     if case == "single_token_dropped":
         assert got == []
 
+
+
+@pytest.mark.parametrize("num_experts, key", [(16, np.uint8), (300, np.uint16)], ids=["uint8", "uint16"])
+def test_slot_groups_are_each_slots_stable_topk_rows(num_experts, key):
+    """On each side of the uint8 slot key, every slot's group is the
+    ascending token rows whose stable full-row top-k of the logits selects
+    it; at 300 experts slots above 255 are selected."""
+    assert np.min_scalar_type(num_experts - 1) == key
+    model = one_layer(num_experts, 8, 12)
+    x = gen_tokens(512, 8, seed=13).astype(np.float32)
+    x = x / np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + NORM_EPS)
+    logits = x @ model.layers[0].router.astype(np.float32).T
+    top = np.argsort(-logits, axis=1, kind="stable")[:, :8]
+    want = {i: np.flatnonzero((top == i).any(axis=1)) for i in range(num_experts) if (top == i).any()}
+    got = {i: tok for i, tok, _, _ in slot_groups(model, 0, x)}
+    assert list(got) == sorted(want)
+    assert all(np.array_equal(got[i], want[i]) for i in want)
+    assert max(got) == num_experts - 1
+
+
+def test_remapping_plan_beyond_256_slots_matches_its_materialized_forward():
+    """Slots 256..299 run the prototypes of slots 0..43, and slots 100..199
+    share slot 50's: the plan forward and the materialized forward agree
+    bit for bit on a uint16-keyed layer."""
+    model, _ = gen_synthetic(ModelSpec(2, 300, 8, 12, 8), seed=14)
+    plan = identity_plan(2, 300)
+    for l in range(2):
+        plan.assignment.update({(l, i): (l, i - 256) for i in range(256, 300)})
+        plan.assignment.update({(l, i): (l, 50) for i in range(100, 200)})
+    tokens = gen_tokens(256, 8, seed=15)
+    want = model_forward(materialize(model, plan), tokens)
+    assert model_forward(model, tokens, plan).tobytes() == want.tobytes()

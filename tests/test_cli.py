@@ -1,3 +1,4 @@
+import gc
 import json
 import struct
 import time
@@ -11,7 +12,7 @@ from conmoe.cli import main
 from conmoe import (ConsolidationPlan, analysis, cli, gen_tokens, read_checkpoint, read_plan,
                     write_checkpoint, write_plan)
 from conmoe.model import moe_forward
-from conftest import run_cli_subprocess
+from conftest import run_cli_subprocess, run_python_subprocess
 from oracle import tensor_index
 from test_geometry import assert_pair_kernel_bytes
 
@@ -296,6 +297,26 @@ class TestDeterminism:
             outs.append([Path(prefix + name).read_bytes() for name in names] + [plan.read_bytes()])
         assert outs[0] == outs[1]
         assert_pair_kernel_bytes(read_checkpoint(model), [(l, i) for l in range(4) for i in range(64)])
+
+
+class TestStartupHeapFreeze:
+    GEN = ["gen", "--layers", 1, "--experts", 4, "--hidden", 4, "--inter", 6, "--topk", 2, "-q"]
+
+    def test_cli_child_exits_with_a_frozen_heap(self, tmp_path):
+        """Run as __main__, the CLI freezes its start-up heap, so the
+        interpreter's exit collections skip it; the child still runs its
+        atexit hooks and exits 0."""
+        child = ("import atexit, gc, runpy; atexit.register(lambda: print(gc.get_freeze_count())); "
+                 "runpy.run_module('conmoe.cli', run_name='__main__')")
+        done = run_python_subprocess(["-c", child, *self.GEN, "-o", tmp_path / "m.mckpt"], blas_threads=1)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) > 0
+        assert read_checkpoint(tmp_path / "m.mckpt").spec.num_experts == 4
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self, tmp_path):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert run(*self.GEN, "-o", tmp_path / "m.mckpt") == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestReadmeShapeRegressions:
