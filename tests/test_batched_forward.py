@@ -136,7 +136,6 @@ def test_slot_groups_match_scan_grouping_bit_for_bit(case):
         assert got == []
 
 
-
 @pytest.mark.parametrize("num_experts, key", [(16, np.uint8), (300, np.uint16)], ids=["uint8", "uint16"])
 def test_slot_groups_are_each_slots_stable_topk_rows(num_experts, key):
     """On each side of the uint8 slot key, every slot's group is the
