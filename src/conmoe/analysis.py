@@ -95,7 +95,7 @@ def cross_layer_nn(model: MoEModel, scope_size: int) -> NNReport:
     n = model.spec.num_experts
     counts = np.zeros((num_layers, num_layers), dtype=np.int64)
     for layers in scope_partition(num_layers, scope_size):
-        table = distance_matrix(model, [(l, i) for l in layers for i in range(n)])
+        table = distance_matrix(model, model.slots(layers))
         cols, _ = nearest(table)
         layer = np.array([l for l, _ in table.scope])
         np.add.at(counts, (layer, layer[cols]), 1)

@@ -187,6 +187,10 @@ def _run(args) -> None:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process's own command line (the console script, python -m conmoe.cli):
+        # its start-up heap lives until exit, and frozen, exit's collections skip it
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -207,6 +211,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # the start-up heap lives until exit; frozen, exit's collections skip it
-    gc.freeze()
     sys.exit(main())

@@ -85,12 +85,10 @@ class MoEModel:
         up and down. The one place that maps a slot to its stored row."""
         return self.layers[ref[0]].block[ref[1]]
 
-    def slots(self) -> list[Ref]:
-        return [
-            (l, i)
-            for l in range(self.spec.num_layers)
-            for i in range(self.spec.num_experts)
-        ]
+    def slots(self, layers: Sequence[int] | None = None) -> list[Ref]:
+        """The slots of the given layers (None: every layer), ascending."""
+        layers = range(self.spec.num_layers) if layers is None else layers
+        return [(l, i) for l in layers for i in range(self.spec.num_experts)]
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -104,18 +102,15 @@ def _token_batch(h: np.ndarray, hidden_dim: int) -> np.ndarray:
     """A (hidden,) token or a (count, hidden) batch, as a float32 batch."""
     x = np.asarray(h, dtype=np.float32)
     if x.ndim not in (1, 2) or x.shape[-1] != hidden_dim:
-        raise ValueError("hidden vector dimension mismatch")
+        raise ValueError("token dimension mismatch")
     return x.reshape(-1, hidden_dim)
 
 
 def token_rows(tokens: np.ndarray, hidden_dim: int) -> np.ndarray:
     """A non-empty (count, hidden) batch of calibration or eval tokens, as float32."""
-    tokens = np.asarray(tokens, dtype=np.float32)
-    if tokens.ndim != 2 or tokens.shape[0] == 0:
+    if np.ndim(tokens) != 2 or len(tokens) == 0:
         raise ValueError("tokens must be a non-empty (count, hidden) array")
-    if tokens.shape[1] != hidden_dim:
-        raise ValueError("token dimension mismatch")
-    return tokens
+    return _token_batch(tokens, hidden_dim)
 
 
 def finite(value, what: str, layer: int):
@@ -144,7 +139,7 @@ def slot_groups(model: MoEModel, layer_idx: int, x: np.ndarray, plan=None):
     """
     if plan is not None:
         plan.check_covers(model)
-    slots = [(layer_idx, i) for i in range(model.spec.num_experts)]
+    slots = model.slots([layer_idx])
     protos = slots if plan is None else [plan.assignment[s] for s in slots]
     dropped = np.array([plan is not None and s in plan.drop_mask for s in slots])
     layer = model.layers[layer_idx]

@@ -58,7 +58,9 @@ def policy_keys(policy: str, stats: CalibStats, refs: list[Ref], table: Distance
         return nearest(table)[1]
     if policy == "fixed_k":
         return layer_places(score(stats, table), refs)
-    return score(stats, table)
+    if policy == "adaptive":
+        return score(stats, table)
+    raise ValueError(f"unknown policy: {policy!r}")
 
 
 def layer_places(keys, refs: list[Ref]) -> np.ndarray:
@@ -102,7 +104,7 @@ def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> Cons
     stats.check_covers(model)
     assignment: dict[Ref, Ref] = {}
     for layers in scope_partition(model.spec.num_layers, config.scope_size):
-        slots = [(l, i) for l in layers for i in range(model.spec.num_experts)]
+        slots = model.slots(layers)
         k = budget(config.rho, len(slots))
         if k == len(slots):
             assignment.update(zip(slots, slots))

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import struct
 import time
 import tracemalloc
@@ -309,6 +310,20 @@ class TestStartupHeapFreeze:
         child = ("import atexit, gc, runpy; atexit.register(lambda: print(gc.get_freeze_count())); "
                  "runpy.run_module('conmoe.cli', run_name='__main__')")
         done = run_python_subprocess(["-c", child, *self.GEN, "-o", tmp_path / "m.mckpt"], blas_threads=1)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) > 0
+        assert read_checkpoint(tmp_path / "m.mckpt").spec.num_experts == 4
+
+    def test_console_script_exits_with_a_frozen_heap(self, tmp_path):
+        """The installed `conmoe` script, called as a console-script wrapper
+        calls it, takes the same path as python -m conmoe.cli and freezes too."""
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, function = re.search(r'^conmoe\s*=\s*"([\w.]+):(\w+)"', pyproject, re.M).groups()
+        argv = ["conmoe", *map(str, self.GEN), "-o", str(tmp_path / "m.mckpt")]
+        child = (f"import atexit, gc, sys; from {module} import {function}; "
+                 "atexit.register(lambda: print(gc.get_freeze_count())); "
+                 f"sys.argv = {argv!r}; sys.exit({function}())")
+        done = run_python_subprocess(["-c", child], blas_threads=1)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout.split()[-1]) > 0
         assert read_checkpoint(tmp_path / "m.mckpt").spec.num_experts == 4

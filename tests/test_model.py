@@ -253,6 +253,20 @@ class TestBatchedRouting:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 model_forward(small_model, np.ones(shape))
 
+    @pytest.mark.parametrize("entry", [
+        lambda model, h: moe_forward(model, 0, np.ones(h + 1)),
+        lambda model, h: moe_forward(model, 0, np.ones((2, h + 1))),
+        lambda model, h: model_forward(model, np.ones((2, h + 1))),
+        lambda model, h: run_calibration(model, np.ones((2, h + 1))),
+        lambda model, h: evaluate_fidelity(
+            model, identity_plan(model.spec.num_layers, model.spec.num_experts), np.ones((2, h + 1))),
+    ], ids=["moe_forward_token", "moe_forward_batch", "model_forward", "run_calibration",
+            "evaluate_fidelity"])
+    def test_one_width_message(self, small_model, entry):
+        """Every entry point refuses a token of the wrong width with one message."""
+        with pytest.raises(ValueError, match="^token dimension mismatch$"):
+            entry(small_model, small_model.spec.hidden_dim)
+
 
     def test_routing_sort_is_released(self):
         """One layer on a 10,000-token float32 batch of the README shape

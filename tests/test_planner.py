@@ -174,6 +174,15 @@ class TestSelectPrototypes:
         with pytest.raises(ValueError):
             select_prototypes([1.0, 0.5], refs_of(2), 3)
 
+    @pytest.mark.parametrize("policy", ["prune_frequency", "identity", "no_such_policy"])
+    def test_unknown_policy_has_no_keys(self, small_stats, small_model, policy):
+        """Only a selection policy ranks; any other name is refused, not
+        ranked by adaptive's score."""
+        refs = refs_of(small_model.spec.num_experts)
+        table = distance_matrix(small_model, refs)
+        with pytest.raises(ValueError, match=f"^unknown policy: {policy!r}$"):
+            planner.policy_keys(policy, small_stats, refs, table)
+
 
 class TestAssign:
     def test_nearest(self):
