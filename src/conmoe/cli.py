@@ -2,6 +2,8 @@
 fuse, materialize, evaluate, analyze, sweep.
 
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error.
+A command that succeeds prints one stdout line, `<command>: wrote <-o>`;
+one that fails prints `error: ...` (exit 1) or `i/o error: ...` (exit 2) to stderr.
 Plans, stats and reports record the --seed that produced them; a derived
 checkpoint nests its source checkpoint's metadata whole, as model.derive
 writes it. Reruns with identical inputs write byte-identical outputs.
@@ -33,22 +35,20 @@ OPTIONS = {
 }
 
 
-def _options(*names) -> list[argparse.ArgumentParser]:
-    """Parent parser: --seed, --output/-o, --quiet/-q, and the named OPTIONS."""
-    p = argparse.ArgumentParser(add_help=False)
+def _options(p: argparse.ArgumentParser, *names) -> argparse.ArgumentParser:
+    """Add --seed, --output/-o and the named OPTIONS to the subparser p."""
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--quiet", "-q", action="store_true")
     for name in names:
         p.add_argument(name, **OPTIONS[name])
-    return [p]
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="conmoe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=_options(), help="generate a synthetic checkpoint")
+    p = _options(sub.add_parser("gen", help="generate a synthetic checkpoint"))
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--experts", type=int, required=True)
     p.add_argument("--hidden", type=int, required=True)
@@ -57,38 +57,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dup", choices=["none", "within", "cross", "both"], default="none")
     p.add_argument("--dup-noise", type=float, default=0.0)
 
-    sub.add_parser("calibrate", parents=_options("--model", "--tokens"),
-                   help="collect routing statistics")
+    _options(sub.add_parser("calibrate", help="collect routing statistics"), "--model", "--tokens")
 
-    p = sub.add_parser("consolidate", parents=_options("--model", "--stats", "--rho"),
-                       help="build a prototype remapping plan")
+    p = _options(sub.add_parser("consolidate", help="build a prototype remapping plan"),
+                 "--model", "--stats", "--rho")
     p.add_argument("--scope", type=int, default=1)
     p.add_argument("--policy", choices=list(SELECTION_POLICIES), default="adaptive")
 
-    p = sub.add_parser("prune", parents=_options("--model", "--stats", "--rho"),
-                       help="pruning baselines")
+    p = _options(sub.add_parser("prune", help="pruning baselines"), "--model", "--stats", "--rho")
     p.add_argument("--method", choices=["frequency", "reap"], required=True)
 
-    p = sub.add_parser("merge", parents=_options("--model", "--stats", "--rho"),
-                       help="usage-weighted merging baseline")
+    p = _options(sub.add_parser("merge", help="usage-weighted merging baseline"),
+                 "--model", "--stats", "--rho")
     p.add_argument("--fused-model", required=True)
 
     about = "post-hoc weighted-average fusion of a remapping plan (uniform weights without --stats)"
-    p = sub.add_parser("fuse", parents=_options("--model", "--plan"), help=about, description=about)
+    p = _options(sub.add_parser("fuse", help=about, description=about), "--model", "--plan")
     p.add_argument("--stats")
-    sub.add_parser("materialize", parents=_options("--model", "--plan"),
-                   help="expand a remapping plan into a checkpoint (a pruning plan is refused)")
-    sub.add_parser("eval", parents=_options("--model", "--plan", "--tokens"),
-                   help="fidelity report for a plan")
+    about = "expand a remapping plan into a checkpoint (a pruning plan is refused)"
+    _options(sub.add_parser("materialize", help=about), "--model", "--plan")
+    _options(sub.add_parser("eval", help="fidelity report for a plan"), "--model", "--plan", "--tokens")
 
     p = sub.add_parser("analyze", help="model analyses")
     asub = p.add_subparsers(dest="analysis", required=True)
     about = "cross-layer nearest-neighbor study; -o is an output path prefix"
-    pn = asub.add_parser("nn", parents=_options("--model"), help=about, description=about)
+    pn = _options(asub.add_parser("nn", help=about, description=about), "--model")
     pn.add_argument("--scope", type=int, required=True)
 
-    p = sub.add_parser("sweep", parents=_options("--model", "--stats", "--rho", "--tokens"),
-                       help="fidelity across scope sizes at fixed rho")
+    p = _options(sub.add_parser("sweep", help="fidelity across scope sizes at fixed rho"),
+                 "--model", "--stats", "--rho", "--tokens")
     p.add_argument("--scopes", required=True, help="comma-separated scope sizes")
 
     return parser
@@ -182,8 +179,7 @@ def _run(args) -> None:
             },
         )
 
-    if not args.quiet:
-        print(f"{args.command}: wrote {args.output}")
+    print(f"{args.command}: wrote {args.output}")
 
 
 def main(argv=None) -> int:

@@ -69,14 +69,13 @@ def test_criterion_1_identity_pipeline(tmp_path):
     plan_path = tmp_path / "plan.json"
     report_path = tmp_path / "report.json"
     assert main(["gen", "--layers", "8", "--experts", "16", "--hidden", "32",
-                 "--inter", "48", "--topk", "2", "--seed", "42", "-q",
-                 "-o", str(model_path)]) == 0
+                 "--inter", "48", "--topk", "2", "--seed", "42", "-o", str(model_path)]) == 0
     assert main(["calibrate", "--model", str(model_path), "--tokens", "256",
-                 "--seed", "42", "-q", "-o", str(stats_path)]) == 0
+                 "--seed", "42", "-o", str(stats_path)]) == 0
     assert main(["consolidate", "--model", str(model_path), "--stats", str(stats_path),
-                 "--rho", "0", "-q", "-o", str(plan_path)]) == 0
+                 "--rho", "0", "-o", str(plan_path)]) == 0
     assert main(["eval", "--model", str(model_path), "--plan", str(plan_path),
-                 "--tokens", "256", "--seed", "42", "-q", "-o", str(report_path)]) == 0
+                 "--tokens", "256", "--seed", "42", "-o", str(report_path)]) == 0
     elapsed = time.monotonic() - start
 
     plan_doc = json.loads(plan_path.read_text())
@@ -306,7 +305,7 @@ def test_criterion_11_determinism(tmp_path):
             ["eval", "--model", model_path, "--plan", plan_path, "--tokens", "16",
              "--seed", "42", "-o", report_path],
         ]
-        return [argv + ["-q"] for argv in argvs], paths
+        return argvs, paths
 
     def run_in_process(tag):
         argvs, paths = pipeline(tag)

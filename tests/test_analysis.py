@@ -21,6 +21,7 @@ from conmoe import (
     scope_sweep,
 )
 from conmoe.analysis import dump_nn_csvs
+from conmoe.model import MoELayer, MoEModel
 from conmoe.store import canonical_json
 import oracle
 from oracle import identity_plan
@@ -68,6 +69,22 @@ class TestEvaluateFidelity:
         plan = identity_plan(small_model.spec.num_layers, small_model.spec.num_experts)
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_fidelity(small_model, plan, np.ones(shape(small_model.spec.hidden_dim)))
+
+
+    def test_non_finite_end_to_end_error_refused(self):
+        """Hidden size 1, top-1: the reference routes each token by the sign
+        of its state to slot 0 or 1, each adding about -2.5e18 per layer; the
+        plan sends both slots to the zero slot 2, so its state stays 1.0.
+        Every layer's error is then 1.0, but after 8 layers the reference's
+        square passes float32's range and only the final-state error overflows."""
+        block = np.array([[[10.0], [1.0], [-2.5e17]], [[-10.0], [-1.0], [-2.5e17]], [[0.0]] * 3],
+                         dtype=np.float32)
+        router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
+        model = MoEModel(ModelSpec(8, 3, 1, 1, 1), [MoELayer(block, router) for _ in range(8)])
+        plan = ConsolidationPlan(rho=0.5, scope_size=1, policy="adaptive",
+                                 assignment={(l, i): (l, 2) for l in range(8) for i in range(3)})
+        with pytest.raises(ValueError, match="non-finite end-to-end error"):
+            evaluate_fidelity(model, plan, np.ones((1, 1)))
 
 
 class TestReductionAccounting:

@@ -42,11 +42,11 @@ def valid(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     paths = {"model": d / "model.mckpt", "stats": d / "stats.json", "plan": d / "plan.json"}
     assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 4, "--inter", 4, "--topk", 2,
-               "--dup", "within", "-o", paths["model"], "-q") == 0
+               "--dup", "within", "-o", paths["model"]) == 0
     assert run("calibrate", "--model", paths["model"], "--tokens", 8,
-               "-o", paths["stats"], "-q") == 0
+               "-o", paths["stats"]) == 0
     assert run("consolidate", "--model", paths["model"], "--stats", paths["stats"],
-               "--rho", "0.5", "-o", paths["plan"], "-q") == 0
+               "--rho", "0.5", "-o", paths["plan"]) == 0
     return d, {name: path.read_bytes() for name, path in paths.items()}
 
 
@@ -91,4 +91,4 @@ def test_mutated_artifact_never_escapes(valid, artifact, data):
     fields["out"] = d / "out"
     for name in CONSUMERS[artifact]:
         argv = [token.format(**fields) for token in COMMANDS[name].split()]
-        assert run(*argv, "-o", fields["out"], "-q") in (0, 1, 2), argv
+        assert run(*argv, "-o", fields["out"]) in (0, 1, 2), argv

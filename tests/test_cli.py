@@ -61,7 +61,7 @@ def lineage(metadata):
 def model_path(tmp_path):
     path = tmp_path / "model.mckpt"
     assert run("gen", "--layers", 4, "--experts", 8, "--hidden", 16, "--inter", 24,
-               "--topk", 2, "--seed", 7, "-o", path, "-q") == 0
+               "--topk", 2, "--seed", 7, "-o", path) == 0
     return path
 
 
@@ -69,7 +69,7 @@ def model_path(tmp_path):
 def stats_path(tmp_path, model_path):
     path = tmp_path / "stats.json"
     assert run("calibrate", "--model", model_path, "--tokens", 16, "--seed", 3,
-               "-o", path, "-q") == 0
+               "-o", path) == 0
     return path
 
 
@@ -82,7 +82,7 @@ class TestGen:
     def test_idempotent(self, tmp_path):
         a, b = tmp_path / "a.mckpt", tmp_path / "b.mckpt"
         args = ["gen", "--layers", 2, "--experts", 4, "--hidden", 8, "--inter", 12,
-                "--topk", 2, "--seed", 5, "-q", "-o"]
+                "--topk", 2, "--seed", 5, "-o"]
         assert run(*args, a) == 0
         assert run(*args, b) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -90,7 +90,7 @@ class TestGen:
     def test_dup_metadata(self, tmp_path):
         path = tmp_path / "dup.mckpt"
         assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 8, "--inter", 12,
-                   "--topk", 2, "--dup", "within", "-o", path, "-q") == 0
+                   "--topk", 2, "--dup", "within", "-o", path) == 0
         model = read_checkpoint(path)
         assert model.metadata["planted_duplicates"]
 
@@ -115,9 +115,9 @@ class TestPipeline:
         plan_path = tmp_path / "plan.json"
         report_path = tmp_path / "report.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0", "-o", plan_path, "-q") == 0
+                   "--rho", "0", "-o", plan_path) == 0
         assert run("eval", "--model", model_path, "--plan", plan_path,
-                   "--tokens", 8, "--seed", 3, "-o", report_path, "-q") == 0
+                   "--tokens", 8, "--seed", 3, "-o", report_path) == 0
         report = json.loads(report_path.read_text())
         assert report["end_to_end_error"] == 0.0
         assert all(e == 0.0 for e in report["per_layer_error"])
@@ -125,54 +125,54 @@ class TestPipeline:
     def test_duplicate_model_golden_run(self, tmp_path):
         model_path = tmp_path / "dup.mckpt"
         assert run("gen", "--layers", 4, "--experts", 8, "--hidden", 16, "--inter", 24,
-                   "--topk", 2, "--dup", "within", "--seed", 11, "-o", model_path, "-q") == 0
+                   "--topk", 2, "--dup", "within", "--seed", 11, "-o", model_path) == 0
         stats_path = tmp_path / "stats.json"
         assert run("calibrate", "--model", model_path, "--tokens", 32, "--seed", 2,
-                   "-o", stats_path, "-q") == 0
+                   "-o", stats_path) == 0
         plan_path = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "--scope", 1, "-o", plan_path, "-q") == 0
+                   "--rho", "0.5", "--scope", 1, "-o", plan_path) == 0
         report_path = tmp_path / "report.json"
         assert run("eval", "--model", model_path, "--plan", plan_path,
-                   "--tokens", 16, "--seed", 5, "-o", report_path, "-q") == 0
+                   "--tokens", 16, "--seed", 5, "-o", report_path) == 0
         assert json.loads(report_path.read_text())["end_to_end_error"] == 0.0
 
     def test_prune_merge_fuse_materialize(self, model_path, stats_path, tmp_path):
         prune_path = tmp_path / "prune.json"
         assert run("prune", "--model", model_path, "--stats", stats_path,
-                   "--method", "frequency", "--rho", "0.5", "-o", prune_path, "-q") == 0
+                   "--method", "frequency", "--rho", "0.5", "-o", prune_path) == 0
         assert read_plan(prune_path).drop_mask
 
         merge_plan = tmp_path / "merge.json"
         fused_path = tmp_path / "fused.mckpt"
         assert run("merge", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
-                   "-o", merge_plan, "--fused-model", fused_path, "-q") == 0
+                   "-o", merge_plan, "--fused-model", fused_path) == 0
         assert read_checkpoint(fused_path).metadata["fusion"] == "msmoe_usage_weighted"
 
         plan_path = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan_path, "-q") == 0
+                   "--rho", "0.5", "-o", plan_path) == 0
         fuse_out = tmp_path / "wavg.mckpt"
         assert run("fuse", "--model", model_path, "--plan", plan_path, "--stats", stats_path,
-                   "-o", fuse_out, "-q") == 0
+                   "-o", fuse_out) == 0
         assert read_checkpoint(fuse_out).metadata["fusion"] == "weighted_average"
 
         mat_path = tmp_path / "eval.mckpt"
         assert run("materialize", "--model", model_path, "--plan", plan_path,
-                   "-o", mat_path, "-q") == 0
+                   "-o", mat_path) == 0
         assert read_checkpoint(mat_path).spec == read_checkpoint(model_path).spec
 
     def test_fusing_a_fused_checkpoint_keeps_its_lineage(self, model_path, stats_path, tmp_path):
         merged = tmp_path / "merged.mckpt"
         assert run("merge", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
-                   "-o", tmp_path / "merge.json", "--fused-model", merged, "-q") == 0
+                   "-o", tmp_path / "merge.json", "--fused-model", merged) == 0
         plan_path = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan_path, "-q") == 0
+                   "--rho", "0.5", "-o", plan_path) == 0
         twice, thrice = tmp_path / "twice.mckpt", tmp_path / "thrice.mckpt"
-        assert run("fuse", "--model", merged, "--plan", plan_path, "-o", twice, "-q") == 0
+        assert run("fuse", "--model", merged, "--plan", plan_path, "-o", twice) == 0
         assert run("fuse", "--model", twice, "--plan", plan_path, "--stats", stats_path,
-                   "-o", thrice, "-q") == 0
+                   "-o", thrice) == 0
         third, second, first, source = lineage(read_checkpoint(thrice).metadata)
         assert [read_checkpoint(p).metadata for p in (merged, twice)] == [first, second]
         for level in (first, second, third):
@@ -186,12 +186,12 @@ class TestPipeline:
         reap, plan = tmp_path / "reap.json", tmp_path / "plan.json"
         once, twice, thrice = (tmp_path / f"{n}.mckpt" for n in ("once", "twice", "thrice"))
         assert run("consolidate", "--model", model_path, "--stats", stats_path, "--policy", "reap_topk",
-                   "--rho", "0.5", "-o", reap, "-q") == 0
-        assert run("materialize", "--model", model_path, "--plan", reap, "-o", once, "-q") == 0
+                   "--rho", "0.5", "-o", reap) == 0
+        assert run("materialize", "--model", model_path, "--plan", reap, "-o", once) == 0
         assert run("consolidate", "--model", once, "--stats", stats_path, "--rho", "0.75",
-                   "-o", plan, "-q") == 0
-        assert run("materialize", "--model", once, "--plan", plan, "-o", twice, "-q") == 0
-        assert run("materialize", "--model", twice, "--plan", reap, "-o", thrice, "-q") == 0
+                   "-o", plan) == 0
+        assert run("materialize", "--model", once, "--plan", plan, "-o", twice) == 0
+        assert run("materialize", "--model", twice, "--plan", reap, "-o", thrice) == 0
         third, second, first, source = lineage(read_checkpoint(thrice).metadata)
         assert [read_checkpoint(p).metadata for p in (once, twice)] == [first, second]
         for level in (first, second, third):
@@ -203,7 +203,7 @@ class TestPipeline:
     def test_consolidate_plan_metadata(self, model_path, stats_path, tmp_path):
         plan = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         doc = json.loads(plan.read_text())
         assert sorted(doc) == ["assignment", "drop_mask", "metadata", "policy", "rho", "scope_size", "version"]
         assert doc["metadata"] == {"seed": 42}
@@ -211,19 +211,19 @@ class TestPipeline:
     def test_merge_outputs_must_differ(self, model_path, stats_path, tmp_path, capsys):
         out = tmp_path / "merged"
         assert run("merge", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
-                   "-o", out, "--fused-model", f"{tmp_path}/./merged", "-q") == 1
+                   "-o", out, "--fused-model", f"{tmp_path}/./merged") == 1
         assert "error: -o and --fused-model name the same file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_and_sweep(self, model_path, stats_path, tmp_path):
         prefix = str(tmp_path / "out_")
-        assert run("analyze", "nn", "--model", model_path, "--scope", 2, "-o", prefix, "-q") == 0
+        assert run("analyze", "nn", "--model", model_path, "--scope", 2, "-o", prefix) == 0
         assert (tmp_path / "out_nn_heatmap.csv").exists()
         assert (tmp_path / "out_nn_fractions.csv").exists()
 
         sweep_path = tmp_path / "sweep.json"
         assert run("sweep", "--model", model_path, "--stats", stats_path, "--rho", "0.25",
-                   "--scopes", "1,2,4", "--tokens", 8, "-o", sweep_path, "-q") == 0
+                   "--scopes", "1,2,4", "--tokens", 8, "-o", sweep_path) == 0
         doc = json.loads(sweep_path.read_text())
         assert [r["scope_size"] for r in doc["reports"]] == [1, 2, 4]
 
@@ -247,10 +247,10 @@ class TestTokenStreams:
                              (analysis, "scope_sweep")):
             monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         stats, plan = tmp_path / "s.json", tmp_path / "p.json"
-        common = ("--model", model_path, "--tokens", count, "--seed", seed, "-q")
+        common = ("--model", model_path, "--tokens", count, "--seed", seed)
         assert run("calibrate", *common, "-o", stats) == 0
         assert run("consolidate", "--model", model_path, "--stats", stats, "--rho", "0.5",
-                   "-o", plan, "-q") == 0
+                   "-o", plan) == 0
         assert run("eval", *common, "--plan", plan, "-o", tmp_path / "r.json") == 0
         assert run("sweep", *common, "--stats", stats, "--rho", "0.5", "--scopes", "1,2",
                    "-o", tmp_path / "sweep.json") == 0
@@ -267,9 +267,9 @@ class TestDeterminism:
             stats = tmp_path / f"s{threads}.json"
             plan = tmp_path / f"s{threads}.plan.json"
             for argv in (
-                ["calibrate", "--model", model_path, "--tokens", 16, "--seed", 3, "-o", stats, "-q"],
+                ["calibrate", "--model", model_path, "--tokens", 16, "--seed", 3, "-o", stats],
                 ["consolidate", "--model", model_path, "--stats", stats, "--rho", "0.5",
-                 "-o", plan, "-q"],
+                 "-o", plan],
             ):
                 done = run_cli_subprocess(argv, threads)
                 assert done.returncode == 0, done.stderr
@@ -282,15 +282,15 @@ class TestDeterminism:
         with the thread count."""
         model, stats = tmp_path / "pool.mckpt", tmp_path / "pool.json"
         assert run("gen", "--layers", 4, "--experts", 64, "--hidden", 16, "--inter", 24,
-                   "--topk", 2, "--dup", "within", "--seed", 11, "-o", model, "-q") == 0
-        assert run("calibrate", "--model", model, "--tokens", 32, "-o", stats, "-q") == 0
+                   "--topk", 2, "--dup", "within", "--seed", 11, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 32, "-o", stats) == 0
         outs = []
         for threads in (1, 2):
             prefix, plan = f"{tmp_path}/t{threads}_", tmp_path / f"t{threads}.plan.json"
             for argv in (
-                ["analyze", "nn", "--model", model, "--scope", 4, "-o", prefix, "-q"],
+                ["analyze", "nn", "--model", model, "--scope", 4, "-o", prefix],
                 ["consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
-                 "--scope", 4, "-o", plan, "-q"],
+                 "--scope", 4, "-o", plan],
             ):
                 done = run_cli_subprocess(argv, threads)
                 assert done.returncode == 0, done.stderr
@@ -301,7 +301,7 @@ class TestDeterminism:
 
 
 class TestStartupHeapFreeze:
-    GEN = ["gen", "--layers", 1, "--experts", 4, "--hidden", 4, "--inter", 6, "--topk", 2, "-q"]
+    GEN = ["gen", "--layers", 1, "--experts", 4, "--hidden", 4, "--inter", 6, "--topk", 2]
 
     def test_cli_child_exits_with_a_frozen_heap(self, tmp_path):
         """Run as __main__, the CLI freezes its start-up heap, so the
@@ -342,8 +342,8 @@ class TestReadmeShapeRegressions:
         model = tmp_path / "model.mckpt"
         stats = tmp_path / "stats.json"
         assert run("gen", "--layers", 8, "--experts", 16, "--hidden", 32, "--inter", 48,
-                   "--topk", 2, *extra, "-o", model, "-q") == 0
-        assert run("calibrate", "--model", model, "--tokens", 256, "-o", stats, "-q") == 0
+                   "--topk", 2, *extra, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 256, "-o", stats) == 0
         return model, stats
 
     def test_eval_of_pruning_plan(self, tmp_path):
@@ -352,9 +352,9 @@ class TestReadmeShapeRegressions:
         model, stats = self.readme_model(tmp_path)
         plan, report = tmp_path / "prune.json", tmp_path / "report.json"
         assert run("prune", "--model", model, "--stats", stats, "--method", "frequency",
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         assert run("eval", "--model", model, "--plan", plan, "--tokens", 256,
-                   "-o", report, "-q") == 0
+                   "-o", report) == 0
         doc = json.loads(report.read_text())
         assert doc["end_to_end_error"] >= 0.0
 
@@ -363,8 +363,8 @@ class TestReadmeShapeRegressions:
         """Every value of the eval report of the model's rho-0.5 scope-1 plan."""
         plan, report = tmp_path / "plan.json", tmp_path / "report.json"
         assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
-                   "-o", plan, "-q") == 0
-        assert run("eval", "--model", model, "--plan", plan, "--tokens", 256, "-o", report, "-q") == 0
+                   "-o", plan) == 0
+        assert run("eval", "--model", model, "--plan", plan, "--tokens", 256, "-o", report) == 0
         doc = json.loads(report.read_text())
         return [doc["end_to_end_error"], *doc["per_layer_error"]]
 
@@ -395,7 +395,7 @@ class TestReadmeShapeRegressions:
         for rho, scope in (("0.5", 2), ("0.25", 1)):
             path = tmp_path / f"plan-{rho}-{scope}.json"
             assert run("consolidate", "--model", model, "--stats", stats, "--rho", rho,
-                       "--scope", scope, "-o", path, "-q") == 0
+                       "--scope", scope, "-o", path) == 0
             plan = read_plan(path)
             for p in plan.distinct_prototypes():
                 assert plan.assignment[p] == p
@@ -406,16 +406,16 @@ class TestReadmeShapeRegressions:
         model_path, stats_path = self.readme_model(tmp_path)
         reap, plan = tmp_path / "reap.json", tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path, "--policy", "reap_topk",
-                   "--rho", "0.5", "-o", reap, "-q") == 0
+                   "--rho", "0.5", "-o", reap) == 0
         assert run("consolidate", "--model", model_path, "--stats", stats_path, "--rho", "0.5",
-                   "--scope", 2, "-o", plan, "-q") == 0
+                   "--scope", 2, "-o", plan) == 0
         steps = {"materialize": ("--plan", reap), "fuse": ("--plan", plan, "--stats", stats_path)}
         headers = []
         for order in (("materialize", "fuse"), ("fuse", "materialize")):
             source = model_path
             for step in order:
                 out = tmp_path / f"{source.stem}-{step}.mckpt"
-                assert run(step, "--model", source, *steps[step], "-o", out, "-q") == 0
+                assert run(step, "--model", source, *steps[step], "-o", out) == 0
                 source = out
             headers.append(out.read_bytes().split(b"\n", 1)[0])
         assert headers[0] != headers[1]
@@ -429,16 +429,31 @@ class TestPaperShapes:
         report's values are finite and below 2."""
         model, stats, plan, report = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json", "r.json"))
         assert run("gen", "--layers", 16, "--experts", 64, "--hidden", 32, "--inter", 64,
-                   "--topk", 8, "-o", model, "-q") == 0
+                   "--topk", 8, "-o", model) == 0
         for argv in (["calibrate", "--model", model, "--tokens", 256, "-o", stats],
                      ["consolidate", "--model", model, "--stats", stats, "--rho", "0.5", "-o", plan],
                      ["eval", "--model", model, "--plan", plan, "--tokens", 256, "-o", report]):
-            done = run_cli_subprocess([*argv, "-q"], blas_threads=1)
+            done = run_cli_subprocess(argv, blas_threads=1)
             assert done.returncode == 0, done.stderr
             assert "RuntimeWarning" not in done.stderr
         doc = json.loads(report.read_text())
         values = [doc["end_to_end_error"], *doc["per_layer_error"]]
         assert all(0.0 <= v < 2.0 for v in values), values
+
+
+# each subcommand with its required options, -o aside; only argparse reads them
+REQUIRED = {
+    "gen": ("gen", "--layers", 1, "--experts", 2, "--hidden", 2, "--inter", 2, "--topk", 1),
+    "calibrate": ("calibrate", "--model", "m", "--tokens", 4),
+    "consolidate": ("consolidate", "--model", "m", "--stats", "s", "--rho", "0.5"),
+    "prune": ("prune", "--model", "m", "--stats", "s", "--method", "reap", "--rho", "0.5"),
+    "merge": ("merge", "--model", "m", "--stats", "s", "--rho", "0.5", "--fused-model", "f"),
+    "fuse": ("fuse", "--model", "m", "--plan", "p"),
+    "materialize": ("materialize", "--model", "m", "--plan", "p"),
+    "eval": ("eval", "--model", "m", "--plan", "p", "--tokens", 4),
+    "analyze": ("analyze", "nn", "--model", "m", "--scope", 1),
+    "sweep": ("sweep", "--model", "m", "--stats", "s", "--rho", "0.5", "--tokens", 4, "--scopes", "1"),
+}
 
 
 class TestArtifactBoundary:
@@ -453,10 +468,10 @@ class TestArtifactBoundary:
     def test_plan_from_another_model_shape(self, model_path, stats_path, tmp_path, capsys):
         plan = tmp_path / "plan8.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         small = tmp_path / "model4.mckpt"
         assert run("gen", "--layers", 4, "--experts", 4, "--hidden", 16, "--inter", 24,
-                   "--topk", 2, "-o", small, "-q") == 0
+                   "--topk", 2, "-o", small) == 0
         for argv in (("eval", "--tokens", 4), ("materialize",), ("fuse",)):
             self.assert_rejected(capsys, *argv, "--model", small, "--plan", plan,
                                  "-o", tmp_path / "out", message="plan does not cover this model")
@@ -527,7 +542,7 @@ class TestArtifactBoundary:
                              artifact, mutate, message):
         plan = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         paths = {"checkpoint": model_path, "plan": plan, "stats": stats_path}
         raw = paths[artifact].read_bytes()
         nl = raw.find(b"\n") if artifact == "checkpoint" else len(raw)
@@ -568,10 +583,10 @@ class TestArtifactBoundary:
         scope_size, so only the layer-count bound tells the label is wrong."""
         model, stats, plan = (tmp_path / name for name in ("m.mckpt", "s.json", "p.json"))
         assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 8, "--inter", 12,
-                   "--topk", 2, "-o", model, "-q") == 0
-        assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats, "-q") == 0
+                   "--topk", 2, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats) == 0
         assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
-                   "--scope", 2, "-o", plan, "-q") == 0
+                   "--scope", 2, "-o", plan) == 0
         doc = json.loads(plan.read_text())
         doc["scope_size"] = 99
         plan.write_text(json.dumps(doc))
@@ -598,7 +613,7 @@ class TestArtifactBoundary:
     def test_deeply_nested_json(self, model_path, stats_path, tmp_path, capsys, artifact, name):
         plan = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         # json.dumps cannot write a document this deep, so it is built as bytes
         deep = b"[" * 100_000 + b"]" * 100_000
         if artifact == "checkpoint":
@@ -621,8 +636,8 @@ class TestArtifactBoundary:
     def test_which_error_wins_with_other_grid_stats(self, model_path, tmp_path, capsys, argv, message):
         small, stats = tmp_path / "model4.mckpt", tmp_path / "stats4.json"
         assert run("gen", "--layers", 4, "--experts", 4, "--hidden", 16, "--inter", 24,
-                   "--topk", 2, "-o", small, "-q") == 0
-        assert run("calibrate", "--model", small, "--tokens", 8, "-o", stats, "-q") == 0
+                   "--topk", 2, "-o", small) == 0
+        assert run("calibrate", "--model", small, "--tokens", 8, "-o", stats) == 0
         self.assert_rejected(capsys, *argv, "--model", model_path, "--stats", stats,
                              "-o", tmp_path / "out", message=message)
         assert not (tmp_path / "out").exists()
@@ -635,10 +650,10 @@ class TestArtifactBoundary:
         float32's 3.4e38."""
         model, stats, plan = (tmp_path / n for n in ("m.mckpt", "s.json", "p.json"))
         assert run("gen", "--layers", 1, "--experts", 16, "--hidden", 32, "--inter", 48,
-                   "--topk", 2, "-o", model, "-q") == 0
-        assert run("calibrate", "--model", model, "--tokens", 64, "-o", stats, "-q") == 0
+                   "--topk", 2, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 64, "-o", stats) == 0
         assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
-                   "-o", plan, "-q") == 0
+                   "-o", plan) == 0
         huge = read_checkpoint(model)
         huge.layers[0].block[:, projections] *= 1e20  # the mapping is copy-on-write
         if router_row is not None:
@@ -654,7 +669,7 @@ class TestArtifactBoundary:
         model, plan = self.scaled_model(tmp_path, 2)
         report = tmp_path / "r.json"
         done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
-                                   "-o", report, "-q"], blas_threads=1)
+                                   "-o", report], blas_threads=1)
         assert (done.returncode, done.stderr) == (1, "error: non-finite error norm at layer 0\n")
         assert not report.exists()
 
@@ -665,7 +680,7 @@ class TestArtifactBoundary:
         model, plan = self.scaled_model(tmp_path, slice(0, 2))
         out = tmp_path / "out.json"
         for argv in (("calibrate",), ("eval", "--plan", plan)):
-            done = run_cli_subprocess([*argv, "--model", model, "--tokens", 64, "-o", out, "-q"],
+            done = run_cli_subprocess([*argv, "--model", model, "--tokens", 64, "-o", out],
                                       blas_threads=1)
             assert done.returncode == 1
             assert done.stderr == "error: non-finite expert output at layer 0\n"
@@ -678,7 +693,7 @@ class TestArtifactBoundary:
         model, plan = self.scaled_model(tmp_path, [], router_row=3e38)
         out = tmp_path / "out.json"
         for argv in (("calibrate",), ("eval", "--plan", plan)):
-            done = run_cli_subprocess([*argv, "--model", model, "--tokens", 64, "-o", out, "-q"],
+            done = run_cli_subprocess([*argv, "--model", model, "--tokens", 64, "-o", out],
                                       blas_threads=1)
             assert (done.returncode, done.stderr) == (1, "error: non-finite router logits at layer 0\n")
             assert not out.exists()
@@ -689,7 +704,7 @@ class TestArtifactBoundary:
         stats, with nothing else on stderr."""
         model, _ = self.scaled_model(tmp_path, 2)
         out = tmp_path / "stats.json"
-        done = run_cli_subprocess(["calibrate", "--model", model, "--tokens", 64, "-o", out, "-q"],
+        done = run_cli_subprocess(["calibrate", "--model", model, "--tokens", 64, "-o", out],
                                   blas_threads=1)
         assert done.returncode == 1
         assert done.stderr == "error: non-finite expert output norm at layer 0\n"
@@ -703,7 +718,7 @@ class TestArtifactBoundary:
         0 / inf = 0 and passes, with no warning."""
         model, plan, report = tmp_path / "m.mckpt", tmp_path / "p.json", tmp_path / "r.json"
         assert run("gen", "--layers", 2, "--experts", 16, "--hidden", 32, "--inter", 48,
-                   "--topk", 2, "-o", model, "-q") == 0
+                   "--topk", 2, "-o", model) == 0
         folded = {(l, i): (l, i) for l in range(2) for i in range(16)}
         folded.update({(1, i): (1, 0) for i in range(1, 16)})
         write_plan(ConsolidationPlan(rho=15 / 32, scope_size=1, policy="adaptive",
@@ -712,14 +727,14 @@ class TestArtifactBoundary:
         huge.layers[0].block[:, 2] *= 1e20  # the mapping is copy-on-write
         write_checkpoint(huge, model)
         done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
-                                   "-o", report, "-q"], blas_threads=1)
+                                   "-o", report], blas_threads=1)
         assert (done.returncode, done.stderr) == (1, "error: non-finite input norm at layer 1\n")
         assert not report.exists()
 
     def test_non_finite_metadata_refused(self, model_path, stats_path, tmp_path, capsys):
         plan, out = tmp_path / "p.json", tmp_path / "reduced.mckpt"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         put_nan_in_header(model_path)
         self.assert_rejected(capsys, "materialize", "--model", model_path, "--plan", plan,
                              "-o", out, message="Out of range float values are not JSON compliant")
@@ -734,10 +749,10 @@ class TestArtifactBoundary:
         for method in ("frequency", "reap"):
             plan = tmp_path / f"prune-{method}.json"
             assert run("prune", "--model", model_path, "--stats", stats_path, "--method", method,
-                       "--rho", "0.5", "-o", plan, "-q") == 0
+                       "--rho", "0.5", "-o", plan) == 0
             for argv in (("materialize",), ("fuse", "--stats", stats_path)):
                 done = run_cli_subprocess([*argv, "--model", model_path, "--plan", plan,
-                                           "-o", tmp_path / "out.mckpt", "-q"], blas_threads=1)
+                                           "-o", tmp_path / "out.mckpt"], blas_threads=1)
                 assert (done.returncode, done.stderr) == (
                     1, "error: a derived checkpoint requires a remapping plan, not a pruning plan\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -759,7 +774,7 @@ class TestArtifactBoundary:
     def test_huge_plan_slot_sizes_nothing(self, model_path, stats_path, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         assert run("consolidate", "--model", model_path, "--stats", stats_path,
-                   "--rho", "0.5", "-o", plan, "-q") == 0
+                   "--rho", "0.5", "-o", plan) == 0
         doc = json.loads(plan.read_text())
         doc["assignment"].append([[10**12, 0], [10**12, 0]])
         plan.write_text(json.dumps(doc))
@@ -838,8 +853,8 @@ class TestArtifactBoundary:
         model, stats = tmp_path / "m.mckpt", tmp_path / "s.json"
         plan, fused = tmp_path / "merge.json", tmp_path / "f.mckpt"
         assert run("gen", "--layers", 2, "--experts", 4, "--hidden", 4, "--inter", 6,
-                   "--topk", 2, "-o", model, "-q") == 0
-        assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats, "-q") == 0
+                   "--topk", 2, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 8, "-o", stats) == 0
         put_nan_in_header(model)
         self.assert_rejected(capsys, "merge", "--model", model, "--stats", stats, "--rho", "0.5",
                              "-o", plan, "--fused-model", fused,
@@ -852,22 +867,12 @@ class TestArtifactBoundary:
                              "-o", tmp_path / "out_", message="scope_size must be in [1, num_layers]")
 
     @pytest.mark.parametrize("argv", [
-        ("gen", "--layers", 1, "--experts", 2, "--hidden", 2, "--inter", 2, "--topk", 1,
-         "--eps", "1e-8"),
-        ("calibrate", "--model", "m", "--tokens", 4, "--eps", "1e-8"),
-        ("prune", "--model", "m", "--stats", "s", "--method", "reap", "--rho", "0.5",
-         "--eps", "1e-8"),
-        ("materialize", "--model", "m", "--plan", "p", "--eps", "1e-8"),
-        ("fuse", "--model", "m", "--plan", "p", "--eps", "1e-8"),
-        ("fuse", "--model", "m", "--plan", "p", "--method", "weighted-average"),
+        *[(*REQUIRED[c], "--eps", "1e-8") for c in ("gen", "calibrate", "prune", "materialize", "fuse")],
+        (*REQUIRED["fuse"], "--method", "weighted-average"),
         # the distance, score and error stabiliser is the constant geometry.EPS
-        ("consolidate", "--model", "m", "--stats", "s", "--rho", "0.5", "--eps", "1e-8"),
-        ("merge", "--model", "m", "--stats", "s", "--rho", "0.5", "--fused-model", "f",
-         "--eps", "1e-8"),
-        ("eval", "--model", "m", "--plan", "p", "--tokens", 4, "--eps", "1e-8"),
-        ("analyze", "nn", "--model", "m", "--scope", 1, "--eps", "1e-8"),
-        ("sweep", "--model", "m", "--stats", "s", "--rho", "0.5", "--tokens", 4, "--scopes", "1",
-         "--eps", "1e-8"),
+        *[(*REQUIRED[c], "--eps", "1e-8") for c in ("consolidate", "merge", "eval", "analyze", "sweep")],
+        # every command prints its one success line: there is no quiet mode
+        *[(*argv, flag) for argv in REQUIRED.values() for flag in ("-q", "--quiet")],
     ])
     def test_inert_flags_gone(self, tmp_path, capsys, argv):
         assert run(*argv, "-o", tmp_path / "out") == 1

@@ -265,6 +265,11 @@ class TestReplaceability:
         with pytest.raises(ValueError, match="singleton"):
             replaceability((0, 0), table)
 
+    def test_ref_outside_scope_rejected(self):
+        table = DistanceTable(scope=[(0, 0), (0, 1)], values=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"expert \(1, 0\) not in scope"):
+            table.index_of((1, 0))
+
 
 class TestNearestNeighbor:
     def test_duplicate_found_at_zero(self):
@@ -390,6 +395,10 @@ class TestMinMaxNorm:
 
     def test_singleton(self):
         assert np.array_equal(minmax_norm([7.0]), np.zeros(1))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="minmax_norm of empty input"):
+            minmax_norm([])
 
     @given(vals=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)

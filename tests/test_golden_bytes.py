@@ -81,7 +81,7 @@ def workdir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def base_model(workdir):
     path = workdir / "none.mckpt"
-    run("gen", *README_SHAPE, *GEN["none"][0], "--seed", 42, "-o", path, "-q")
+    run("gen", *README_SHAPE, *GEN["none"][0], "--seed", 42, "-o", path)
     return path
 
 
@@ -105,14 +105,14 @@ def hand_plan(path, dropped):
 def test_gen(workdir, dup):
     flags, digest, payload = GEN[dup]
     path = workdir / f"gen-{dup}.mckpt"
-    run("gen", *README_SHAPE, *flags, "--seed", 42, "-o", path, "-q")
+    run("gen", *README_SHAPE, *flags, "--seed", 42, "-o", path)
     assert_checkpoint_hashes(path, digest, payload)
 
 
 @pytest.mark.parametrize("dup", sorted(GEN))
 def test_header_with_tensor_index_reads_the_same(workdir, dup):
     path = workdir / f"gen-{dup}.mckpt"
-    run("gen", *README_SHAPE, *GEN[dup][0], "--seed", 42, "-o", path, "-q")
+    run("gen", *README_SHAPE, *GEN[dup][0], "--seed", 42, "-o", path)
     header, rest = split_header(path.read_bytes())
     header["tensor_index"] = tensor_index(read_checkpoint(path).spec)
     older = workdir / f"older-{dup}.mckpt"
@@ -128,18 +128,18 @@ def test_materialize(workdir, base_model):
     no checkpoint holds, exits 1 and writes no file."""
     plan = hand_plan(workdir / "materialize.plan.json", dropped=[])
     out = workdir / "materialized.mckpt"
-    run("materialize", "--model", base_model, "--plan", plan, "-o", out, "-q")
+    run("materialize", "--model", base_model, "--plan", plan, "-o", out)
     assert_checkpoint_hashes(out, *MATERIALIZED)
     plan = hand_plan(workdir / "drop.plan.json", dropped=[5])
     out = workdir / "pruned.mckpt"
-    assert main(["materialize", "--model", str(base_model), "--plan", str(plan), "-o", str(out), "-q"]) == 1
+    assert main(["materialize", "--model", str(base_model), "--plan", str(plan), "-o", str(out)]) == 1
     assert not out.exists()
 
 
 def test_fuse_uniform(workdir, base_model):
     plan = hand_plan(workdir / "remap.plan.json", dropped=[])
     out = workdir / "fused.mckpt"
-    run("fuse", "--model", base_model, "--plan", plan, "-o", out, "-q")
+    run("fuse", "--model", base_model, "--plan", plan, "-o", out)
     assert_checkpoint_hashes(out, *FUSED)
 
 
@@ -159,7 +159,7 @@ def test_prune_from_hand_stats(workdir, base_model, method):
     stats = hand_stats(workdir / "hand.stats.json")
     out = workdir / f"prune-{method}.plan.json"
     run("prune", "--model", base_model, "--stats", stats, "--method", method,
-        "--rho", "0.5", "-o", out, "-q")
+        "--rho", "0.5", "-o", out)
     assert sha256(out) == PRUNED[method]
 
 
@@ -167,5 +167,5 @@ def test_fuse_with_hand_stats(workdir, base_model):
     stats = hand_stats(workdir / "hand.stats.json")
     plan = hand_plan(workdir / "remap.plan.json", dropped=[])
     out = workdir / "fused-stats.mckpt"
-    run("fuse", "--model", base_model, "--plan", plan, "--stats", stats, "-o", out, "-q")
+    run("fuse", "--model", base_model, "--plan", plan, "--stats", stats, "-o", out)
     assert_checkpoint_hashes(out, *FUSED_STATS)

@@ -66,7 +66,7 @@ def test_annotators_read_a_live_pipeline(tmp_path):
             f"merge --model {model} --stats {stats} --rho 0.5 --fused-model {tmp_path / 'merged.mckpt'} "
             f"-o {tmp_path / 'merge.json'}",
         ):
-            assert main([*argv.split(), "-q"]) == 0
+            assert main(argv.split()) == 0
     finally:
         restore()
     names = {span.name for span in tracer.spans}

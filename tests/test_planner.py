@@ -86,6 +86,10 @@ class TestBudget:
     def test_floor_guard(self):
         assert budget(0.999, 2) == 1
 
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match=r"pool_size must be >= 1"):
+            budget(0.5, 0)
+
 
 class TestScore:
     def test_product_of_normalized(self, small_model, small_stats):
@@ -182,6 +186,10 @@ class TestSelectPrototypes:
         table = distance_matrix(small_model, refs)
         with pytest.raises(ValueError, match=f"^unknown policy: {policy!r}$"):
             planner.policy_keys(policy, small_stats, refs, table)
+
+    def test_scope_config_refuses_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy: 'prune_frequency'"):
+            ScopeConfig(rho=0.5, policy="prune_frequency")
 
 
 class TestAssign:
@@ -321,6 +329,11 @@ class TestObjective:
     def test_empty_prototypes_rejected(self):
         with pytest.raises(ValueError):
             objective([], table_from(np.zeros((2, 2))), np.ones(2))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_weight_length_mismatch_rejected(self, length):
+        with pytest.raises(ValueError, match="weight vector does not match scope"):
+            objective([(0, 0)], table_from(np.zeros((3, 3))), np.ones(length))
 
 
 class TestBruteForceOptimal:

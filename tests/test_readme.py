@@ -1,5 +1,6 @@
 """The README's code runs as written: each `conmoe` command of its `sh`
-blocks exits 0 through the CLI, in order, and its Python snippet runs."""
+blocks exits 0 through the CLI, in order, printing its one success line,
+and its Python snippet runs."""
 
 import re
 import shlex
@@ -25,12 +26,14 @@ def conmoe_commands():
     return commands
 
 
-def test_cli_commands_run(tmp_path, monkeypatch):
+def test_cli_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = conmoe_commands()
     assert len(commands) == 10
     for argv in commands:
         assert main(argv) == 0, argv
+        # a command that succeeds prints one line: the file (or prefix) it wrote
+        assert capsys.readouterr().out == f"{argv[0]}: wrote {argv[argv.index('-o') + 1]}\n", argv
 
 
 def test_python_snippet_runs():

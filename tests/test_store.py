@@ -68,6 +68,10 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="empty model"):
             ModelSpec(0, 4, 8, 12, 2)
 
+    def test_unknown_dup_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown dup mode: 'mirror'"):
+            DupConfig("mirror")
+
     @pytest.mark.parametrize("fault,message", [
         (lambda m: setattr(m.layers[1], "block", m.layers[1].block[:, :, :-1]),
          "block shape (4, 3, 95) does not match spec (4, 3, 96)"),
@@ -79,6 +83,8 @@ class TestCheckpoint:
     ], ids=["block_shape", "router_shape", "layer_count", "gate_nan", "up_nan"])
     def test_invalid_model_rejected(self, model, tmp_path, fault, message):
         fault(model)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.validate()
         path = tmp_path / "never.mckpt"
         with pytest.raises(ValueError, match=re.escape(message)):
             write_checkpoint(model, path)
@@ -229,7 +235,7 @@ class TestMapping:
         stats = run_calibration(model, gen_tokens(16, model.spec.hidden_dim, seed=2))
         plan = tmp_path / "p.json"
         write_plan(consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=2)), plan)
-        argv = [command, "--plan", str(plan), "-q"]
+        argv = [command, "--plan", str(plan)]
         assert main([*argv, "--model", str(source), "-o", str(tmp_path / "other.mckpt")]) == 0
         assert main([*argv, "--model", str(source), "-o", str(source)]) == 0
         assert source.read_bytes() == (tmp_path / "other.mckpt").read_bytes()
@@ -577,7 +583,7 @@ class TestDerivedCheckpointMemory:
         }[command]
         tracemalloc.start()
         try:
-            assert main([command, "--model", f"{pool}/m.mckpt", *argv, "-o", f"{pool}/{command}.out", "-q"]) == 0
+            assert main([command, "--model", f"{pool}/m.mckpt", *argv, "-o", f"{pool}/{command}.out"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
