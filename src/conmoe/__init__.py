@@ -3,7 +3,6 @@ deterministic slot remapping, pruning/merging baselines, and fidelity
 analysis on synthetic checkpoints."""
 
 from .model import (
-    DupConfig,
     MoELayer,
     MoEModel,
     ModelSpec,
@@ -23,7 +22,6 @@ from .geometry import (
 )
 from .plan import ConsolidationPlan
 from .planner import (
-    ScopeConfig,
     assign,
     budget,
     consolidate,

@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import EPS, distance_matrix, nearest
 from .model import MoEModel, finite, moe_forward, token_rows
 from .plan import ConsolidationPlan
-from .planner import ScopeConfig, consolidate, scope_partition
+from .planner import consolidate, scope_partition
 from .store import write_bytes
 
 
@@ -34,9 +34,15 @@ class NNReport:
 
 
 def _mean_relative_error(got: np.ndarray, want: np.ndarray) -> float:
-    """The per-token relative L2 errors of float32 (count, hidden) rows,
-    averaged in float64."""
-    errors = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
+    """The per-token relative L2 errors of float32 (count, hidden) rows, averaged
+    in float64; a row whose float32 norms overflow is rescored in float64."""
+    norms = np.linalg.norm(want, axis=1)
+    errors = np.linalg.norm(got - want, axis=1) / (norms + EPS)
+    redo = ~(np.isfinite(errors) & np.isfinite(norms))  # inf / inf reads NaN, x / inf reads 0
+    if redo.any():
+        got, want = got[redo].astype(np.float64), want[redo].astype(np.float64)
+        errors = errors.astype(np.float64)
+        errors[redo] = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
     return float(errors.mean(dtype=np.float64))
 
 
@@ -48,7 +54,7 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
     tokens = token_rows(tokens, model.spec.hidden_dim)
     reference, states = tokens, [tokens] * len(plans)
     per_layer = [[] for _ in plans]
-    with np.errstate(all="ignore"):  # a non-finite error is refused; 0 / inf = 0 is not
+    with np.errstate(all="ignore"):  # overflowed norms are rescored; a non-finite error is refused
         for l in range(model.spec.num_layers):
             want = moe_forward(model, l, reference)
             reference = reference + want
@@ -131,5 +137,5 @@ def scope_sweep(
 ) -> list[FidelityReport]:
     """Consolidate at every scope size with rho and the adaptive policy, then
     evaluate all the plans in one pass against one reference forward."""
-    plans = [consolidate(model, stats, ScopeConfig(rho, size)) for size in scope_sizes]
+    plans = [consolidate(model, stats, rho, size) for size in scope_sizes]
     return _fidelity_pass(model, plans, tokens)

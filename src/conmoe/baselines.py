@@ -17,7 +17,7 @@ import numpy as np
 from .calibration import CalibStats
 from .model import MoEModel, Ref, derive
 from .plan import ConsolidationPlan
-from .planner import ScopeConfig, budget, consolidate, layer_places, policy_keys, select_prototypes
+from .planner import budget, consolidate, layer_places, policy_keys, select_prototypes
 
 
 def _prune(model: MoEModel, stats: CalibStats, rho: float, selection: str, policy: str) -> ConsolidationPlan:
@@ -47,7 +47,7 @@ def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[Consoli
     """Layer-local merging: high-usage cores, nearest-core assignment, and
     usage-weighted averaging of each core's cluster, fused by
     fuse_weighted_average."""
-    plan = consolidate(model, stats, ScopeConfig(rho, 1, "usage_topk"))
+    plan = consolidate(model, stats, rho, 1, "usage_topk")
     plan = replace(plan, policy="merge_msmoe", metadata={})
     fused = fuse_weighted_average(model, plan, stats)
     fused.metadata["fusion"] = "msmoe_usage_weighted"

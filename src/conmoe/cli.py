@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
-from .model import DupConfig, ModelSpec, gen_synthetic, gen_tokens, materialize
-from .planner import SELECTION_POLICIES, ScopeConfig, consolidate
+from .model import ModelSpec, gen_synthetic, gen_tokens, materialize
+from .planner import SELECTION_POLICIES, consolidate
 
 DEFAULT_SEED = 42
 
@@ -100,7 +100,7 @@ def _run(args) -> None:
             intermediate_dim=args.inter,
             top_k=args.topk,
         )
-        model, dup_map = gen_synthetic(spec, args.seed, DupConfig(args.dup, args.dup_noise))
+        model, dup_map = gen_synthetic(spec, args.seed, args.dup, args.dup_noise)
         model.metadata = {
             "seed": args.seed,
             "dup_mode": args.dup,
@@ -122,8 +122,7 @@ def _run(args) -> None:
         store.write_stats(stats, args.output)
 
     elif args.command == "consolidate":
-        config = ScopeConfig(rho=args.rho, scope_size=args.scope, policy=args.policy)
-        plan = consolidate(model, stats, config)
+        plan = consolidate(model, stats, args.rho, args.scope, args.policy)
         plan.metadata["seed"] = args.seed
         store.write_plan(plan, args.output)
 

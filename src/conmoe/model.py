@@ -253,30 +253,6 @@ def materialize(model: MoEModel, plan) -> MoEModel:
     return derive(model, plan, block, materialized_from_policy=plan.policy)
 
 
-@dataclass(frozen=True)
-class DupConfig:
-    """Planted redundancy for synthetic models.
-
-    mode "within" copies the first half of each layer's experts into the
-    second half (expert j duplicates expert j + N/2); "cross" copies each
-    even layer's experts into the following layer; "both" does both (cross
-    copies propagate the within-layer pairing). noise adds zero-mean
-    gaussian perturbation of the given scale to every planted copy, so it
-    must be 0 with mode "none".
-    """
-
-    mode: str = "none"  # none | within | cross | both
-    noise: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("none", "within", "cross", "both"):
-            raise ValueError(f"unknown dup mode: {self.mode!r}")
-        if not (np.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError("dup noise must be finite and >= 0")
-        if self.mode == "none" and self.noise > 0:
-            raise ValueError("dup noise > 0 needs a dup mode: mode 'none' plants no copy")
-
-
 def _random_layer(rng: np.random.Generator, spec: ModelSpec, scale: float) -> MoELayer:
     """Each expert's gate, up and down, then the router, drawn in that order."""
     n, f, h = spec.num_experts, spec.intermediate_dim, spec.hidden_dim
@@ -294,15 +270,26 @@ def _plant_copy(rng: np.random.Generator, dst: np.ndarray, src: np.ndarray, nois
             dst += (rng.standard_normal(dst.shape) * noise).astype(np.float32)
 
 
-def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> tuple[MoEModel, dict[Ref, Ref]]:
+def gen_synthetic(spec: ModelSpec, seed: int, dup: str = "none",
+                  dup_noise: float = 0.0) -> tuple[MoEModel, dict[Ref, Ref]]:
     """Deterministic random model; returns (model, planted duplicate map).
 
-    The duplicate map sends each planted copy to its source slot; with
-    noise=0 the mapped pair is bit-identical.
+    dup "within" copies each layer's expert j < N/2 into slot j + N/2; "cross"
+    copies each even layer's experts into the next layer; "both" does both
+    (cross copies propagate the within-layer pairing). dup_noise adds
+    zero-mean gaussian noise of that scale to every copy, so it must be 0
+    with dup "none". The map sends each copy to its source slot; with
+    dup_noise=0 the pair is bit-identical.
     """
-    if dup.mode in ("within", "both") and spec.num_experts < 2:
+    if dup not in ("none", "within", "cross", "both"):
+        raise ValueError(f"unknown dup mode: {dup!r}")
+    if not (np.isfinite(dup_noise) and dup_noise >= 0):
+        raise ValueError("dup noise must be finite and >= 0")
+    if dup == "none" and dup_noise > 0:
+        raise ValueError("dup noise > 0 needs a dup mode: mode 'none' plants no copy")
+    if dup in ("within", "both") and spec.num_experts < 2:
         raise ValueError("within-layer duplicates need at least 2 experts")
-    if dup.mode in ("cross", "both") and spec.num_layers < 2:
+    if dup in ("cross", "both") and spec.num_layers < 2:
         raise ValueError("cross-layer duplicates need at least 2 layers")
 
     rng = np.random.default_rng(seed)
@@ -310,16 +297,16 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: DupConfig = DupConfig()) -> t
     model = MoEModel(spec=spec, layers=[_random_layer(rng, spec, scale) for _ in range(spec.num_layers)])
 
     dup_map: dict[Ref, Ref] = {}
-    if dup.mode in ("within", "both"):
+    if dup in ("within", "both"):
         half = spec.num_experts // 2
         for l in range(spec.num_layers):
             for j in range(half):
-                _plant_copy(rng, model.row((l, j + half)), model.row((l, j)), dup.noise)
+                _plant_copy(rng, model.row((l, j + half)), model.row((l, j)), dup_noise)
                 dup_map[(l, j + half)] = (l, j)
-    if dup.mode in ("cross", "both"):
+    if dup in ("cross", "both"):
         for l in range(1, spec.num_layers, 2):
             for i in range(spec.num_experts):
-                _plant_copy(rng, model.row((l, i)), model.row((l - 1, i)), dup.noise)
+                _plant_copy(rng, model.row((l, i)), model.row((l - 1, i)), dup_noise)
                 dup_map[(l, i)] = (l - 1, i)
 
     model.validate()

@@ -6,7 +6,6 @@ distance table the scope builds; plus the consolidation objective."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,17 +13,6 @@ from .calibration import CalibStats, contribution
 from .geometry import DistanceTable, distance_matrix, minmax_norm, nearest
 from .model import MoEModel, Ref
 from .plan import SELECTION_POLICIES, ConsolidationPlan, check_rho, scope_partition
-
-@dataclass(frozen=True)
-class ScopeConfig:
-    rho: float
-    scope_size: int = 1
-    policy: str = "adaptive"
-
-    def __post_init__(self):
-        check_rho(self.rho)
-        if self.policy not in SELECTION_POLICIES:
-            raise ValueError(f"unknown policy: {self.policy!r}")
 
 
 def budget(rho: float, pool_size: int) -> int:
@@ -96,25 +84,28 @@ def assign(prototypes: list[Ref], table: DistanceTable) -> dict[Ref, Ref]:
     }
 
 
-def consolidate(model: MoEModel, stats: CalibStats, config: ScopeConfig) -> ConsolidationPlan:
+def consolidate(model: MoEModel, stats: CalibStats, rho: float, scope_size: int = 1,
+                policy: str = "adaptive") -> ConsolidationPlan:
     """Full planner, per scope: keep the budget's prototypes by the
     policy's keys, then assign every slot to its nearest prototype in the
     same distance table. A scope whose budget keeps every expert maps to
-    itself and builds no table."""
+    itself and builds no table, so rho and policy are checked up front."""
+    check_rho(rho)
+    if policy not in SELECTION_POLICIES:
+        raise ValueError(f"unknown policy: {policy!r}")
     stats.check_covers(model)
     assignment: dict[Ref, Ref] = {}
-    for layers in scope_partition(model.spec.num_layers, config.scope_size):
+    for layers in scope_partition(model.spec.num_layers, scope_size):
         slots = model.slots(layers)
-        k = budget(config.rho, len(slots))
+        k = budget(rho, len(slots))
         if k == len(slots):
             assignment.update(zip(slots, slots))
             continue
         table = distance_matrix(model, slots)
-        keys = policy_keys(config.policy, stats, slots, table)
+        keys = policy_keys(policy, stats, slots, table)
         prototypes = select_prototypes(keys, slots, k)
         assignment.update(assign(prototypes, table))
-    return ConsolidationPlan(rho=config.rho, scope_size=config.scope_size, policy=config.policy,
-                             assignment=assignment)
+    return ConsolidationPlan(rho=rho, scope_size=scope_size, policy=policy, assignment=assignment)
 
 
 def objective(prototypes: list[Ref], table: DistanceTable, weights: np.ndarray) -> float:

@@ -42,7 +42,7 @@ from conmoe.geometry import (
 from conmoe import model as batched
 from conmoe.model import NORM_EPS, PROJECTIONS, MoELayer, MoEModel, token_rows
 from conmoe.plan import ConsolidationPlan, scope_partition
-from conmoe.planner import ScopeConfig, consolidate, objective
+from conmoe.planner import consolidate, objective
 
 # The batched forward groups its float32 GEMMs and sums differently from
 # these per-token loops, which moves outputs and stats in the last bits
@@ -464,7 +464,7 @@ def evaluate_fidelity(model, plan, tokens, reference=None):
 def scope_sweep(model, stats, rho, scope_sizes, tokens):
     """One reference trace, then each scope's plan evaluated against it."""
     reference = model_forward_trace(model, token_rows(tokens, model.spec.hidden_dim))
-    return [evaluate_fidelity(model, consolidate(model, stats, ScopeConfig(rho, size)),
+    return [evaluate_fidelity(model, consolidate(model, stats, rho, size),
                               tokens, reference)
             for size in scope_sizes]
 

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from conmoe import (
-    DupConfig,
     ModelSpec,
-    ScopeConfig,
     budget,
     consolidate,
     cross_layer_nn,
@@ -54,12 +52,12 @@ def random_plan(seed):
     model, _ = gen_synthetic(spec, seed=seed)
     tokens = gen_tokens(int(rng.integers(4, 12)), spec.hidden_dim, seed=seed + 1)
     stats = run_calibration(model, tokens)
-    config = ScopeConfig(
+    config = dict(
         rho=float(rng.uniform(0.0, 0.8)),
         scope_size=int(rng.integers(1, spec.num_layers + 1)),
         policy=["adaptive", "fixed_k", "usage_topk", "reap_topk", "distance_only"][int(rng.integers(5))],
     )
-    return model, stats, config, consolidate(model, stats, config), tokens
+    return model, stats, config, consolidate(model, stats, **config), tokens
 
 
 def test_criterion_1_identity_pipeline(tmp_path):
@@ -109,10 +107,10 @@ def test_criterion_2_materialization_equivalence():
 
 def test_criterion_3_exact_duplicate_recovery():
     spec = ModelSpec(4, 8, 16, 24, 2)
-    model, dup_map = gen_synthetic(spec, seed=42, dup=DupConfig("within"))
+    model, dup_map = gen_synthetic(spec, seed=42, dup="within")
     tokens = gen_tokens(64, spec.hidden_dim, seed=42)
     stats = run_calibration(model, tokens)
-    plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=1))
+    plan = consolidate(model, stats, rho=0.5, scope_size=1)
     for l in range(spec.num_layers):
         refs = [(l, i) for i in range(spec.num_experts)]
         table = distance_matrix(model, refs)
@@ -236,7 +234,7 @@ def test_criterion_7_coefficient_conservation():
 
 def test_criterion_8_cross_layer_nn_oracle():
     spec = ModelSpec(4, 6, 16, 24, 2)
-    model, _ = gen_synthetic(spec, seed=8, dup=DupConfig("cross"))
+    model, _ = gen_synthetic(spec, seed=8, dup="cross")
     sigma2 = cross_layer_nn(model, 2)
     assert sigma2.overall_fraction == 1.0
     sigma1 = cross_layer_nn(model, 1)
@@ -260,7 +258,7 @@ def test_criterion_9_budget_formula():
         min_pool = min(
             len(scope.layers) * model.spec.num_experts for scope in scopes(plan)
         )
-        assert abs(achieved - config.rho) <= 1.0 / min_pool + 1e-12
+        assert abs(achieved - config["rho"]) <= 1.0 / min_pool + 1e-12
     _pass(9, "budget formula values and achieved-ratio rounding bound hold")
 
 
@@ -270,7 +268,7 @@ def test_criterion_10_baseline_parity():
     tokens = gen_tokens(32, spec.hidden_dim, seed=10)
     stats = run_calibration(model, tokens)
     rho = 0.5
-    conmoe_plan = consolidate(model, stats, ScopeConfig(rho=rho))
+    conmoe_plan = consolidate(model, stats, rho=rho)
     freq = prune_frequency(model, stats, rho)
     reap = prune_reap(model, stats, rho)
     msmoe_plan, msmoe_fused = merge_msmoe(model, stats, rho)

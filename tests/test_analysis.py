@@ -7,9 +7,7 @@ import pytest
 
 from conmoe import (
     ConsolidationPlan,
-    DupConfig,
     ModelSpec,
-    ScopeConfig,
     consolidate,
     cross_layer_nn,
     evaluate_fidelity,
@@ -40,16 +38,16 @@ class TestEvaluateFidelity:
 
     def test_exact_duplicates_zero_error_at_half(self):
         spec = ModelSpec(4, 8, 16, 24, 2)
-        model, _ = gen_synthetic(spec, seed=17, dup=DupConfig("within"))
+        model, _ = gen_synthetic(spec, seed=17, dup="within")
         tokens = gen_tokens(24, spec.hidden_dim, seed=8)
         stats = run_calibration(model, tokens)
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=1))
+        plan = consolidate(model, stats, rho=0.5, scope_size=1)
         report = evaluate_fidelity(model, plan, tokens)
         assert report.end_to_end_error == 0.0
         assert report.achieved_reduction == pytest.approx(0.5)
 
     def test_pruning_differs_from_remapping(self, small_model, small_stats, small_tokens):
-        remap = consolidate(small_model, small_stats, ScopeConfig(rho=0.5))
+        remap = consolidate(small_model, small_stats, rho=0.5)
         prune = prune_frequency(small_model, small_stats, 0.5)
         r1 = evaluate_fidelity(small_model, remap, small_tokens)
         r2 = evaluate_fidelity(small_model, prune, small_tokens)
@@ -71,20 +69,38 @@ class TestEvaluateFidelity:
             evaluate_fidelity(small_model, plan, np.ones(shape(small_model.spec.hidden_dim)))
 
 
-    def test_non_finite_end_to_end_error_refused(self):
+    def test_overflowing_end_to_end_norm_rescored(self):
         """Hidden size 1, top-1: the reference routes each token by the sign
         of its state to slot 0 or 1, each adding about -2.5e18 per layer; the
         plan sends both slots to the zero slot 2, so its state stays 1.0.
-        Every layer's error is then 1.0, but after 8 layers the reference's
-        square passes float32's range and only the final-state error overflows."""
+        Every layer's error is then 1.0. After 8 layers the reference's
+        square passes float32's range, so the final-state error would read
+        inf / inf; rescored in float64 it is 1.0 too."""
         block = np.array([[[10.0], [1.0], [-2.5e17]], [[-10.0], [-1.0], [-2.5e17]], [[0.0]] * 3],
                          dtype=np.float32)
         router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
         model = MoEModel(ModelSpec(8, 3, 1, 1, 1), [MoELayer(block, router) for _ in range(8)])
         plan = ConsolidationPlan(rho=0.5, scope_size=1, policy="adaptive",
                                  assignment={(l, i): (l, 2) for l in range(8) for i in range(3)})
-        with pytest.raises(ValueError, match="non-finite end-to-end error"):
-            evaluate_fidelity(model, plan, np.ones((1, 1)))
+        report = evaluate_fidelity(model, plan, np.ones((1, 1)))
+        assert report.per_layer_error == [1.0] * 8
+        assert report.end_to_end_error == 1.0
+
+    def test_overflowing_reference_norm_not_read_as_zero(self):
+        """One layer, hidden size 1, top-1: the token routes to slot 0, whose
+        output is about -3e19; the plan sends it to slot 2, about -2.9e19.
+        The reference's square overflows float32 but the difference's does
+        not, so the float32 ratio would read x / inf = 0; rescored in
+        float64 both errors are about 1/30."""
+        block = np.array([[[10.0], [1.0], [-3e18]], [[0.0]] * 3, [[10.0], [1.0], [-2.9e18]]],
+                         dtype=np.float32)
+        router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
+        model = MoEModel(ModelSpec(1, 3, 1, 1, 1), [MoELayer(block, router)])
+        plan = ConsolidationPlan(rho=1 / 3, scope_size=1, policy="adaptive",
+                                 assignment={(0, 0): (0, 2), (0, 1): (0, 1), (0, 2): (0, 2)})
+        report = evaluate_fidelity(model, plan, np.ones((1, 1)))
+        assert report.per_layer_error == [pytest.approx(1 / 30, rel=1e-5)]
+        assert report.end_to_end_error == pytest.approx(1 / 30, rel=1e-5)
 
 
 class TestReductionAccounting:
@@ -93,7 +109,7 @@ class TestReductionAccounting:
         assert reduction_accounting(plan) == 0.0
 
     def test_half(self, small_model, small_stats):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5))
+        plan = consolidate(small_model, small_stats, rho=0.5)
         # 32 slots, 16 distinct prototypes
         assert len(plan.distinct_prototypes()) == 16
         assert reduction_accounting(plan) == pytest.approx(0.5)
@@ -114,7 +130,7 @@ class TestCrossLayerNN:
 
     def test_planted_cross_copies_fraction_one(self):
         spec = ModelSpec(4, 6, 16, 24, 2)
-        model, _ = gen_synthetic(spec, seed=19, dup=DupConfig("cross"))
+        model, _ = gen_synthetic(spec, seed=19, dup="cross")
         report = cross_layer_nn(model, 2)
         assert report.overall_fraction == 1.0
 
@@ -140,10 +156,10 @@ class TestCrossLayerNN:
         for scope_size in range(1, spec.num_layers + 1):
             self.assert_matches_nested_tally(model, scope_size)
 
-    @pytest.mark.parametrize("dup", [DupConfig("cross"), DupConfig("both")])
+    @pytest.mark.parametrize("dup", [("cross", 0.0), ("both", 0.0)])
     def test_matches_nested_tally_planted_copies(self, dup):
         spec = ModelSpec(4, 6, 8, 12, 2)
-        model, _ = gen_synthetic(spec, seed=21, dup=dup)
+        model, _ = gen_synthetic(spec, 21, *dup)
         for scope_size in range(1, spec.num_layers + 1):
             self.assert_matches_nested_tally(model, scope_size)
 
@@ -179,7 +195,7 @@ class TestScopeSweep:
 
     def test_duplicate_model_zero_everywhere(self):
         spec = ModelSpec(4, 8, 16, 24, 2)
-        model, _ = gen_synthetic(spec, seed=23, dup=DupConfig("within"))
+        model, _ = gen_synthetic(spec, seed=23, dup="within")
         tokens = gen_tokens(12, spec.hidden_dim, seed=6)
         stats = run_calibration(model, tokens)
         reports = scope_sweep(model, stats, 0.5, [1], tokens)
@@ -209,7 +225,7 @@ class TestOnePassMatchesTwoTraces:
 
     @pytest.mark.parametrize("scope_size", [1, 2])
     def test_consolidation_plan(self, small_model, small_stats, small_tokens, scope_size):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=scope_size))
+        plan = consolidate(small_model, small_stats, rho=0.5, scope_size=scope_size)
         self.assert_matches_oracle(small_model, plan, small_tokens)
 
     def test_pruning_plan_that_empties_some_tokens(self, small_model, small_tokens):
@@ -233,7 +249,7 @@ class TestOnePassMatchesTwoTraces:
             self.assert_same(g, w)
 
     def test_single_token(self, small_model, small_stats, small_tokens):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
         self.assert_matches_oracle(small_model, plan, small_tokens[:1])
 
     def test_traced_peak_below_one_trace(self):
@@ -244,7 +260,7 @@ class TestOnePassMatchesTwoTraces:
         spec = ModelSpec(16, 8, 32, 32, 2)
         model, _ = gen_synthetic(spec, seed=5)
         tokens = gen_tokens(256, spec.hidden_dim, seed=6)
-        plan = consolidate(model, run_calibration(model, tokens), ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(model, run_calibration(model, tokens), rho=0.5, scope_size=2)
         trace_bytes = (spec.num_layers + 1) * tokens.size * 4
         tracemalloc.start()
         try:

@@ -4,9 +4,7 @@ import pytest
 import oracle
 from conmoe import (
     CalibStats,
-    DupConfig,
     ModelSpec,
-    ScopeConfig,
     consolidate,
     fuse_weighted_average,
     gen_synthetic,
@@ -100,10 +98,10 @@ class TestMergeMSMoE:
         assert expert(fused, core).gate == pytest.approx(want_gate.astype(np.float32))
 
     def test_duplicate_cores_map_to_themselves(self):
-        from conmoe.model import DupConfig, ModelSpec, gen_synthetic
+        from conmoe.model import ModelSpec, gen_synthetic
 
         # experts 0 and 2 are exact copies and both are kept as cores
-        model, _ = gen_synthetic(ModelSpec(1, 4, 8, 12, 1), seed=23, dup=DupConfig("within"))
+        model, _ = gen_synthetic(ModelSpec(1, 4, 8, 12, 1), seed=23, dup="within")
         stats = stats_with_counts(model, [3, 1, 2, 0])
         plan, _ = merge_msmoe(model, stats, 0.5)
         assert scopes(plan)[0].prototypes == [(0, 0), (0, 2)]
@@ -124,18 +122,18 @@ class TestMergeMSMoE:
 
 class TestFuseWeightedAverage:
     def test_singleton_clusters_keep_weights(self, small_model, small_stats):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.0))
+        plan = consolidate(small_model, small_stats, rho=0.0)
         fused = fuse_weighted_average(small_model, plan, small_stats)
         assert oracle.models_equal(fused, small_model)
 
     def test_duplicate_cluster_preserves_weights(self):
-        from conmoe.model import DupConfig, ModelSpec, gen_synthetic, gen_tokens
+        from conmoe.model import ModelSpec, gen_synthetic, gen_tokens
         from conmoe.calibration import run_calibration
 
         spec = ModelSpec(2, 8, 16, 24, 2)
-        model, dup_map = gen_synthetic(spec, seed=31, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(spec, seed=31, dup="within")
         stats = run_calibration(model, gen_tokens(16, 16, seed=4))
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5))
+        plan = consolidate(model, stats, rho=0.5)
         fused = fuse_weighted_average(model, plan, stats)
         for scope in scopes(plan):
             for p in scope.prototypes:
@@ -144,7 +142,7 @@ class TestFuseWeightedAverage:
                     assert expert(fused, p).gate == pytest.approx(expert(model, p).gate)
 
     def test_convexity_for_pairs(self, small_model, small_stats):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
         fused = fuse_weighted_average(small_model, plan, small_stats)
         for proto, sources in fused.metadata["provenance"]:
             if len(sources) != 2:
@@ -171,7 +169,7 @@ class TestDerivedModels:
     def test_layers_are_a_plain_sequence(self, small_model, small_stats, derivation):
         """A derived model's layers are sized, indexable and re-iterable,
         and equal their reference in any order of access."""
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
         if derivation == "materialize":
             got = materialize(small_model, plan)
             want = oracle.copy_model(small_model)
@@ -196,7 +194,7 @@ class TestDerivedModels:
 
     @staticmethod
     def derive(model, stats, derivation):
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(model, stats, rho=0.5, scope_size=2)
         return {"materialize": lambda: materialize(model, plan),
                 "fuse": lambda: fuse_weighted_average(model, plan, stats),
                 "merge": lambda: merge_msmoe(model, stats, 0.5)[1]}[derivation]()
@@ -223,7 +221,7 @@ class TestDerivedModels:
 class TestBudgetParity:
     def test_equal_logical_counts(self, small_model, small_stats):
         rho = 0.5
-        conmoe = consolidate(small_model, small_stats, ScopeConfig(rho=rho))
+        conmoe = consolidate(small_model, small_stats, rho=rho)
         freq = prune_frequency(small_model, small_stats, rho)
         reap = prune_reap(small_model, small_stats, rho)
         msmoe, _ = merge_msmoe(small_model, small_stats, rho)
@@ -245,7 +243,7 @@ class TestSharedPool:
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
     def test_baselines_keep_the_scope1_pool(self, readme, rho):
         model, stats = readme
-        usage, reap = (consolidate(model, stats, ScopeConfig(rho, 1, policy)).distinct_prototypes()
+        usage, reap = (consolidate(model, stats, rho, 1, policy).distinct_prototypes()
                        for policy in ("usage_topk", "reap_topk"))
         assert prune_frequency(model, stats, rho).distinct_prototypes() == usage
         assert merge_msmoe(model, stats, rho)[0].distinct_prototypes() == usage
@@ -260,7 +258,7 @@ class TestAgainstOracle:
         "readme": ModelSpec(8, 16, 32, 48, 2),
         "token-heavy": ModelSpec(8, 16, 64, 128, 4),
     }
-    DUPS = {"none": DupConfig(), "within": DupConfig("within"), "both": DupConfig("both", 1e-7)}
+    DUPS = {"none": ("none", 0.0), "within": ("within", 0.0), "both": ("both", 1e-7)}
 
     @staticmethod
     def check(model, stats, rho):
@@ -275,7 +273,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("dup", sorted(DUPS))
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_benchmark_shapes(self, shape, dup):
-        model, _ = gen_synthetic(self.SHAPES[shape], seed=42, dup=self.DUPS[dup])
+        model, _ = gen_synthetic(self.SHAPES[shape], 42, *self.DUPS[dup])
         stats = run_calibration(model, gen_tokens(256, model.spec.hidden_dim, seed=42))
         for rho in (0.0, 0.25, 0.5, 0.9):
             self.check(model, stats, rho)
@@ -283,7 +281,7 @@ class TestAgainstOracle:
     def test_random_plans(self):
         for trial in range(20):
             model, stats, config, plan, _ = random_plan(100 + trial)
-            self.check(model, stats, config.rho)
+            self.check(model, stats, config["rho"])
             clusters = {p: sorted(s for s, t in plan.assignment.items() if t == p)
                         for scope in scopes(plan) for p in scope.prototypes}
             for weights in (stats, None):

@@ -629,11 +629,27 @@ class TestArtifactBoundary:
         self.assert_rejected(capsys, *argv, "-o", tmp_path / "out",
                              message=f"malformed {name}: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("argv", [
+        ("consolidate", "--scope", 99),
+        ("sweep", "--tokens", 4, "--scopes", "99,1"),
+    ], ids=["consolidate", "sweep"])
+    def test_rho_checked_before_scope(self, model_path, stats_path, tmp_path, capsys, argv):
+        assert run(*argv, "--model", model_path, "--stats", stats_path, "--rho", "1.5",
+                   "-o", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: rho must be in [0, 1)\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv,message", [
         (("prune", "--method", "frequency", "--rho", "1.5"), "rho must be in [0, 1)"),
         (("consolidate", "--rho", "0.5", "--scope", 99), "calibration stats do not cover this model"),
-    ], ids=["prune_rho_before_coverage", "consolidate_coverage_before_scope"])
-    def test_which_error_wins_with_other_grid_stats(self, model_path, tmp_path, capsys, argv, message):
+        (("consolidate", "--rho", "1.5"), "rho must be in [0, 1)"),
+        (("merge", "--rho", "1.5", "--fused-model", "fused.mckpt"), "rho must be in [0, 1)"),
+        (("sweep", "--rho", "1.5", "--tokens", 4, "--scopes", "1"), "rho must be in [0, 1)"),
+    ], ids=["prune_rho_before_coverage", "consolidate_coverage_before_scope",
+            "consolidate_rho_before_coverage", "merge_rho_before_coverage", "sweep_rho_before_coverage"])
+    def test_which_error_wins_with_other_grid_stats(self, model_path, tmp_path, monkeypatch, capsys, argv,
+                                                    message):
+        monkeypatch.chdir(tmp_path)  # merge's relative --fused-model, were it written
         small, stats = tmp_path / "model4.mckpt", tmp_path / "stats4.json"
         assert run("gen", "--layers", 4, "--experts", 4, "--hidden", 16, "--inter", 24,
                    "--topk", 2, "-o", small) == 0
@@ -661,17 +677,23 @@ class TestArtifactBoundary:
         write_checkpoint(huge, model)
         return model, plan
 
-    def test_non_finite_report_refused(self, tmp_path):
-        """Down scaled by 1e20: the expert outputs stay finite, but the
-        float32 error norms overflow, so layer 0's error is not finite.
-        eval exits 1 naming the layer, with nothing else on stderr, and
-        writes no report."""
+    def test_overflowing_error_norm_rescored(self, tmp_path):
+        """Down scaled by 1e20: the expert outputs stay finite, but their
+        float32 error norms overflow. eval rescores those tokens in float64
+        and exits 0 with nothing on stderr, and layer 0's error is the
+        unscaled model's up to float32 rounding."""
         model, plan = self.scaled_model(tmp_path, 2)
-        report = tmp_path / "r.json"
-        done = run_cli_subprocess(["eval", "--model", model, "--plan", plan, "--tokens", 64,
-                                   "-o", report], blas_threads=1)
-        assert (done.returncode, done.stderr) == (1, "error: non-finite error norm at layer 0\n")
-        assert not report.exists()
+        plain = tmp_path / "plain.mckpt"
+        assert run("gen", "--layers", 1, "--experts", 16, "--hidden", 32, "--inter", 48,
+                   "--topk", 2, "-o", plain) == 0
+        errors = []
+        for m in (model, plain):
+            report = tmp_path / f"{m.stem}.json"
+            done = run_cli_subprocess(["eval", "--model", m, "--plan", plan, "--tokens", 64,
+                                       "-o", report], blas_threads=1)
+            assert (done.returncode, done.stderr) == (0, "")
+            errors.append(json.loads(report.read_text())["per_layer_error"])
+        assert errors[0] == pytest.approx(errors[1], rel=1e-6)
 
     def test_expert_overflow_names_its_layer(self, tmp_path):
         """Gate and up scaled by 1e20: the expert outputs overflow, and

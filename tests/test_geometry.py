@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conmoe import (
-    DupConfig,
     consolidate,
     merge_msmoe,
     ModelSpec,
@@ -95,12 +94,12 @@ class TestExpertDistance:
 
 class TestDistanceMatrix:
     def test_identical_pair(self):
-        model, _ = gen_synthetic(ModelSpec(1, 2, 4, 6, 1), seed=3, dup=DupConfig("within"))
+        model, _ = gen_synthetic(ModelSpec(1, 2, 4, 6, 1), seed=3, dup="within")
         table = distance_matrix(model, [(0, 0), (0, 1)])
         assert np.array_equal(table.values, np.zeros((2, 2)))
 
     def test_planted_duplicate_block_structure(self):
-        model, dup_map = gen_synthetic(ModelSpec(2, 6, 8, 12, 2), seed=4, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(ModelSpec(2, 6, 8, 12, 2), seed=4, dup="within")
         refs = [(0, i) for i in range(6)]
         table = distance_matrix(model, refs)
         for copy, src in dup_map.items():
@@ -174,24 +173,24 @@ class TestGramKernel:
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
         assert_pair_kernel_bytes(model, whole_model(spec))
 
-    @pytest.mark.parametrize("dup", [DupConfig("within"), DupConfig("both", 1e-7)])
+    @pytest.mark.parametrize("dup", [("within", 0.0), ("both", 1e-7)])
     def test_planted_pairs_exact(self, dup):
         spec = ModelSpec(4, 8, 16, 24, 2)
-        model, dup_map = gen_synthetic(spec, seed=5, dup=dup)
+        model, dup_map = gen_synthetic(spec, 5, *dup)
         table = distance_matrix(model, whole_model(spec))
         for copy, src in dup_map.items():
             d = distance(table, copy, src)
             assert d == expert_distance(expert(model, copy), expert(model, src))
-            assert d == 0.0 or dup.noise > 0
+            assert d == 0.0 or dup[1] > 0
         assert_pair_kernel_bytes(model, whole_model(spec))
 
-    @pytest.mark.parametrize("dup", [DupConfig(), DupConfig("within")])
+    @pytest.mark.parametrize("dup", [("none", 0.0), ("within", 0.0)])
     def test_pool_scope_bytes_match_pair_kernel(self, dup):
         spec = ModelSpec(4, 72, 8, 12, 2)  # one 288-expert scope
-        model, _ = gen_synthetic(spec, seed=9, dup=dup)
+        model, _ = gen_synthetic(spec, 9, *dup)
         assert_pair_kernel_bytes(model, whole_model(spec))
 
-    @pytest.mark.parametrize("dup", [DupConfig("both"), DupConfig("both", 1e-7)])
+    @pytest.mark.parametrize("dup", [("both", 0.0), ("both", 1e-7)])
     @pytest.mark.parametrize("row_block, shape", [(7, (2, 12, 8, 12, 2)), (None, (3, 100, 4, 6, 2))])
     def test_planted_pairs_straddle_row_blocks(self, monkeypatch, row_block, shape, dup):
         """A ragged last block (7 does not divide 24; 128 does not divide
@@ -200,7 +199,7 @@ class TestGramKernel:
             monkeypatch.setattr(geometry, "ROW_BLOCK", row_block)
         block = geometry.ROW_BLOCK
         spec = ModelSpec(*shape)
-        model, dup_map = gen_synthetic(spec, seed=11, dup=dup)
+        model, dup_map = gen_synthetic(spec, 11, *dup)
         scope = whole_model(spec)
         assert len(scope) > block and len(scope) % block
         table = distance_matrix(model, scope)
@@ -209,7 +208,7 @@ class TestGramKernel:
             straddling += table.index_of(copy) // block != table.index_of(src) // block
             d = distance(table, copy, src)
             assert d == expert_distance(expert(model, copy), expert(model, src))
-            assert d == 0.0 or dup.noise > 0
+            assert d == 0.0 or dup[1] > 0
         assert straddling
         assert_pair_kernel_bytes(model, scope)
 
@@ -229,17 +228,17 @@ class TestGramKernel:
         built = []
         for seed in range(100, 120):
             model, stats, config, plan, _ = random_plan(seed)
-            merged, _ = merge_msmoe(model, stats, config.rho)
+            merged, _ = merge_msmoe(model, stats, config["rho"])
             built.append((model, stats, config, plan, merged))
         monkeypatch.setattr("conmoe.planner.distance_matrix", reference_table)
         for model, stats, config, plan, merged in built:
-            assert plan_to_dict(consolidate(model, stats, config)) == plan_to_dict(plan)
-            assert plan_to_dict(merge_msmoe(model, stats, config.rho)[0]) == plan_to_dict(merged)
+            assert plan_to_dict(consolidate(model, stats, **config)) == plan_to_dict(plan)
+            assert plan_to_dict(merge_msmoe(model, stats, config["rho"])[0]) == plan_to_dict(merged)
 
 
 class TestReplaceability:
     def test_duplicate_pair_zero(self):
-        model, _ = gen_synthetic(ModelSpec(1, 4, 4, 6, 1), seed=3, dup=DupConfig("within"))
+        model, _ = gen_synthetic(ModelSpec(1, 4, 4, 6, 1), seed=3, dup="within")
         table = distance_matrix(model, [(0, i) for i in range(4)])
         assert replaceability((0, 0), table) == 0.0
         assert replaceability((0, 1), table) == 0.0
@@ -273,7 +272,7 @@ class TestReplaceability:
 
 class TestNearestNeighbor:
     def test_duplicate_found_at_zero(self):
-        model, dup_map = gen_synthetic(ModelSpec(1, 4, 4, 6, 1), seed=3, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(ModelSpec(1, 4, 4, 6, 1), seed=3, dup="within")
         table = distance_matrix(model, [(0, i) for i in range(4)])
         for copy, src in dup_map.items():
             ref, d = nearest_neighbor(copy, table)
@@ -355,7 +354,7 @@ class TestNearestRowBlocks:
             monkeypatch.setattr(geometry, "ROW_BLOCK", row_block)
         block = geometry.ROW_BLOCK
         spec = ModelSpec(*shape)
-        model, dup_map = gen_synthetic(spec, seed=13, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(spec, seed=13, dup="within")
         table = distance_matrix(model, whole_model(spec))
         n = len(table.scope)
         assert n > block and n % block

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from conmoe import (
-    DupConfig,
     ModelSpec,
-    ScopeConfig,
     consolidate,
     distance_matrix,
     evaluate_fidelity,
@@ -452,7 +450,7 @@ class TestMaterialize:
         spec = ModelSpec(4, 16, 32, 48, 2)
         model, _ = gen_synthetic(spec, seed=5)
         tokens = gen_tokens(64, spec.hidden_dim, seed=6)
-        plan = consolidate(model, run_calibration(model, tokens), ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(model, run_calibration(model, tokens), rho=0.5, scope_size=2)
         source = mapped_with_alignment(model, tmp_path / "source.mckpt", source_aligned)
         mat = mapped_with_alignment(materialize(source, plan), tmp_path / "mat.mckpt", not source_aligned)
         for h in tokens[:16]:
@@ -466,7 +464,7 @@ class TestMaterialize:
         spec = ModelSpec(4, 32, 8, 12, 2)
         model, _ = gen_synthetic(spec, seed=3)
         stats = run_calibration(model, gen_tokens(64, spec.hidden_dim, seed=4))
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=4))
+        plan = consolidate(model, stats, rho=0.5, scope_size=4)
         builds = []
 
         def build(l):
@@ -487,7 +485,7 @@ class TestGenSynthetic:
         assert models_equal(a, b)
 
     def test_within_duplicates_zero_nn(self, small_spec):
-        model, dup_map = gen_synthetic(small_spec, seed=5, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(small_spec, seed=5, dup="within")
         assert len(dup_map) == small_spec.num_layers * small_spec.num_experts // 2
         refs = [(0, i) for i in range(small_spec.num_experts)]
         table = distance_matrix(model, refs)
@@ -496,7 +494,7 @@ class TestGenSynthetic:
                 assert distance(table, copy, src) == 0.0
 
     def test_cross_duplicates_live_in_previous_layer(self, small_spec):
-        model, dup_map = gen_synthetic(small_spec, seed=5, dup=DupConfig("cross"))
+        model, dup_map = gen_synthetic(small_spec, seed=5, dup="cross")
         refs = [(l, i) for l in (0, 1) for i in range(small_spec.num_experts)]
         table = distance_matrix(model, refs)
         for i in range(small_spec.num_experts):
@@ -505,4 +503,20 @@ class TestGenSynthetic:
 
     def test_dup_on_tiny_model_rejected(self):
         with pytest.raises(ValueError):
-            gen_synthetic(ModelSpec(1, 1, 4, 6, 1), seed=0, dup=DupConfig("within"))
+            gen_synthetic(ModelSpec(1, 1, 4, 6, 1), seed=0, dup="within")
+
+    @pytest.mark.parametrize("shape,dup,noise,message", [
+        ((1, 1), "mirror", float("nan"), "unknown dup mode: 'mirror'"),
+        ((1, 1), "within", float("nan"), "dup noise must be finite and >= 0"),
+        ((1, 1), "both", -1.0, "dup noise must be finite and >= 0"),
+        ((1, 1), "none", 0.5, "dup noise > 0 needs a dup mode: mode 'none' plants no copy"),
+        ((1, 1), "both", 0.0, "within-layer duplicates need at least 2 experts"),
+        ((1, 4), "cross", 1e-7, "cross-layer duplicates need at least 2 layers"),
+    ], ids=["unknown_mode", "nan_noise", "negative_noise", "noise_without_mode", "within_one_expert",
+            "cross_one_layer"])
+    def test_dup_refusals_in_order(self, shape, dup, noise, message):
+        """Each input also breaks every later check that applies to it, so
+        the message names the first check in order: mode, noise, then the
+        mode against the spec."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_synthetic(ModelSpec(*shape, 4, 6, 1), seed=0, dup=dup, dup_noise=noise)

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conmoe import (
-    DupConfig,
     ModelSpec,
-    ScopeConfig,
     assign,
     budget,
     consolidate,
@@ -187,9 +185,10 @@ class TestSelectPrototypes:
         with pytest.raises(ValueError, match=f"^unknown policy: {policy!r}$"):
             planner.policy_keys(policy, small_stats, refs, table)
 
-    def test_scope_config_refuses_unknown_policy(self):
+    def test_consolidate_refuses_unknown_policy(self, small_model, small_stats):
+        """Also at rho 0, where no scope is reduced and no policy ranks."""
         with pytest.raises(ValueError, match="unknown policy: 'prune_frequency'"):
-            ScopeConfig(rho=0.5, policy="prune_frequency")
+            consolidate(small_model, small_stats, rho=0.0, policy="prune_frequency")
 
 
 class TestAssign:
@@ -222,7 +221,7 @@ class TestAssign:
 
 class TestConsolidate:
     def test_rho_zero_is_identity(self, small_model, small_stats):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.0))
+        plan = consolidate(small_model, small_stats, rho=0.0)
         assert all(plan.assignment[r] == r for r in plan.assignment)
         for scope in scopes(plan):
             n = small_model.spec.num_experts
@@ -230,10 +229,10 @@ class TestConsolidate:
 
     def test_duplicate_pairs_map_at_zero_distance(self):
         spec = ModelSpec(2, 8, 16, 24, 2)
-        model, dup_map = gen_synthetic(spec, seed=13, dup=DupConfig("within"))
+        model, dup_map = gen_synthetic(spec, seed=13, dup="within")
         tokens = gen_tokens(32, spec.hidden_dim, seed=5)
         stats = run_calibration(model, tokens)
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=1))
+        plan = consolidate(model, stats, rho=0.5, scope_size=1)
         for l in range(spec.num_layers):
             refs = [(l, i) for i in range(spec.num_experts)]
             table = distance_matrix(model, refs)
@@ -243,18 +242,18 @@ class TestConsolidate:
                     assert distance(table, ref, plan.assignment[ref]) == 0.0
 
     def test_plan_bytes_deterministic(self, small_model, small_stats):
-        a = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
-        b = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        a = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
+        b = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
         assert canonical_json(plan_to_dict(a)) == canonical_json(plan_to_dict(b))
 
     def test_sigma1_adaptive_equals_fixed_k(self, small_model, small_stats):
-        a = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=1, policy="adaptive"))
-        b = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=1, policy="fixed_k"))
+        a = consolidate(small_model, small_stats, rho=0.5, scope_size=1, policy="adaptive")
+        b = consolidate(small_model, small_stats, rho=0.5, scope_size=1, policy="fixed_k")
         assert a.assignment == b.assignment
         assert [s.prototypes for s in scopes(a)] == [s.prototypes for s in scopes(b)]
 
     def test_assignment_optimality(self, small_model, small_stats):
-        plan = consolidate(small_model, small_stats, ScopeConfig(rho=0.5, scope_size=2))
+        plan = consolidate(small_model, small_stats, rho=0.5, scope_size=2)
         for scope in scopes(plan):
             refs = [(l, i) for l in scope.layers for i in range(small_model.spec.num_experts)]
             table = distance_matrix(small_model, refs)
@@ -295,9 +294,9 @@ class TestTablesBuilt:
     @pytest.mark.parametrize("scope_size", [1, 2, 8])
     def test_consolidate_builds_one_per_reduced_scope(self, readme, built, policy, scope_size):
         model, stats = readme
-        consolidate(model, stats, ScopeConfig(rho=0.0, scope_size=scope_size, policy=policy))
+        consolidate(model, stats, rho=0.0, scope_size=scope_size, policy=policy)
         assert built == []
-        consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=scope_size, policy=policy))
+        consolidate(model, stats, rho=0.5, scope_size=scope_size, policy=policy)
         assert built == [16 * len(layers) for layers in scope_partition(8, scope_size)]
 
 

@@ -12,10 +12,8 @@ import pytest
 from conmoe import (
     CalibStats,
     ConsolidationPlan,
-    DupConfig,
     MoELayer,
     ModelSpec,
-    ScopeConfig,
     consolidate,
     fuse_weighted_average,
     gen_synthetic,
@@ -70,7 +68,7 @@ class TestCheckpoint:
 
     def test_unknown_dup_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown dup mode: 'mirror'"):
-            DupConfig("mirror")
+            gen_synthetic(ModelSpec(2, 4, 8, 12, 2), seed=1, dup="mirror")
 
     @pytest.mark.parametrize("fault,message", [
         (lambda m: setattr(m.layers[1], "block", m.layers[1].block[:, :, :-1]),
@@ -234,7 +232,7 @@ class TestMapping:
         write_checkpoint(model, source)
         stats = run_calibration(model, gen_tokens(16, model.spec.hidden_dim, seed=2))
         plan = tmp_path / "p.json"
-        write_plan(consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=2)), plan)
+        write_plan(consolidate(model, stats, rho=0.5, scope_size=2), plan)
         argv = [command, "--plan", str(plan)]
         assert main([*argv, "--model", str(source), "-o", str(tmp_path / "other.mckpt")]) == 0
         assert main([*argv, "--model", str(source), "-o", str(source)]) == 0
@@ -319,9 +317,9 @@ class TestTensorIndex:
 
     def test_layers_hold_the_payload_layout(self, tmp_path):
         spec = ModelSpec(2, 4, 8, 12, 2)
-        model, _ = gen_synthetic(spec, seed=1, dup=DupConfig("within"))
+        model, _ = gen_synthetic(spec, seed=1, dup="within")
         stats = run_calibration(model, gen_tokens(16, spec.hidden_dim, seed=2))
-        plan = consolidate(model, stats, ScopeConfig(rho=0.5))
+        plan = consolidate(model, stats, rho=0.5)
         assert [f.name for f in fields(MoELayer)] == ["block", "router"]
         path = tmp_path / "m.mckpt"
         for m in (model, materialize(model, plan), fuse_weighted_average(model, plan, stats)):
@@ -565,7 +563,7 @@ class TestDerivedCheckpointMemory:
         stats = run_calibration(model, gen_tokens(16, 64, seed=4))
         write_checkpoint(model, tmp / "m.mckpt")
         write_stats(stats, tmp / "s.json")
-        write_plan(consolidate(model, stats, ScopeConfig(rho=0.5, scope_size=4)), tmp / "p.json")
+        write_plan(consolidate(model, stats, rho=0.5, scope_size=4), tmp / "p.json")
         return tmp
 
     @pytest.mark.parametrize("command", ["materialize", "fuse", "merge"])
