@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import EPS, distance_matrix, nearest
-from .model import MoEModel, finite, moe_forward, token_rows
+from .model import MoEModel, moe_forward, token_rows
 from .plan import ConsolidationPlan
 from .planner import consolidate, scope_partition
 from .store import write_bytes
@@ -34,16 +34,11 @@ class NNReport:
 
 
 def _mean_relative_error(got: np.ndarray, want: np.ndarray) -> float:
-    """The per-token relative L2 errors of float32 (count, hidden) rows, averaged
-    in float64; a row whose float32 norms overflow is rescored in float64."""
-    norms = np.linalg.norm(want, axis=1)
-    errors = np.linalg.norm(got - want, axis=1) / (norms + EPS)
-    redo = ~(np.isfinite(errors) & np.isfinite(norms))  # inf / inf reads NaN, x / inf reads 0
-    if redo.any():
-        got, want = got[redo].astype(np.float64), want[redo].astype(np.float64)
-        errors = errors.astype(np.float64)
-        errors[redo] = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
-    return float(errors.mean(dtype=np.float64))
+    """The mean per-token relative L2 error of float32 (count, hidden) rows,
+    in float64 like every norm of the forward's outputs, so none overflows."""
+    want = want.astype(np.float64)
+    errors = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
+    return float(errors.mean())
 
 
 def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.ndarray) -> list[FidelityReport]:
@@ -54,19 +49,16 @@ def _fidelity_pass(model: MoEModel, plans: list[ConsolidationPlan], tokens: np.n
     tokens = token_rows(tokens, model.spec.hidden_dim)
     reference, states = tokens, [tokens] * len(plans)
     per_layer = [[] for _ in plans]
-    with np.errstate(all="ignore"):  # overflowed norms are rescored; a non-finite error is refused
-        for l in range(model.spec.num_layers):
-            want = moe_forward(model, l, reference)
-            reference = reference + want
-            for k, plan in enumerate(plans):
-                got = moe_forward(model, l, states[k], plan)
-                states[k] = states[k] + got
-                per_layer[k].append(finite(_mean_relative_error(got, want), "error norm", l))
-                del got  # no output outlives its error: the next forward runs without it
-            del want
-        end_to_end = [_mean_relative_error(state, reference) for state in states]
-    if not np.isfinite(end_to_end).all():
-        raise ValueError("non-finite end-to-end error")
+    for l in range(model.spec.num_layers):
+        want = moe_forward(model, l, reference)
+        reference = reference + want
+        for k, plan in enumerate(plans):
+            got = moe_forward(model, l, states[k], plan)
+            states[k] = states[k] + got
+            per_layer[k].append(_mean_relative_error(got, want))
+            del got  # no output outlives its error: the next forward runs without it
+        del want
+    end_to_end = [_mean_relative_error(state, reference) for state in states]
     return [
         FidelityReport(
             per_layer_error=errors,

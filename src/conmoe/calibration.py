@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEModel, finite, model_forward, token_rows
+from .model import MoEModel, model_forward, token_rows
 
 
 @dataclass(eq=False)  # array fields make the generated == raise
@@ -60,18 +60,17 @@ class CalibStats:
 
 def run_calibration(model: MoEModel, tokens: np.ndarray) -> CalibStats:
     """Run the forward on the tokens and, at the point an expert is
-    selected, record its routing weight times the L2 norm of its raw
-    output, a float32 product summed into the float64 grid."""
+    selected, add its routing weight times the float64 L2 norm of its raw
+    output (every norm of the forward's outputs is float64) to the grid."""
     tokens = token_rows(tokens, model.spec.hidden_dim)
     shape = (model.spec.num_layers, model.spec.num_experts)
     counts = np.zeros(shape, dtype=np.int64)
     sums = np.zeros(shape)
 
     def record(l, i, tok, g, y):
-        norms = finite(np.linalg.norm(y, axis=1), "expert output norm", l)
         counts[l, i] = tok.size
         # summed in token order, one token at a time
-        np.add.at(sums[l], np.full(tok.size, i), g * norms)
+        np.add.at(sums[l], np.full(tok.size, i), g * np.linalg.norm(y.astype(np.float64), axis=1))
 
     model_forward(model, tokens, visit=record)
     return CalibStats(token_total=tokens.shape[0], top_k=model.spec.top_k,

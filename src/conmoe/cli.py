@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, baselines, store
 from .calibration import run_calibration
-from .model import ModelSpec, gen_synthetic, gen_tokens, materialize
+from .model import DUP_MODES, ModelSpec, gen_synthetic, gen_tokens, materialize
 from .planner import SELECTION_POLICIES, consolidate
 
 DEFAULT_SEED = 42
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, required=True)
     p.add_argument("--inter", type=int, required=True)
     p.add_argument("--topk", type=int, required=True)
-    p.add_argument("--dup", choices=["none", "within", "cross", "both"], default="none")
+    p.add_argument("--dup", choices=DUP_MODES, default="none")
     p.add_argument("--dup-noise", type=float, default=0.0)
 
     _options(sub.add_parser("calibrate", help="collect routing statistics"), "--model", "--tokens")

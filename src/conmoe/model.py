@@ -43,6 +43,7 @@ class ModelSpec:
 
 
 PROJECTIONS = ("gate", "up", "down")
+DUP_MODES = ("none", "within", "cross", "both")
 
 
 @dataclass
@@ -281,7 +282,7 @@ def gen_synthetic(spec: ModelSpec, seed: int, dup: str = "none",
     with dup "none". The map sends each copy to its source slot; with
     dup_noise=0 the pair is bit-identical.
     """
-    if dup not in ("none", "within", "cross", "both"):
+    if dup not in DUP_MODES:
         raise ValueError(f"unknown dup mode: {dup!r}")
     if not (np.isfinite(dup_noise) and dup_noise >= 0):
         raise ValueError("dup noise must be finite and >= 0")

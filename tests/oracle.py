@@ -189,8 +189,8 @@ def trace(model, h0, plan=None):
 
 def calibrate(model, tokens):
     """Per-token calibration loop: route each layer with router_topk, record
-    every selected expert's weight times its output norm (a float32 product
-    summed into float64), then take the residual step over the recorded
+    every selected expert's weight times its float64 output norm, summed
+    into float64, then take the residual step over the recorded
     outputs in ascending slot order."""
     shape = (model.spec.num_layers, model.spec.num_experts)
     counts, sums = np.zeros(shape, dtype=np.int64), np.zeros(shape)
@@ -200,7 +200,7 @@ def calibrate(model, tokens):
             moe_out = np.zeros_like(h)
             for i, g, out in terms:
                 counts[l, i] += 1
-                sums[l, i] += np.float32(g) * np.linalg.norm(out)
+                sums[l, i] += np.float32(g) * np.linalg.norm(out.astype(np.float64))
                 moe_out = moe_out + g * out
             h = h + moe_out
     return CalibStats(token_total=len(tokens), top_k=model.spec.top_k,
@@ -440,8 +440,9 @@ def model_forward_trace(model, tokens, plan=None):
 
 
 def _mean_relative_error(got, want):
+    want = np.asarray(want, dtype=np.float64)
     errors = np.linalg.norm(got - want, axis=1) / (np.linalg.norm(want, axis=1) + EPS)
-    return float(errors.mean(dtype=np.float64))
+    return float(errors.mean())
 
 
 def evaluate_fidelity(model, plan, tokens, reference=None):

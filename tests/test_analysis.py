@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -18,7 +19,8 @@ from conmoe import (
     run_calibration,
     scope_sweep,
 )
-from conmoe.analysis import dump_nn_csvs
+from conmoe.analysis import _mean_relative_error, dump_nn_csvs
+from conmoe.geometry import EPS
 from conmoe.model import MoELayer, MoEModel
 from conmoe.store import canonical_json
 import oracle
@@ -74,8 +76,8 @@ class TestEvaluateFidelity:
         of its state to slot 0 or 1, each adding about -2.5e18 per layer; the
         plan sends both slots to the zero slot 2, so its state stays 1.0.
         Every layer's error is then 1.0. After 8 layers the reference's
-        square passes float32's range, so the final-state error would read
-        inf / inf; rescored in float64 it is 1.0 too."""
+        square passes float32's range, so a float32 final-state error would
+        read inf / inf; in float64 it is 1.0 too."""
         block = np.array([[[10.0], [1.0], [-2.5e17]], [[-10.0], [-1.0], [-2.5e17]], [[0.0]] * 3],
                          dtype=np.float32)
         router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
@@ -90,8 +92,8 @@ class TestEvaluateFidelity:
         """One layer, hidden size 1, top-1: the token routes to slot 0, whose
         output is about -3e19; the plan sends it to slot 2, about -2.9e19.
         The reference's square overflows float32 but the difference's does
-        not, so the float32 ratio would read x / inf = 0; rescored in
-        float64 both errors are about 1/30."""
+        not, so a float32 ratio would read x / inf = 0; in float64 both
+        errors are about 1/30."""
         block = np.array([[[10.0], [1.0], [-3e18]], [[0.0]] * 3, [[10.0], [1.0], [-2.9e18]]],
                          dtype=np.float32)
         router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
@@ -101,6 +103,37 @@ class TestEvaluateFidelity:
         report = evaluate_fidelity(model, plan, np.ones((1, 1)))
         assert report.per_layer_error == [pytest.approx(1 / 30, rel=1e-5)]
         assert report.end_to_end_error == pytest.approx(1 / 30, rel=1e-5)
+
+
+    def test_overflowing_difference_scored(self):
+        """One layer, hidden size 1, top-1: the token routes to slot 0, whose
+        output is about +2e38; the plan sends it to slot 2, whose output is
+        its exact negation. Both outputs and states are finite float32, but
+        their float32 difference overflows; in float64 every error is 2.0,
+        with no warning."""
+        block = np.array([[[10.0], [1.0], [2e37]], [[0.0]] * 3, [[10.0], [1.0], [-2e37]]],
+                         dtype=np.float32)
+        router = np.array([[1.0], [-1.0], [0.0]], dtype=np.float32)
+        model = MoEModel(ModelSpec(1, 3, 1, 1, 1), [MoELayer(block, router)])
+        plan = ConsolidationPlan(rho=1 / 3, scope_size=1, policy="adaptive",
+                                 assignment={(0, 0): (0, 2), (0, 1): (0, 1), (0, 2): (0, 2)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_fidelity(model, plan, np.ones((1, 1)))
+        assert report.per_layer_error == [2.0]
+        assert report.end_to_end_error == 2.0
+
+    def test_error_of_rows_whose_float32_squares_overflow(self):
+        """Rows of 16 entries near 2e19, whose float32 squares pass 3.4e38:
+        the mean relative error equals a float64 reference exactly."""
+        rng = np.random.default_rng(3)
+        want = (rng.uniform(1.9e19, 2.1e19, (5, 16)) * rng.choice([-1, 1], (5, 16))).astype(np.float32)
+        got = (want * rng.uniform(0.9, 1.1, want.shape)).astype(np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.square(want)).all()
+        got64, want64 = got.astype(np.float64), want.astype(np.float64)
+        errors = np.sqrt(np.square(got64 - want64).sum(axis=1)) / (np.sqrt(np.square(want64).sum(axis=1)) + EPS)
+        assert _mean_relative_error(got, want) == errors.mean()
 
 
 class TestReductionAccounting:

@@ -1,6 +1,6 @@
 """The README's code runs as written: each `conmoe` command of its `sh`
 blocks exits 0 through the CLI, in order, printing its one success line,
-and its Python snippet runs."""
+and its Python snippet runs; its list of overflow messages is the source's."""
 
 import re
 import shlex
@@ -8,7 +8,8 @@ from pathlib import Path
 
 from conmoe.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text("utf-8")
 
 
 def blocks(lang):
@@ -39,3 +40,13 @@ def test_cli_commands_run(tmp_path, monkeypatch, capsys):
 def test_python_snippet_runs():
     (snippet,) = blocks("python")
     exec(compile(snippet, "README.md", "exec"), {})
+
+
+def test_overflow_messages_match_the_source():
+    """The WHATs of README's `error: non-finite WHAT at layer L` list (the
+    last backticked phrase of each `;`-separated entry) are exactly the
+    ones src/conmoe passes to model.finite."""
+    source = "".join(p.read_text("utf-8") for p in (ROOT / "src" / "conmoe").glob("*.py"))
+    whats = set(re.findall(r'\bfinite\(.*, "([^"]+)", \w+\)', source))
+    entries = re.search(r"WHAT is (.+?)\. ", " ".join(README.split())).group(1).split(";")
+    assert whats == {re.findall(r"`([^`]+)`", entry)[-1] for entry in entries}
