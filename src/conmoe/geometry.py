@@ -4,9 +4,10 @@ Each projection distance is a norm-balanced relative Frobenius distance in
 [0, 2); the expert distance averages it over the gate/up/down projections.
 A scope's table reuses one float64 stack, one Gram and one running total
 for the three projections, and turns each Gram into distances in place,
-ROW_BLOCK rows at a time. The Gram is computed whole, by one SYRK call,
-because that makes it, and so the table, exactly symmetric. nearest reads
-the table ROW_BLOCK rows at a time too, and never copies it whole.
+ROW_BLOCK rows at a time. The stack holds at most STACK_BYTES of a
+projection's columns at a time; each block's Gram comes from one SYRK call
+and is exactly symmetric, so their sum, and so the table, is too. nearest
+reads the table ROW_BLOCK rows at a time too, and never copies it whole.
 """
 
 from __future__ import annotations
@@ -53,9 +54,19 @@ def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
     if not scope:
         raise ValueError("empty scope: a distance table needs at least one expert")
     scope = sorted(scope)
+    layers, experts = model.spec.num_layers, model.spec.num_experts
+    for prev, ref in zip([None, *scope], scope):
+        if not (0 <= ref[0] < layers and 0 <= ref[1] < experts):
+            raise ValueError(f"expert {ref} is not a slot of the {layers}x{experts} model")
+        if ref == prev:
+            raise ValueError(f"expert {ref} repeated in scope")
     rows = [model.row(ref) for ref in scope]
-    stack = np.empty((len(rows), rows[0].shape[1]))
-    gram = np.empty((len(rows), len(rows)))
+    n, width = len(rows), rows[0].shape[1]
+    cols = max(1, STACK_BYTES // (8 * n))
+    if cols + n >= width:  # a block and a partial would hold no less than the whole stack
+        cols = width
+    stack = np.empty(n * cols)
+    gram = np.empty((n, n))
     total = np.zeros_like(gram)
     for k in range(len(PROJECTIONS)):
         total += _projection_distances([row[k] for row in rows], stack, gram)
@@ -69,17 +80,31 @@ def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
 # exactly 0.0 and near-duplicates are never ranked by rounding noise.
 EXACT_RECOMPUTE_FRACTION = 1e-6
 ROW_BLOCK = 128  # table rows computed, or queried by nearest, at a time
+STACK_BYTES = 8 * 2**20  # the float64 stack: a projection's columns cast at a time
 
 
 def _projection_distances(flat: list[np.ndarray], stack: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """projection_distance of one projection, given per expert as a flat
     row, between every two experts, written over gram, via ||a - b||^2 =
-    ||a||^2 + ||b||^2 - 2<a, b>. Each Gram entry equals its mirror, and
-    a diagonal d2 is 2||a||^2 - 2||a||^2 = 0. A pair lost to cancellation is
-    recomputed after the last block, as its mirror is still a Gram entry."""
-    np.stack(flat, out=stack)
-    np.matmul(stack, stack.T, out=gram)
-    sq = np.diag(gram).copy()  # not a view: the blocks overwrite the diagonal
+    ||a||^2 + ||b||^2 - 2<a, b>. The rows are cast into the flat stack
+    len(stack) // n columns at a time: the first block's Gram is written to
+    gram, and each later block's to one (n, n) partial, added to gram. Each
+    block's Gram is one SYRK call and exactly symmetric, so is their sum,
+    and a diagonal d2 is 2||a||^2 - 2||a||^2 = 0. A pair lost to
+    cancellation is recomputed after the last row block, as its mirror is
+    still a Gram entry."""
+    n, width = len(flat), flat[0].size
+    cols = len(stack) // n
+    partial = None
+    for c in range(0, width, cols):
+        block = stack[:n * min(cols, width - c)].reshape(n, -1)
+        np.stack([row[c:c + cols] for row in flat], out=block)
+        if c == 0:
+            np.matmul(block, block.T, out=gram)
+        else:
+            partial = np.matmul(block, block.T, out=partial)
+            gram += partial
+    sq = np.diag(gram).copy()  # not a view: the row blocks overwrite the diagonal
     norms = np.sqrt(sq)
     close = []
     for r in range(0, len(sq), ROW_BLOCK):

@@ -252,30 +252,35 @@ def expert_distance(e, f):
     return total / len(PROJECTIONS)
 
 
-def pair_distance_matrix(model, scope):
+def pair_distance_matrix(model, scope, cols=None):
     """distance_matrix over the upper triangle's index pairs: each pair
     reads its Gram entries by fancy indexing, and the pair values are
-    mirrored into a zero matrix."""
+    mirrored into a zero matrix. Each Gram is summed over blocks of cols
+    columns (None: the whole row), in column order."""
     scope = sorted(scope)
     rows = [model.row(ref) for ref in scope]
     n = len(scope)
     upper = np.triu_indices(n, 1)
     total = np.zeros(len(upper[0]))
     for k in range(len(PROJECTIONS)):
-        total += _pair_projection_distances([row[k] for row in rows], upper)
+        total += _pair_projection_distances([row[k] for row in rows], upper, cols)
     values = np.zeros((n, n))
     values[upper] = total / len(PROJECTIONS)
     values[upper[::-1]] = values[upper]
     return DistanceTable(scope=scope, values=values)
 
 
-def _pair_projection_distances(flat, pairs):
+def _pair_projection_distances(flat, pairs, cols=None):
     """One projection's distances for the index pairs (i, j), with the same
     per-entry operations as geometry._projection_distances."""
     stack = np.empty((len(flat), flat[0].size if flat else 0))
     for row, w in zip(stack, flat):
         row[:] = w
-    gram = stack @ stack.T
+    cols = cols or stack.shape[1]
+    blocks = [np.ascontiguousarray(stack[:, c:c + cols]) for c in range(0, stack.shape[1], cols)]
+    gram = blocks[0] @ blocks[0].T
+    for block in blocks[1:]:
+        gram += block @ block.T
     sq = np.diag(gram)
     norms = np.sqrt(sq)
     i, j = pairs

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conmoe.cli import main
-from conmoe import (ConsolidationPlan, analysis, cli, gen_tokens, read_checkpoint, read_plan,
+from conmoe import (ConsolidationPlan, analysis, cli, gen_tokens, geometry, read_checkpoint, read_plan,
                     write_checkpoint, write_plan)
 from conmoe.model import moe_forward
 from conftest import run_cli_subprocess, run_python_subprocess
 from oracle import tensor_index
-from test_geometry import assert_pair_kernel_bytes
+from test_geometry import assert_pair_kernel_bytes, block_cols
 
 
 GRID = "expected a non-empty grid of equal-length rows"
@@ -399,6 +399,22 @@ class TestReadmeShapeRegressions:
             plan = read_plan(path)
             for p in plan.distinct_prototypes():
                 assert plan.assignment[p] == p
+
+    def test_column_blocked_stack_writes_the_same_plans(self, tmp_path, monkeypatch):
+        """With the stack held to 100 columns of a 128-expert scope, every
+        scope's Gram is summed over 2 to 16 column blocks, and the plans
+        keep every byte of the one-block default."""
+        model, stats = self.readme_model(tmp_path)
+        plans = {}
+        for stack_bytes in (geometry.STACK_BYTES, 8 * 128 * 100):
+            monkeypatch.setattr(geometry, "STACK_BYTES", stack_bytes)
+            for scope in (1, 2, 8):
+                plan = tmp_path / f"plan-{stack_bytes}-{scope}.json"
+                assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5",
+                           "--scope", scope, "-o", plan) == 0
+                plans.setdefault(scope, []).append(plan.read_bytes())
+        assert [block_cols(read_checkpoint(model), 16 * scope) for scope in (1, 2, 8)] == [800, 400, 100]
+        assert all(default == blocked for default, blocked in plans.values())
 
     def test_mixed_chains_keep_each_step_apart(self, tmp_path):
         """materialize then fuse, and fuse then materialize, with the same

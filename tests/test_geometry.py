@@ -12,12 +12,15 @@ from conmoe import (
     ModelSpec,
     distance_matrix,
     gen_synthetic,
+    gen_tokens,
     minmax_norm,
     nearest,
     projection_distance,
+    run_calibration,
 )
 from conmoe import geometry
 from conmoe.geometry import DistanceTable
+from conmoe.plan import SELECTION_POLICIES
 from conmoe.store import plan_to_dict
 from oracle import (
     ExpertWeights,
@@ -118,6 +121,21 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="^empty scope: a distance table needs at least one expert$"):
             distance_matrix(small_model, [])
 
+    @pytest.mark.parametrize("scope, message", [
+        ([(0, 1), (0, 1), (0, 2)], r"^expert \(0, 1\) repeated in scope$"),
+        ([(0, 9)], r"^expert \(0, 9\) is not a slot of the 2x4 model$"),
+        ([(-1, 0), (0, 0)], r"^expert \(-1, 0\) is not a slot of the 2x4 model$"),
+        ([(0, 0), (2, 0)], r"^expert \(2, 0\) is not a slot of the 2x4 model$"),
+        ([(0, -1), (0, 0)], r"^expert \(0, -1\) is not a slot of the 2x4 model$"),
+    ])
+    def test_scope_outside_or_repeated_refused(self, scope, message):
+        """A repeated slot would give the table a duplicate row; a slot
+        outside the grid would raise IndexError, or, with a negative index,
+        read another slot under its label."""
+        model, _ = gen_synthetic(ModelSpec(2, 4, 4, 6, 1), seed=1)
+        with pytest.raises(ValueError, match=message):
+            distance_matrix(model, scope)
+
 
 def reference_table(model, scope):
     """The scalar per-pair loop the Gram kernel replaced."""
@@ -136,11 +154,20 @@ def whole_model(spec):
     return [(l, i) for l in range(spec.num_layers) for i in range(spec.num_experts)]
 
 
+def block_cols(model, n):
+    """The stack's block width for an n-expert scope: STACK_BYTES // (8n)
+    columns, at least one, or the whole row when a block and the (n, n)
+    partial would hold no less than the whole stack."""
+    width = model.spec.hidden_dim * model.spec.intermediate_dim
+    cols = max(1, geometry.STACK_BYTES // (8 * n))
+    return width if cols + n >= width else cols
+
+
 def assert_pair_kernel_bytes(model, scope):
-    """The (n, n) table is the index-pair kernel's, bit for bit, and is
-    bitwise symmetric with an all-zero diagonal."""
+    """The (n, n) table is the index-pair kernel's, at the same block
+    width, bit for bit, and is bitwise symmetric with an all-zero diagonal."""
     got = distance_matrix(model, scope)
-    want = pair_distance_matrix(model, scope)
+    want = pair_distance_matrix(model, scope, block_cols(model, len(scope)))
     assert got.scope == want.scope
     assert got.values.tobytes() == want.values.tobytes()
     assert got.values.tobytes() == np.ascontiguousarray(got.values.T).tobytes()
@@ -223,6 +250,63 @@ class TestGramKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (2.5 * n * n + n * spec.intermediate_dim * spec.hidden_dim)
+
+    @pytest.mark.parametrize("dup", [("none", 0.0), ("within", 0.0), ("both", 1e-7)])
+    @pytest.mark.parametrize("stack_bytes, shape", [(8 * 24 * 40, (2, 12, 8, 12, 2)),
+                                                    (8 * 12 * 7, (4, 3, 4, 6, 2)),
+                                                    (1, (2, 4, 3, 5, 1))])
+    def test_column_blocks_match_scalar_loop(self, monkeypatch, stack_bytes, shape, dup):
+        """A stack of 40 columns over rows of 96 (3 blocks, the last 16
+        wide), 7 over 24 (4 blocks, the last 3 wide) and 1 over 15 (one
+        column per block): within 1e-12 of the scalar loop, the pair
+        kernel's bits at the same block width, bitwise symmetric, a zero
+        diagonal, planted twins exactly 0.0, and every plan the one built
+        on the scalar loop's tables."""
+        monkeypatch.setattr(geometry, "STACK_BYTES", stack_bytes)
+        spec = ModelSpec(*shape)
+        model, dup_map = gen_synthetic(spec, 15, *dup)
+        scope = whole_model(spec)
+        width = spec.hidden_dim * spec.intermediate_dim
+        cols = block_cols(model, len(scope))
+        assert 2 * cols <= width and (width % cols or cols == 1)  # ragged, or one column each
+        got = distance_matrix(model, scope)
+        want = reference_table(model, scope)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        assert got.values.tobytes() == np.ascontiguousarray(got.values.T).tobytes()
+        assert not np.diag(got.values).any()
+        for copy, src in dup_map.items():
+            d = distance(got, copy, src)
+            assert d == expert_distance(expert(model, copy), expert(model, src))
+            assert d == 0.0 or dup[1] > 0
+        assert_pair_kernel_bytes(model, scope)
+
+        stats = run_calibration(model, gen_tokens(32, spec.hidden_dim, 15))
+        configs = [(rho, size, policy) for rho in (0.25, 0.5) for size in (1, spec.num_layers)
+                   for policy in SELECTION_POLICIES]
+        built = [plan_to_dict(consolidate(model, stats, *config)) for config in configs]
+        tables = {}
+        monkeypatch.setattr("conmoe.planner.distance_matrix", lambda model, scope: tables.setdefault(
+            tuple(scope), reference_table(model, scope)))
+        assert [plan_to_dict(consolidate(model, stats, *config)) for config in configs] == built
+
+    @pytest.mark.parametrize("stack_bytes", [None, 2**20, 2**16])
+    @pytest.mark.parametrize("inter", [512, 2048])
+    def test_peak_memory_is_a_bounded_stack_and_three_tables(self, monkeypatch, stack_bytes, inter):
+        """An 8-expert scope of rows 131,072 or 524,288 wide: the traced
+        peak is the stack's budget and three (n, n) arrays, whatever the
+        width (the whole stack is 8.4 or 33.6 MB)."""
+        if stack_bytes is not None:
+            monkeypatch.setattr(geometry, "STACK_BYTES", stack_bytes)
+        spec = ModelSpec(1, 8, 256, inter, 2)
+        model, _ = gen_synthetic(spec, seed=17)
+        n = spec.num_experts
+        tracemalloc.start()
+        try:
+            distance_matrix(model, whole_model(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < geometry.STACK_BYTES + 8 * 3 * n * n + 2**15
 
     def test_plans_match_reference_table(self, monkeypatch):
         built = []
