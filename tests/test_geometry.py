@@ -285,8 +285,13 @@ class TestGramKernel:
                    for policy in SELECTION_POLICIES]
         built = [plan_to_dict(consolidate(model, stats, *config)) for config in configs]
         tables = {}
-        monkeypatch.setattr("conmoe.planner.distance_matrix", lambda model, scope: tables.setdefault(
-            tuple(scope), reference_table(model, scope)))
+
+        def cached_reference_table(model, scope):
+            if tuple(scope) not in tables:
+                tables[tuple(scope)] = reference_table(model, scope)
+            return tables[tuple(scope)]
+
+        monkeypatch.setattr("conmoe.planner.distance_matrix", cached_reference_table)
         assert [plan_to_dict(consolidate(model, stats, *config)) for config in configs] == built
 
     @pytest.mark.parametrize("stack_bytes", [None, 2**20, 2**16])
