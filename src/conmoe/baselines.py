@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .calibration import CalibStats
-from .model import MoEModel, Ref, derive
+from .model import MoEModel, Ref, derive, per_slot
 from .plan import ConsolidationPlan
 from .planner import budget, consolidate, layer_places, policy_keys, select_prototypes
 
@@ -55,7 +55,7 @@ def merge_msmoe(model: MoEModel, stats: CalibStats, rho: float) -> tuple[Consoli
 
 
 def _fusion_weights(stats: CalibStats | None, cluster: list[Ref]) -> list[float]:
-    counts = [int(stats.routed_count[r]) if stats is not None else 0 for r in cluster]
+    counts = per_slot(stats.routed_count, cluster).tolist() if stats is not None else [0] * len(cluster)
     total = sum(counts)
     if total == 0:
         return [1.0 / len(cluster)] * len(cluster)
@@ -69,6 +69,7 @@ def fuse_weighted_average(model: MoEModel, plan: ConsolidationPlan, stats: Calib
     metadata["provenance"] lists each fused slot's (source, weight) pairs."""
     if stats is not None:
         stats.check_covers(model)
+    plan.check_covers(model)  # before the stats are read by the plan's slots
     provenance = sorted(
         [list(proto), [[list(src), w] for src, w in zip(members, _fusion_weights(stats, members))]]
         for proto, members in plan.clusters().items())

@@ -2,12 +2,12 @@
 
 Each projection distance is a norm-balanced relative Frobenius distance in
 [0, 2); the expert distance averages it over the gate/up/down projections.
-A scope's table reuses one float64 stack, one Gram and one running total
-for the three projections, and turns each Gram into distances in place,
-ROW_BLOCK rows at a time. The stack holds at most STACK_BYTES of a
-projection's columns at a time; each block's Gram comes from one SYRK call
-and is exactly symmetric, so their sum, and so the table, is too. nearest
-reads the table ROW_BLOCK rows at a time too, and never copies it whole.
+A DistanceTable checks its scope and shape when built; distance_matrix checks
+its slots by model.check_slots and fills it from one float64 stack and one
+Gram, turned into distances in place ROW_BLOCK rows at a time, per
+projection. The stack holds at most STACK_BYTES of a projection's columns;
+each block's Gram is one exactly symmetric SYRK call, so the table is too.
+nearest reads the table ROW_BLOCK rows at a time and never copies it whole.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PROJECTIONS, MoEModel, Ref
+from .model import PROJECTIONS, MoEModel, Ref, check_slots
 
 # Stabiliser of every ratio (distances, min-max scores, relative errors).
 EPS = 1e-8
@@ -34,11 +34,18 @@ def projection_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class DistanceTable:
-    scope: list[Ref]          # ascending (layer, index)
-    values: np.ndarray        # symmetric, zero diagonal
+    scope: list[Ref]          # non-empty, strictly ascending (layer, index); checked on construction
+    values: np.ndarray        # (n, n), checked on construction; symmetric, zero diagonal
     _index: dict[Ref, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.scope:
+            raise ValueError("empty scope: a distance table needs at least one expert")
+        for prev, ref in zip(self.scope, self.scope[1:]):
+            if not prev < ref:
+                raise ValueError(f"expert {ref} {'repeated in' if ref == prev else 'out of order in'} scope")
+        if np.shape(self.values) != (len(self.scope),) * 2:
+            raise ValueError(f"distance values of shape {np.shape(self.values)} for {len(self.scope)} experts")
         self._index = {ref: i for i, ref in enumerate(self.scope)}
 
     def index_of(self, ref: Ref) -> int:
@@ -51,27 +58,19 @@ class DistanceTable:
 def distance_matrix(model: MoEModel, scope: list[Ref]) -> DistanceTable:
     """Full pairwise table: the mean over the projections of each one's
     (n, n) distances. Symmetric with a zero diagonal by construction."""
-    if not scope:
-        raise ValueError("empty scope: a distance table needs at least one expert")
-    scope = sorted(scope)
-    layers, experts = model.spec.num_layers, model.spec.num_experts
-    for prev, ref in zip([None, *scope], scope):
-        if not (0 <= ref[0] < layers and 0 <= ref[1] < experts):
-            raise ValueError(f"expert {ref} is not a slot of the {layers}x{experts} model")
-        if ref == prev:
-            raise ValueError(f"expert {ref} repeated in scope")
-    rows = [model.row(ref) for ref in scope]
+    table = DistanceTable(scope=sorted(scope), values=np.zeros((len(scope), len(scope))))
+    check_slots(table.scope, (model.spec.num_layers, model.spec.num_experts))
+    rows = [model.row(ref) for ref in table.scope]
     n, width = len(rows), rows[0].shape[1]
     cols = max(1, STACK_BYTES // (8 * n))
     if cols + n >= width:  # a block and a partial would hold no less than the whole stack
         cols = width
     stack = np.empty(n * cols)
     gram = np.empty((n, n))
-    total = np.zeros_like(gram)
     for k in range(len(PROJECTIONS)):
-        total += _projection_distances([row[k] for row in rows], stack, gram)
-    total /= len(PROJECTIONS)
-    return DistanceTable(scope=scope, values=total)
+        table.values += _projection_distances([row[k] for row in rows], stack, gram)
+    table.values /= len(PROJECTIONS)
+    return table
 
 
 # A pair whose Gram-expanded squared distance falls below this fraction of
@@ -138,6 +137,8 @@ def nearest(table: DistanceTable, cols=None) -> tuple[np.ndarray, np.ndarray]:
         take = cols = np.asarray(cols, dtype=np.intp)
         if cols.size == 0:
             raise ValueError("empty candidate set")
+        if cols.min() < 0 or cols.max() >= n:
+            raise ValueError(f"candidate columns [{cols.min()}, {cols.max()}] outside a scope of {n} experts")
     pos = np.empty(n, dtype=np.intp)
     for r in range(0, n, ROW_BLOCK):
         block = table.values[r:r + ROW_BLOCK, take].copy()

@@ -92,6 +92,19 @@ class MoEModel:
         return [(l, i) for l in layers for i in range(self.spec.num_experts)]
 
 
+def check_slots(refs, shape: tuple[int, int]) -> None:
+    """The one slot rule: refuse by name the first ref that is not a slot of a (layers, experts) grid."""
+    for ref in refs:
+        if not (0 <= ref[0] < shape[0] and 0 <= ref[1] < shape[1]):
+            raise ValueError(f"expert {ref} is not a slot of the {shape[0]}x{shape[1]} model")
+
+
+def per_slot(grid: np.ndarray, refs) -> np.ndarray:
+    """grid[l, i] for each ref (l, i), checked by the slot rule first."""
+    check_slots(refs, grid.shape)
+    return grid[tuple(np.array(refs, dtype=np.intp).reshape(-1, 2).T)]
+
+
 def silu(x: np.ndarray) -> np.ndarray:
     # Overflow-safe x * sigmoid(x), bit for bit the two-branch form
     # x * where(x >= 0, 1 / (1 + z), z / (1 + z)) with z = exp(-|x|):

@@ -1,7 +1,7 @@
 """Consolidation planner, in the paper's two steps per scope: keep the
-prototypes a selection policy ranks highest within the scope's budget,
-then choose the reuse structure (nearest-prototype assignment) in the one
-distance table the scope builds; plus the consolidation objective."""
+prototypes a policy ranks highest within the budget, reading stats only
+by the checked gather model.per_slot, then assign each slot its nearest
+prototype in the one distance table the scope builds; plus the objective."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .calibration import CalibStats, contribution
 from .geometry import DistanceTable, distance_matrix, minmax_norm, nearest
-from .model import MoEModel, Ref
+from .model import MoEModel, Ref, per_slot
 from .plan import SELECTION_POLICIES, ConsolidationPlan, check_rho, scope_partition
 
 
@@ -23,25 +23,22 @@ def budget(rho: float, pool_size: int) -> int:
     return max(1, math.floor((1.0 - rho) * pool_size + 0.5))
 
 
-def importance_weights(stats: CalibStats, refs: list[Ref]) -> np.ndarray:
-    """The objective's per-slot weights: each slot's contribution."""
-    return contribution(stats)[tuple(zip(*refs))]
-
-
 def score(stats: CalibStats, table: DistanceTable) -> np.ndarray:
     """Per scope row, the product of min-max normalized contribution and
     replaceability, both normalized within the scope."""
     _, replace = nearest(table)
-    return minmax_norm(importance_weights(stats, table.scope)) * minmax_norm(replace)
+    return minmax_norm(per_slot(contribution(stats), table.scope)) * minmax_norm(replace)
 
 
 def policy_keys(policy: str, stats: CalibStats, refs: list[Ref], table: DistanceTable | None):
     """The per-ref ranking key of a policy; the largest keys are kept. Only
-    usage_topk and reap_topk rank without a table."""
+    usage_topk and reap_topk rank without a table; a given table's scope is refs."""
+    if table is not None and list(refs) != table.scope:
+        raise ValueError(f"refs are not the scope of the {len(table.scope)}-expert distance table, in order")
     if policy == "usage_topk":
-        return stats.routed_count[tuple(zip(*refs))]
+        return per_slot(stats.routed_count, refs)
     if policy == "reap_topk":
-        return importance_weights(stats, refs)
+        return per_slot(contribution(stats), refs)
     if policy == "distance_only":
         return nearest(table)[1]
     if policy == "fixed_k":
@@ -55,7 +52,7 @@ def layer_places(keys, refs: list[Ref]) -> np.ndarray:
     """Minus each ref's rank within its own layer by key, largest first,
     ties to the lower index. Over whole layers, the k largest places keep
     k // layers refs per layer and one more in each of the earliest k % layers."""
-    keys = np.asarray(keys, dtype=np.float64).tolist()
+    keys = [key for key, _ in zip(np.asarray(keys, dtype=np.float64).tolist(), refs, strict=True)]
     places = np.empty(len(refs))
     for layer in {r[0] for r in refs}:
         rows = sorted((i for i, r in enumerate(refs) if r[0] == layer), key=lambda i: (-keys[i], refs[i]))
@@ -67,7 +64,7 @@ def select_prototypes(keys, refs: list[Ref], k: int) -> list[Ref]:
     """The k refs with the largest keys, ties to the lowest (layer, index)."""
     if k > len(refs):
         raise ValueError("budget exceeds scope pool size")
-    ranked = sorted(zip(np.asarray(keys, dtype=np.float64).tolist(), refs), key=lambda kr: (-kr[0], kr[1]))
+    ranked = sorted(zip((-np.asarray(keys, dtype=np.float64)).tolist(), refs, strict=True))
     return sorted(r for _, r in ranked[:k])
 
 

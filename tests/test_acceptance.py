@@ -32,7 +32,8 @@ from conmoe import (
 from conmoe.cli import main
 from conftest import run_cli_subprocess
 from oracle import aggregate_coefficients, brute_force_optimal, distance, expert, identity_plan, scopes
-from conmoe.planner import importance_weights
+from conmoe.calibration import contribution
+from conmoe.model import per_slot
 
 
 def _pass(n, message):
@@ -165,7 +166,7 @@ def test_criterion_4_objective_oracle():
         refs = model.slots()
         table = distance_matrix(model, refs)
         scores = score(stats, table)
-        weights = importance_weights(stats, refs)
+        weights = per_slot(contribution(stats), refs)
         k = int(rng.integers(1, min(6, len(refs) - 1) + 1))
         selected = select_prototypes(scores, refs, k)
         sel_val = objective(selected, table, weights)

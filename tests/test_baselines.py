@@ -16,6 +16,7 @@ from conmoe import (
     reduction_accounting,
     run_calibration,
 )
+from conmoe.baselines import _fusion_weights
 from conmoe.store import plan_to_dict
 from conftest import experts_equal
 from oracle import expert, scopes
@@ -162,6 +163,21 @@ class TestFuseWeightedAverage:
         plan = prune(small_model, small_stats, 0.5)
         with pytest.raises(ValueError, match="^a derived checkpoint requires a remapping plan, not a pruning plan$"):
             derive(small_model, plan)
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 8), (4, 0)])
+    def test_fusion_weights_refuse_a_slot_outside_the_stats(self, small_stats, bad):
+        """A negative index would weight a cluster by another slot's count."""
+        with pytest.raises(ValueError, match=rf"^expert \({bad[0]}, {bad[1]}\) is not a slot of the 4x8 model$"):
+            _fusion_weights(small_stats, [(0, 0), bad])
+
+    @pytest.mark.parametrize("other", [(2, 4), (8, 16)], ids=["smaller", "larger"])
+    def test_plan_of_another_grid_refused_before_the_stats_are_read(self, small_model, small_stats, other):
+        """A larger plan's slots would index the stats out of bounds."""
+        model, _ = gen_synthetic(ModelSpec(*other, 16, 24, 2), seed=1)
+        plan = consolidate(model, run_calibration(model, gen_tokens(8, 16, seed=2)), rho=0.5)
+        message = rf"^plan does not cover this model \(plan grid \({other[0]}, {other[1]}\), model grid \(4, 8\)\)$"
+        with pytest.raises(ValueError, match=message):
+            fuse_weighted_average(small_model, plan, small_stats)
 
 
 class TestDerivedModels:

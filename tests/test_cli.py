@@ -918,3 +918,53 @@ class TestArtifactBoundary:
     def test_inert_flags_gone(self, tmp_path, capsys, argv):
         assert run(*argv, "-o", tmp_path / "out") == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+GRIDS = {"own": (2, 4), "larger": (4, 8), "smaller": (1, 2)}
+PLAN_MISMATCH = "plan does not cover this model (plan grid {grid}, model grid (2, 4))"
+STATS_MISMATCH = "calibration stats do not cover this model (stats grid {grid}, model grid (2, 4))"
+
+
+@pytest.fixture(scope="module")
+def grid_artifacts(tmp_path_factory):
+    """For each grid of GRIDS, a checkpoint, its stats and its rho-0.5 plan."""
+    root = tmp_path_factory.mktemp("grids")
+    paths = {}
+    for name, (layers, experts) in GRIDS.items():
+        model, stats, plan = (root / f"{name}.{ext}" for ext in ("mckpt", "stats.json", "plan.json"))
+        assert run("gen", "--layers", layers, "--experts", experts, "--hidden", 8, "--inter", 12,
+                   "--topk", min(2, experts), "--seed", 5, "-o", model) == 0
+        assert run("calibrate", "--model", model, "--tokens", 16, "-o", stats) == 0
+        assert run("consolidate", "--model", model, "--stats", stats, "--rho", "0.5", "-o", plan) == 0
+        paths[name] = {"model": model, "stats": stats, "plan": plan}
+    return paths
+
+
+class TestGridMismatchMatrix:
+    """Every command that reads a plan or stats, given the plan or stats of
+    a larger or a smaller grid than its model's: exit 1, one `error:` line
+    and no traceback, and no output file. {plan} and {stats} are the other
+    grid's; {own_plan} and {own_stats} the model's own."""
+
+    @pytest.mark.parametrize("other", ["larger", "smaller"])
+    @pytest.mark.parametrize("argv, message", [
+        (("consolidate", "--stats", "{stats}", "--rho", "0.5"), STATS_MISMATCH),
+        (("prune", "--stats", "{stats}", "--method", "frequency", "--rho", "0.5"), STATS_MISMATCH),
+        (("prune", "--stats", "{stats}", "--method", "reap", "--rho", "0.5"), STATS_MISMATCH),
+        (("merge", "--stats", "{stats}", "--rho", "0.5", "--fused-model", "{out}.fused"), STATS_MISMATCH),
+        (("fuse", "--plan", "{plan}"), PLAN_MISMATCH),
+        (("fuse", "--plan", "{plan}", "--stats", "{own_stats}"), PLAN_MISMATCH),
+        (("fuse", "--plan", "{own_plan}", "--stats", "{stats}"), STATS_MISMATCH),
+        (("materialize", "--plan", "{plan}"), PLAN_MISMATCH),
+        (("eval", "--plan", "{plan}", "--tokens", 4), PLAN_MISMATCH),
+        (("sweep", "--stats", "{stats}", "--rho", "0.5", "--tokens", 4, "--scopes", "1"), STATS_MISMATCH),
+    ], ids=["consolidate", "prune_frequency", "prune_reap", "merge", "fuse", "fuse_own_stats",
+            "fuse_own_plan", "materialize", "eval", "sweep"])
+    def test_refused_with_one_error_line(self, grid_artifacts, tmp_path, capsys, other, argv, message):
+        own, out = grid_artifacts["own"], tmp_path / "out"
+        fields = {"out": out, "own_plan": own["plan"], "own_stats": own["stats"], **grid_artifacts[other]}
+        assert run(*[str(a).format(**fields) for a in argv], "--model", own["model"], "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(grid=GRIDS[other])}\n"
+        assert list(tmp_path.iterdir()) == []

@@ -137,6 +137,33 @@ class TestDistanceMatrix:
             distance_matrix(model, scope)
 
 
+class TestDistanceTableChecks:
+    """A table checks itself on construction: a repeated or unsorted scope
+    would misalign index_of with the rows, and values of another shape
+    would misread or break every query."""
+
+    @pytest.mark.parametrize("scope, values, message", [
+        ([], np.zeros((0, 0)), r"^empty scope: a distance table needs at least one expert$"),
+        ([(0, 0), (0, 0), (0, 1)], np.zeros((3, 3)), r"^expert \(0, 0\) repeated in scope$"),
+        ([(0, 0), (0, 2), (0, 1)], np.zeros((3, 3)), r"^expert \(0, 1\) out of order in scope$"),
+        ([(1, 0), (0, 3)], np.zeros((2, 2)), r"^expert \(0, 3\) out of order in scope$"),
+        ([(0, 0), (0, 1), (0, 2)], np.zeros((2, 2)), r"^distance values of shape \(2, 2\) for 3 experts$"),
+        ([(0, 0), (0, 1)], np.zeros((2, 3)), r"^distance values of shape \(2, 3\) for 2 experts$"),
+        ([(0, 0), (0, 1)], np.zeros(4), r"^distance values of shape \(4,\) for 2 experts$"),
+    ])
+    def test_malformed_table_refused(self, scope, values, message):
+        with pytest.raises(ValueError, match=message):
+            DistanceTable(scope=scope, values=values)
+
+    @pytest.mark.parametrize("cols, span", [([-1], "-1, -1"), ([0, 3], "0, 3"), ([1, 2, 7, -2], "-2, 7")])
+    def test_candidate_columns_outside_the_scope_refused(self, cols, span):
+        """A column -1 would read the last column under the label -1; one
+        past the end would raise IndexError."""
+        table = DistanceTable(scope=[(0, 0), (0, 1), (0, 2)], values=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=rf"^candidate columns \[{span}\] outside a scope of 3 experts$"):
+            nearest(table, cols)
+
+
 def reference_table(model, scope):
     """The scalar per-pair loop the Gram kernel replaced."""
     scope = sorted(scope)

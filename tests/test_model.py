@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conmoe import (
     ModelSpec,
@@ -18,7 +20,7 @@ from conmoe import (
     run_calibration,
     write_checkpoint,
 )
-from conmoe.model import DerivedLayers, MoELayer, MoEModel, slot_groups
+from conmoe.model import DerivedLayers, MoELayer, MoEModel, per_slot, slot_groups
 from conftest import experts_equal, stack_layer
 from oracle import (
     BATCH_RTOL,
@@ -475,6 +477,28 @@ class TestMaterialize:
         assert len(builds) <= spec.num_layers * (plan.scope_size + 2)
         want = materialize(model, plan)
         assert models_equal(MoEModel(spec, [MoELayer(*pair) for pair in got]), want)
+
+
+class TestSlotRule:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_reads_each_ref_of_the_grid(self, data):
+        """For any in-grid refs, repeats and any order included, the gather
+        is grid[l, i] ref by ref."""
+        layers, experts = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+        grid = np.arange(layers * experts, dtype=np.float64).reshape(layers, experts) * 0.5
+        refs = data.draw(st.lists(st.tuples(st.integers(0, layers - 1), st.integers(0, experts - 1)), max_size=12))
+        got = per_slot(grid, refs)
+        assert got.shape == (len(refs),)
+        assert got.tolist() == [grid[l, i] for l, i in refs]
+
+    @pytest.mark.parametrize("refs, bad", [
+        ([(0, 0), (-1, 0)], "(-1, 0)"), ([(0, -1)], "(0, -1)"), ([(1, 2), (2, 0), (0, 9)], "(2, 0)"),
+        ([(0, 4), (1, 3)], "(0, 4)"),
+    ])
+    def test_gather_refuses_the_first_ref_outside_the_grid(self, refs, bad):
+        with pytest.raises(ValueError, match=rf"^expert {re.escape(bad)} is not a slot of the 2x4 model$"):
+            per_slot(np.zeros((2, 4)), refs)
 
 
 class TestGenSynthetic:

@@ -22,9 +22,9 @@ from conmoe import (
 )
 from conmoe import planner
 from conmoe.geometry import DistanceTable
-from conmoe.calibration import CalibStats
+from conmoe.calibration import CalibStats, contribution
+from conmoe.model import per_slot
 from conmoe.plan import SELECTION_POLICIES
-from conmoe.planner import importance_weights
 from conmoe.store import canonical_json, plan_to_dict
 from oracle import brute_force_optimal, distance, scopes
 
@@ -94,7 +94,7 @@ class TestScore:
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
-        contrib = importance_weights(small_stats, refs)
+        contrib = per_slot(contribution(small_stats), refs)
         replace = np.array([min(distance(table, r, o) for o in refs if o != r) for r in refs])
         contrib_n = (contrib - contrib.min()) / (contrib.max() - contrib.min() + 1e-8)
         replace_n = (replace - replace.min()) / (replace.max() - replace.min() + 1e-8)
@@ -189,6 +189,46 @@ class TestSelectPrototypes:
         """Also at rho 0, where no scope is reduced and no policy ranks."""
         with pytest.raises(ValueError, match="unknown policy: 'prune_frequency'"):
             consolidate(small_model, small_stats, rho=0.0, policy="prune_frequency")
+
+
+ZIP_LENGTHS = r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"
+
+
+class TestSlotRefusals:
+    """Every reader of a stats grid goes through the one slot rule: a
+    negative index would read another slot under its label, one past the
+    grid would raise IndexError. Keys and refs pair one to one."""
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 8), (4, 0)])
+    def test_score_refuses_a_slot_outside_the_stats(self, small_stats, bad):
+        table = DistanceTable(scope=sorted([bad, (0, 1)]), values=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=rf"^expert \({bad[0]}, {bad[1]}\) is not a slot of the 4x8 model$"):
+            score(small_stats, table)
+
+    @pytest.mark.parametrize("policy", ["usage_topk", "reap_topk"])
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 8), (0, -1)])
+    def test_stats_keys_refuse_a_slot_outside_the_stats(self, small_stats, policy, bad):
+        with pytest.raises(ValueError, match=rf"^expert \({bad[0]}, {bad[1]}\) is not a slot of the 4x8 model$"):
+            planner.policy_keys(policy, small_stats, [(0, 0), bad], None)
+
+    @pytest.mark.parametrize("policy", SELECTION_POLICIES)
+    @pytest.mark.parametrize("refs", [refs_of(4)[::-1], refs_of(3), refs_of(4, layer=1)])
+    def test_keys_refuse_refs_that_are_not_the_table_scope(self, small_stats, small_model, policy, refs):
+        """Table-ranked keys come in table order; select_prototypes would
+        pair them with refs in another order."""
+        table = distance_matrix(small_model, refs_of(4))
+        with pytest.raises(ValueError, match="^refs are not the scope of the 4-expert distance table, in order$"):
+            planner.policy_keys(policy, small_stats, refs, table)
+
+    @pytest.mark.parametrize("keys, n, k", [([1.0, 2.0], 3, 3), ([1.0, 2.0, 3.0], 2, 1)])
+    def test_select_prototypes_pairs_every_key_with_a_ref(self, keys, n, k):
+        with pytest.raises(ValueError, match=ZIP_LENGTHS):
+            select_prototypes(keys, refs_of(n), k)
+
+    @pytest.mark.parametrize("keys, n", [([1.0, 2.0], 3), ([1.0, 2.0, 3.0, 4.0], 3)])
+    def test_layer_places_pairs_every_key_with_a_ref(self, keys, n):
+        with pytest.raises(ValueError, match=ZIP_LENGTHS):
+            planner.layer_places(keys, refs_of(n))
 
 
 class TestAssign:
@@ -357,7 +397,7 @@ class TestBruteForceOptimal:
         refs = [(0, i) for i in range(small_model.spec.num_experts)]
         table = distance_matrix(small_model, refs)
         scores = score(small_stats, table)
-        w = importance_weights(small_stats, refs)
+        w = per_slot(contribution(small_stats), refs)
         for k in (1, 2, 4):
             protos = select_prototypes(scores, refs, k)
             _, best = brute_force_optimal(table, k, w)
